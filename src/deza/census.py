@@ -196,6 +196,29 @@ class _Partial:
                 return False
         return True
 
+    def doomed_vertices(self, spec: Optional[PruneSpec]) -> Set[int]:
+        """Degree k-1 vertices that no accepted neighbour set can contain.
+
+        Once such a vertex is picked, its values with the saturated
+        vertices are frozen by add_vertex unchanged, and the set of
+        distinct frozen values only grows, so failing _frozen_ok on these
+        values alone is final.
+        """
+        if spec is None or (spec.saturated_values is None
+                            and spec.saturated_distinct_max is None):
+            return set()
+        k = self.k
+        cnt = self.cnt
+        saturated = [y for y, d in enumerate(self.deg) if d == k]
+        doomed: Set[int] = set()
+        for j, d in enumerate(self.deg):
+            if d != k - 1:
+                continue
+            values = [cnt[j][y] if j < y else cnt[y][j] for y in saturated]
+            if not self._frozen_ok(values, spec):
+                doomed.add(j)
+        return doomed
+
     def pop_vertex(self) -> None:
         bumps, adds = self.journal.pop()
         r = len(self.rows) - 1
@@ -231,17 +254,23 @@ def _normalize_prune(prune: Prune, k: int):
     raise GraphError(f"unsupported prune argument {prune!r}")
 
 
-def _candidate_sets(state: _Partial) -> Iterator[Tuple[int, ...]]:
+def _candidate_sets(state: _Partial, spec: Optional[PruneSpec]
+                    ) -> Iterator[Tuple[int, ...]]:
     """Neighbour sets for the next vertex, in a fixed deterministic order.
 
     Applies the forced-vertex rule (a vertex whose deficiency equals the
     number of vertices still to come after this one must be picked now)
-    and two counting bounds on the total remaining deficiency.
+    and two counting bounds on the total remaining deficiency.  Under a
+    frozen-value spec a vertex of degree k-1 is left out when saturating
+    it would already violate the spec: its pair counts with the saturated
+    vertices are final once it is picked, since those cannot be picked.
+    The surviving sets keep their relative order.
     """
     v, k = state.v, state.k
     r = len(state.rows)
     rem_after = v - r - 1
     deg = state.deg
+    doomed = state.doomed_vertices(spec)
     forced: List[int] = []
     optional: List[int] = []
     total_def = 0
@@ -253,8 +282,10 @@ def _candidate_sets(state: _Partial) -> Iterator[Tuple[int, ...]]:
         if d > rem_after + 1:
             return
         if d == rem_after + 1:
+            if j in doomed:
+                return
             forced.append(j)
-        else:
+        elif j not in doomed:
             optional.append(j)
     lo = max(len(forced), k - rem_after)
     hi = min(k, len(forced) + len(optional))
@@ -297,17 +328,6 @@ def _orbit_seen(s: Tuple[int, ...], seen: Set[Tuple[int, ...]],
     return False
 
 
-def _root_refinement_last_cell(g: Graph) -> Set[int]:
-    """Vertices in the final cell of the refined unit partition.
-
-    Canonical orderings list root cells in positional order, so the vertex
-    in the last canonical position always comes from the last cell; this
-    is a cheap necessary condition for last-orbit membership.
-    """
-    cells = refine(g.rows, [list(range(g.v))])
-    return set(cells[-1])
-
-
 def generate_regular(v: int, k: int, prune: Prune = None,
                      jobs: int = 1) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of k-regular graphs.
@@ -322,6 +342,8 @@ def generate_regular(v: int, k: int, prune: Prune = None,
         raise GraphError(f"degree {k} out of range for {v} vertices")
     if v * k % 2:
         raise GraphError(f"no {k}-regular graph on {v} vertices: v*k is odd")
+    if jobs < 1:
+        raise GraphError(f"jobs must be at least 1, got {jobs}")
     spec, predicate = _normalize_prune(prune, k)
     if v == 1:
         g = Graph(1, (0,))
@@ -336,102 +358,93 @@ def generate_regular(v: int, k: int, prune: Prune = None,
     yield from _extend(state, spec, predicate, ())
 
 
-def _extend(state: _Partial, spec: Optional[PruneSpec],
-            predicate: Optional[Callable[[Graph], bool]],
-            parent_gens: Sequence[Tuple[int, ...]]) -> Iterator[Graph]:
-    v = state.v
+def _accepted_children(state: _Partial, spec: Optional[PruneSpec],
+                       predicate: Optional[Callable[[Graph], bool]],
+                       parent_gens: Sequence[Tuple[int, ...]]
+                       ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """Push each accepted child onto state and yield its automorphisms.
+
+    A child is accepted when it passes the prunes, its new vertex r lies
+    in the canonical last orbit, and its certificate is new among its
+    siblings.  The child is popped when the consumer resumes.  Cheap
+    necessary conditions run first: refine splits the unit partition by
+    degree and orders the fragments ascending, so r can be in the last
+    root cell only if it has the maximum degree.  Every test is invariant
+    under the parent's automorphisms, so skipping orbits with _orbit_seen
+    after them keeps the same representatives.
+    """
     r = len(state.rows)
+    deg = state.deg
+    top = max(deg)
     seen_sets: Set[Tuple[int, ...]] = set()
     seen_certs: Set[bytes] = set()
-    for s in _candidate_sets(state):
+    for s in _candidate_sets(state, spec):
+        # r must reach the child's maximum degree, max(deg[x] + (x in s))
+        if len(s) < top or (len(s) == top and any(deg[x] == top for x in s)):
+            continue
         if parent_gens and _orbit_seen(s, seen_sets, parent_gens):
             continue
         if not state.add_vertex(s, spec):
             continue
         child = state.graph()
-        if predicate is not None and not predicate(child):
-            state.pop_vertex()
-            continue
-        if r not in _root_refinement_last_cell(child):
-            state.pop_vertex()
-            continue
-        data = canon_data(child)
-        if r not in data.last_orbit:
-            state.pop_vertex()
-            continue
-        if data.cert in seen_certs:
-            state.pop_vertex()
-            continue
-        seen_certs.add(data.cert)
-        if r + 1 == v:
-            yield child
-        else:
-            yield from _extend(state, spec, predicate, data.aut_gens)
+        if predicate is None or predicate(child):
+            cells = refine(child.rows, [list(range(r + 1))])
+            if r in cells[-1]:
+                data = canon_data(child, cells)
+                if r in data.last_orbit and data.cert not in seen_certs:
+                    seen_certs.add(data.cert)
+                    yield data.aut_gens
         state.pop_vertex()
+
+
+def _extend(state: _Partial, spec: Optional[PruneSpec],
+            predicate: Optional[Callable[[Graph], bool]],
+            parent_gens: Sequence[Tuple[int, ...]]) -> Iterator[Graph]:
+    leaf = len(state.rows) + 1 == state.v
+    for gens in _accepted_children(state, spec, predicate, parent_gens):
+        if leaf:
+            yield state.graph()
+        else:
+            yield from _extend(state, spec, predicate, gens)
+
+
+_Node = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
 
 def _frontier(v: int, k: int, spec: Optional[PruneSpec],
               predicate: Optional[Callable[[Graph], bool]],
-              min_nodes: int) -> Tuple[int, List[Tuple[int, ...]]]:
-    """Accepted partial graphs at a fixed depth, in DFS order."""
+              min_nodes: int) -> List[_Node]:
+    """Accepted partial graphs (rows, automorphisms) at one depth below
+    v, in DFS order."""
     depth = 1
-    level: List[Tuple[int, ...]] = [(0,)]
-    while depth < v - 1 and len(level) < min_nodes:
-        nxt: List[Tuple[int, ...]] = []
-        for rows in level:
+    level: List[_Node] = [((0,), ())]
+    while depth < v - 1 and 0 < len(level) < min_nodes:
+        nxt: List[_Node] = []
+        for rows, gens in level:
             state = _Partial(v, k)
             state.rebuild(rows)
-            gens = canon_data(state.graph()).aut_gens if depth > 1 else ()
-            nxt.extend(_children_rows(state, spec, predicate, gens))
+            nxt.extend((tuple(state.rows), child_gens) for child_gens
+                       in _accepted_children(state, spec, predicate, gens))
         depth += 1
         level = nxt
-        if not level:
-            break
-    return depth, level
-
-
-def _children_rows(state: _Partial, spec, predicate,
-                   parent_gens) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = []
-    r = len(state.rows)
-    seen_sets: Set[Tuple[int, ...]] = set()
-    seen_certs: Set[bytes] = set()
-    for s in _candidate_sets(state):
-        if parent_gens and _orbit_seen(s, seen_sets, parent_gens):
-            continue
-        if not state.add_vertex(s, spec):
-            continue
-        child = state.graph()
-        keep = predicate is None or predicate(child)
-        if keep and r in _root_refinement_last_cell(child):
-            data = canon_data(child)
-            if r in data.last_orbit and data.cert not in seen_certs:
-                seen_certs.add(data.cert)
-                out.append(tuple(state.rows))
-        state.pop_vertex()
-    return out
+    return level
 
 
 def _subtree_task(args) -> List[Tuple[int, ...]]:
-    v, k, prune, rows = args
+    v, k, prune, (rows, gens) = args
     spec, predicate = _normalize_prune(prune, k)
     state = _Partial(v, k)
     state.rebuild(rows)
-    gens = canon_data(state.graph()).aut_gens
-    if len(rows) == v:
-        return [rows]
-    return [tuple(g.rows) for g in _extend(state, spec, predicate, gens)]
+    return [g.rows for g in _extend(state, spec, predicate, gens)]
 
 
 def _generate_parallel(v: int, k: int, prune: Prune,
                        jobs: int) -> Iterator[Graph]:
     spec, predicate = _normalize_prune(prune, k)
-    depth, level = _frontier(v, k, spec, predicate, min_nodes=4 * jobs)
-    if depth == v:
-        for rows in level:
-            yield Graph(v, rows)
+    level = _frontier(v, k, spec, predicate, min_nodes=4 * jobs)
+    if not level:
         return
-    tasks = [(v, k, prune, rows) for rows in level]
+    tasks = [(v, k, prune, node) for node in level]
     with multiprocessing.Pool(jobs) as pool:
         for chunk in pool.imap(_subtree_task, tasks):
             for rows in chunk:
@@ -628,7 +641,11 @@ def parse_filter(spec: str) -> Callable[[CensusRecord], bool]:
 def _check_limits(v: int, k: int, long: bool) -> None:
     env = os.environ.get("DEZA_MAX_VERTICES")
     if env is not None:
-        ceiling = int(env)
+        try:
+            ceiling = int(env)
+        except ValueError:
+            raise GraphError(f"DEZA_MAX_VERTICES must be an integer, "
+                             f"got {env!r}") from None
         if v <= ceiling:
             return
         raise GraphError(f"v={v} exceeds DEZA_MAX_VERTICES={ceiling}")

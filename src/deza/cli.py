@@ -8,6 +8,7 @@ only, so parse/re-serialize round-trips byte-identically.
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -67,10 +68,28 @@ def _graph_from_flags(args) -> Graph:
 
 
 def _parse_range(text: str) -> List[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise UsageError(f"{text!r} is neither an integer nor an A..B "
+                         f"range") from None
+
+
+def _jobs(text: str) -> int:
+    """Worker count for --jobs: at least 1 and at most the CPU count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {limit}, the CPU count; got {jobs}")
+    return jobs
 
 
 def _cmd_construct(args) -> int:
@@ -414,7 +433,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--filter", default="all")
     p.add_argument("--out", help="prefix for .g6 and .meta.jsonl files")
     p.add_argument("--prune", help="prune spec, e.g. maxpair=k-2;sat=0,k-2")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--long", action="store_true",
                    help="allow the stretch bounds (v=16, k=4)")
@@ -424,7 +443,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--theorem", required=True, type=int, choices=(1, 2, 3))
     p.add_argument("--vmax", type=int)
     p.add_argument("--kmax", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--long", action="store_true")
     p.set_defaults(func=_cmd_audit)

@@ -249,6 +249,3 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
                 rows[i] |= 1 << pos[y]
     return Graph(len(vertices), tuple(rows))
 
-
-def common_neighbour_mask(g: Graph, i: int, j: int) -> int:
-    return g.rows[i] & g.rows[j]

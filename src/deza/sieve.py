@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .graphs import GraphError
 from .spectra import squarefree_part
 
 DdgParams = Tuple[int, int, int, int, int, int]
@@ -73,7 +74,7 @@ def deza_sieve(v: int, k: int, b: int, a: int) -> SieveVerdict:
     bounds on v when b = k-2 and a is k-3 resp. k-4.
     """
     if not 0 <= a <= b <= k < v:
-        raise ValueError(f"need 0 <= a <= b <= k < v, got {(v, k, b, a)}")
+        raise GraphError(f"need 0 <= a <= b <= k < v, got {(v, k, b, a)}")
     trace: List[RuleResult] = []
 
     trace.append(RuleResult("R1", "pass" if v * k % 2 == 0 else "fail",
@@ -178,7 +179,7 @@ def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
     """
     if not (v >= 1 and m >= 1 and n >= 1
             and 0 <= lam1 <= k and 0 <= lam2 <= k and k < v):
-        raise ValueError(
+        raise GraphError(
             f"need 0 <= lam1, lam2 <= k < v and m, n >= 1, "
             f"got {(v, k, lam1, lam2, m, n)}")
     trace: List[RuleResult] = []

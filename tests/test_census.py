@@ -3,10 +3,13 @@ import os
 
 import pytest
 
-from deza.canon import canonical_certificate
+from deza.canon import canonical_certificate, refine
 from deza.catalog import construct
 from deza.census import (
     PruneSpec,
+    _accepted_children,
+    _candidate_sets,
+    _Partial,
     audit_theorem,
     census,
     count_regular_classes_naive,
@@ -29,6 +32,13 @@ COUNTS = {
     (8, 0): 1, (8, 1): 1, (8, 2): 3, (8, 3): 6, (8, 4): 6,
     (8, 5): 3, (8, 6): 1, (8, 7): 1,
 }
+
+# unpruned counts past the oracle's reach, frozen from the generator; the
+# cubic ones (21 at v=10, tested below, and 94 at v=12) match OEIS A005638
+LARGER_COUNTS = {(12, 3): 94, (10, 4): 60, (11, 4): 266}
+
+SAT_PRUNE = "maxpair=k-2;sat=0,k-2"
+ANCHOR_PRUNE = "maxpair=k-2;satdistinct=2;anchor=k-2"
 
 
 def _g6_set(graphs):
@@ -54,6 +64,10 @@ class TestGenerateRegular:
         assert len(graphs) == 21
         assert sum(g.is_connected() for g in graphs) == 19
 
+    @pytest.mark.parametrize("v,k", sorted(LARGER_COUNTS))
+    def test_frozen_unpruned_counts(self, v, k):
+        assert len(list(generate_regular(v, k))) == LARGER_COUNTS[(v, k)]
+
     def test_quartic_at_nine(self):
         graphs = list(generate_regular(9, 4))
         assert len(graphs) == 16
@@ -70,6 +84,9 @@ class TestGenerateRegular:
             list(generate_regular(5, 5))
         with pytest.raises(GraphError):
             list(generate_regular(5, 3))   # odd vk
+        for jobs in (0, -3):
+            with pytest.raises(GraphError, match="jobs"):
+                list(generate_regular(8, 3, jobs=jobs))
 
     def test_oracle_parity_shortcut(self):
         assert count_regular_classes_naive(5, 3) == 0
@@ -88,20 +105,70 @@ class TestPrunes:
         with pytest.raises(GraphError):
             PruneSpec.from_string("frobnicate=3", 4)
 
-    @pytest.mark.parametrize("v,k", [(8, 3), (8, 4), (9, 4)])
-    def test_prune_equals_post_filter(self, v, k):
-        # pruned run must produce exactly the unpruned graphs whose pair
-        # counts all lie in {0, k-2}
-        def two_valued(g):
-            for u in range(g.v):
-                for w in range(u + 1, g.v):
-                    if (g.rows[u] & g.rows[w]).bit_count() not in (0, k - 2):
-                        return False
-            return True
+    @pytest.mark.parametrize("v,k,prune", [
+        pytest.param(8, 3, SAT_PRUNE, id="8-3"),
+        pytest.param(8, 4, SAT_PRUNE, id="8-4"),
+        pytest.param(9, 4, SAT_PRUNE, id="9-4"),
+        pytest.param(12, 3, SAT_PRUNE, id="12-3"),
+        pytest.param(9, 4, "maxpair=k-2;sat=k-3,k-2", id="9-4-theorem2"),
+        pytest.param(9, 4, ANCHOR_PRUNE, id="9-4-anchor"),
+        pytest.param(12, 3, ANCHOR_PRUNE, id="12-3-anchor"),
+    ])
+    def test_prune_equals_post_filter(self, v, k, prune):
+        # a pruned run must produce exactly the unpruned graphs whose pair
+        # counts, all frozen in a regular graph, satisfy the spec
+        spec = PruneSpec.from_string(prune, k)
 
-        pruned = _g6_set(generate_regular(v, k, prune="maxpair=k-2;sat=0,k-2"))
-        plain = _g6_set(g for g in generate_regular(v, k) if two_valued(g))
+        def obeys(g):
+            values = {(g.rows[u] & g.rows[w]).bit_count()
+                      for u in range(g.v) for w in range(u + 1, g.v)}
+            if max(values) > spec.max_pair_count:
+                return False
+            if spec.saturated_values is not None:
+                return values <= set(spec.saturated_values)
+            distinct = spec.saturated_distinct_max
+            return len(values) < distinct or (
+                len(values) == distinct and spec.saturated_anchor in values)
+
+        pruned = _g6_set(generate_regular(v, k, prune=prune))
+        plain = _g6_set(g for g in generate_regular(v, k) if obeys(g))
         assert pruned == plain
+
+    @pytest.mark.parametrize("v,k,prune", [(10, 4, SAT_PRUNE),
+                                           (9, 4, ANCHOR_PRUNE)])
+    def test_candidate_filters_drop_only_rejected_sets(self, v, k, prune):
+        # walk the whole pruned search; at every node the sets the spec
+        # drops from the candidates must be sets add_vertex rejects, the
+        # kept ones must come in the unfiltered order, and a child whose
+        # new vertex reaches the last root cell must have maximum degree
+        spec = PruneSpec.from_string(prune, k)
+        state = _Partial(v, k)
+        state.add_vertex([], spec)
+        dropped = 0
+
+        def walk(gens):
+            nonlocal dropped
+            every = list(_candidate_sets(state, None))
+            kept = list(_candidate_sets(state, spec))
+            assert kept == [s for s in every if s in set(kept)]
+            r = len(state.rows)
+            for s in every:
+                if s not in kept:
+                    dropped += 1
+                    rows = list(state.rows)
+                    assert not state.add_vertex(s, spec)
+                    assert state.rows == rows
+                elif state.add_vertex(s, spec):
+                    cells = refine(state.rows, [list(range(r + 1))])
+                    if r in cells[-1]:
+                        assert len(s) == max(state.deg)
+                    state.pop_vertex()
+            if r + 1 < v:
+                for child_gens in _accepted_children(state, spec, None, gens):
+                    walk(child_gens)
+
+        walk(())
+        assert dropped > 0
 
     def test_anchor_prune_subset(self):
         # anchored runs keep only graphs where some saturated pair hits k-2

@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import deza
 from deza import cli
 from deza.classify import classify
 from deza.graph6 import decode_graph6
@@ -164,6 +166,41 @@ class TestExitCodes:
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("sieve", "deza", "5", "10", "3", "1"),
+        ("sieve", "ddg", "8", "4", "0", "2", "0", "2"),
+    ])
+    def test_out_of_range_sieve_tuple(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: need")
+
+    def test_non_integer_range(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--v", "abc", "--k", "3")
+        assert code == 1
+        assert err.startswith("usage error: 'abc'")
+
+    def test_non_integer_vertex_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setenv("DEZA_MAX_VERTICES", "abc")
+        code, _, err = run(capsys, "enumerate", "--v", "8", "--k", "3")
+        assert code == 1
+        assert err.startswith("error: DEZA_MAX_VERTICES")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("enumerate", "--v", "8", "--k", "3"), id="enumerate"),
+        pytest.param(("audit", "--theorem", "1"), id="audit"),
+    ])
+    @pytest.mark.parametrize("jobs", [0, -3, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range(self, capsys, monkeypatch, argv, jobs):
+        # rejected while parsing, before any generator or pool could start
+        def never(*args, **kwargs):
+            raise AssertionError("ran with a rejected --jobs value")
+        monkeypatch.setattr(cli, "census", never)
+        monkeypatch.setattr(cli, "audit_theorem", never)
+        code, _, err = run(capsys, *argv, "--jobs", str(jobs))
+        assert code == 1
+        assert "--jobs" in err
+
     def test_internal_invariant_maps_to_three(self, capsys, monkeypatch):
         # the parser is rebuilt on every main() call, so patching the
         # handler is enough to exercise the translation layer
@@ -187,3 +224,14 @@ class TestCatalogCommand:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "infeasible: R2 beta=3/2" in proc.stdout
+
+    def test_python_dash_m(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(deza.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "deza", "catalog"],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert proc.returncode == 0
+        assert "grid-4x2" in proc.stdout
