@@ -20,8 +20,8 @@ from .graphs import Graph, GraphError, InternalInvariantError
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .sieve import (SieveVerdict, ddg_sieve, deza_sieve, scan_n2_tuples,
                     scan_small_n_tuples)
-from .spectra import (adjacency_square_identity, char_poly,
-                      ddg_spectrum_check, factor_adjacency_poly)
+from .spectra import (_ddg_spectrum, adjacency_square_identity, char_poly,
+                      factor_adjacency_poly)
 
 
 class UsageError(Exception):
@@ -70,12 +70,15 @@ def _graph_from_flags(args) -> Graph:
 def _parse_range(text: str) -> List[int]:
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            lo, hi = (int(t) for t in text.split("..", 1))
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise UsageError(f"{text!r} is neither an integer nor an A..B "
                          f"range") from None
+    if lo > hi:
+        raise UsageError(f"range {text!r} is reversed; write it low..high")
+    return list(range(lo, hi + 1))
 
 
 def _jobs(text: str) -> int:
@@ -232,7 +235,7 @@ def _cmd_spectrum(args) -> int:
     det = ddg_detect(g)
     if det.proper is not None:
         res = det.proper
-        spec = ddg_spectrum_check(g, *res.params)
+        spec = _ddg_spectrum(g, res.params, factors)
         payload["ddg_spectrum"] = {
             "k": spec.k, "d1": spec.d1, "d2": spec.d2,
             "f1": spec.f1, "f2": spec.f2, "g1": spec.g1, "g2": spec.g2,

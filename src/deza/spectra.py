@@ -1,9 +1,11 @@
 """Exact spectral computations for adjacency matrices.
 
-Everything here runs over Python integers: characteristic polynomials via
-the Faddeev-LeVerrier recurrence (all divisions asserted exact), and
-factorisation limited to the shapes that matter for walk-regular graph
-families, namely integer roots and quadratic surd pairs (x^2 - d).
+Everything here runs over Python integers.  Characteristic polynomials come
+from closed-walk counts tr(A^j), summed over packed bit rows in
+O(maxdeg * v^2) big-int additions with a proven field width, and Newton's
+identities (all divisions asserted exact).  Factorisation is limited to
+the shapes that matter for walk-regular graph families, namely integer
+roots and quadratic surd pairs (x^2 - d).
 """
 
 import math
@@ -16,29 +18,35 @@ from .graphs import Graph, GraphError, InternalInvariantError
 def char_poly(g: Graph) -> Tuple[int, ...]:
     """Coefficients of det(xI - A), index i holding the x^i coefficient.
 
-    Faddeev-LeVerrier over exact integers; the division by the step index
-    is asserted exact, so a failure here means corrupted input rather than
-    rounding.
+    The power sums p_j = tr(A^j), j = 1..v, count closed walks of length j.
+    Row i of A^j is one int of v fixed-width fields, field t holding the
+    number of walks of length j from i to t, so row i of A^(j+1) is the sum
+    of the packed rows of A^j over N(i): O(maxdeg * v^2) big-int additions
+    in all.  Walk counts are non-negative and at most maxdeg^j <= maxdeg^v,
+    so fields of that bit length never carry into one another.  Newton's
+    identities turn the p_j into the coefficients; their division by the
+    step index is asserted exact, so a failure here means corrupted input
+    rather than rounding.
     """
     v = g.v
-    a = [[(g.rows[i] >> j) & 1 for j in range(v)] for i in range(v)]
-    coeffs = [0] * (v + 1)
-    coeffs[v] = 1
-    m = [row[:] for row in a]
+    nbrs = [g.neighbours(i) for i in range(v)]
+    width = max(1, (max(g.degrees(), default=0) ** v).bit_length())
+    mask = (1 << width) - 1
+    rows = [1 << (width * i) for i in range(v)]
+    p = [0]  # p[j] = tr(A^j); p[0] is not used
+    for _ in range(v):
+        rows = [sum([rows[t] for t in nbrs[i]]) for i in range(v)]
+        p.append(sum((rows[i] >> (width * i)) & mask for i in range(v)))
+    # c[j] is the x^(v-j) coefficient: j c_j = -(c_(j-1) p_1 + ... + c_0 p_j)
+    c = [1]
     for step in range(1, v + 1):
-        tr = sum(m[i][i] for i in range(v))
-        if tr % step != 0:
+        c_step, rem = divmod(
+            -sum(c[step - i] * p[i] for i in range(1, step + 1)), step)
+        if rem:
             raise InternalInvariantError(
-                f"inexact trace division at step {step}")
-        c = -(tr // step)
-        coeffs[v - step] = c
-        if step == v:
-            break
-        for i in range(v):
-            m[i][i] += c
-        m = [[sum(a[i][t] * m[t][j] for t in range(v)) for j in range(v)]
-             for i in range(v)]
-    return tuple(coeffs)
+                f"inexact power-sum division at step {step}")
+        c.append(c_step)
+    return tuple(reversed(c))
 
 
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:
@@ -265,7 +273,17 @@ def ddg_spectrum_check(g: Graph, v: int, k: int, lam1: int, lam2: int,
     the factorisation and whose signed eigenvalue sum is zero.  Raises
     SpectrumMismatch when no attribution fits.
     """
-    params = (v, k, lam1, lam2, m, n)
+    return _ddg_spectrum(g, (v, k, lam1, lam2, m, n))
+
+
+def _ddg_spectrum(g: Graph, params: Tuple[int, int, int, int, int, int],
+                  factors: Optional[SpectrumFactors] = None) -> DdgSpectrum:
+    """ddg_spectrum_check, reusing the factors of char_poly(g) if given.
+
+    Factors split off at any bound >= k are the ones at bound k, because a
+    k-regular graph has no eigenvalue outside [-k, k].
+    """
+    v, k, lam1, lam2, m, n = params
     if g.v != v or m * n != v:
         raise GraphError(f"parameter mismatch: graph on {g.v} vertices, "
                          f"parameters {params}")
@@ -274,8 +292,8 @@ def ddg_spectrum_check(g: Graph, v: int, k: int, lam1: int, lam2: int,
     if d1 < 0 or d2 < 0:
         raise SpectrumMismatch(params, None,
                                f"negative discriminant (d1={d1}, d2={d2})")
-    poly = char_poly(g)
-    factors = factor_adjacency_poly(poly, k)
+    if factors is None:
+        factors = factor_adjacency_poly(char_poly(g), k)
     if factors.residual != (1,):
         raise SpectrumMismatch(params, factors,
                                "characteristic polynomial has a factor "

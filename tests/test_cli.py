@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import deza
-from deza import cli
+from deza import cli, spectra
+from deza.catalog import construct
 from deza.classify import classify
 from deza.graph6 import decode_graph6
 from deza.graphs import InternalInvariantError
@@ -92,6 +93,25 @@ class TestDdgAndSpectrum:
         code, out, _ = run(capsys, "spectrum", "grid-4x2")
         assert code == 0
         assert "factored: (x-4)(x-2)x^3(x+2)^3" in out
+
+    def test_spectrum_polynomial_computed_once(self, capsys, monkeypatch):
+        # a proper DDG: the design check reuses the command's factors
+        calls = []
+        real = spectra.char_poly
+
+        def counted(g):
+            calls.append(g.v)
+            return real(g)
+        monkeypatch.setattr(cli, "char_poly", counted)
+        monkeypatch.setattr(spectra, "char_poly", counted)
+        code, out, _ = run(capsys, "spectrum", "grid-4x2", "--json")
+        assert code == 0
+        assert calls == [8]
+        s = spectra.ddg_spectrum_check(construct("grid-4x2"),
+                                       8, 4, 0, 2, 4, 2)
+        assert json.loads(out)["ddg_spectrum"] == {
+            "k": s.k, "d1": s.d1, "d2": s.d2,
+            "f1": s.f1, "f2": s.f2, "g1": s.g1, "g2": s.g2}
 
     def test_unresolvable_input(self, capsys):
         code, _, err = run(capsys, "spectrum", "???")
@@ -179,6 +199,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "enumerate", "--v", "abc", "--k", "3")
         assert code == 1
         assert err.startswith("usage error: 'abc'")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("--v", "10..8", "--k", "3"), id="v"),
+        pytest.param(("--v", "10", "--k", "4..3"), id="k"),
+    ])
+    def test_reversed_range(self, capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated a reversed range")
+        monkeypatch.setattr(cli, "census", never)
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: range") and "reversed" in err
 
     def test_non_integer_vertex_ceiling(self, capsys, monkeypatch):
         monkeypatch.setenv("DEZA_MAX_VERTICES", "abc")

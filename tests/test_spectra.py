@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from deza.graphs import (
     GraphError,
     cartesian_product,
+    complement,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     fano_incidence,
     fano_non_incidence,
     hypercube,
@@ -159,6 +162,82 @@ class TestCharPoly:
             perm = list(range(8))
             rng.shuffle(perm)
             assert char_poly(permute_graph(g, perm)) == char_poly(g)
+
+
+def bareiss_det(m):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for p in range(n - 1):
+        if m[p][p] == 0:
+            swap = next((r for r in range(p + 1, n) if m[r][p]), None)
+            if swap is None:
+                return 0
+            m[p], m[swap] = m[swap], m[p]
+            sign = -sign
+        for i in range(p + 1, n):
+            for j in range(p + 1, n):
+                m[i][j] = (m[i][j] * m[p][p] - m[i][p] * m[p][j]) // prev
+        prev = m[p][p]
+    return sign * m[-1][-1] if n else 1
+
+
+def det_x_minus_a(g, x):
+    return bareiss_det([[(x if i == j else 0) - ((g.rows[i] >> j) & 1)
+                         for j in range(g.v)] for i in range(g.v)])
+
+
+def random_circulant(v, rng):
+    # regular: a symmetric connection set on Z_v, then a random relabelling
+    steps = {d for d in range(1, v // 2 + 1) if rng.randrange(4) == 0}
+    edges = {(a, (a + d) % v) for a in range(v) for d in steps}
+    g = make_graph(v, {(min(e), max(e)) for e in edges})
+    perm = list(range(v))
+    rng.shuffle(perm)
+    return permute_graph(g, perm)
+
+
+# det(xI - A) by elimination, and closed forms: neither shares code with
+# the walk counts in char_poly
+class TestCharPolyCrossCheck:
+    @pytest.mark.parametrize("regular", [True, False],
+                             ids=["regular", "irregular"])
+    def test_seeded_random_graphs(self, regular):
+        rng = random.Random(41 if regular else 43)
+        for _ in range(12):
+            v = rng.randrange(2, 41)
+            g = (random_circulant(v, rng) if regular
+                 else random_graph(v, rng.randrange(1, 10), rng))
+            p = char_poly(g)
+            assert len(p) == v + 1 and p[v] == 1
+            for x in rng.sample(range(-6, 7), 3):
+                assert poly_eval(p, x) == det_x_minus_a(g, x)
+
+    def test_hypercube_q6(self):
+        # eigenvalues 6 - 2i with multiplicity C(6, i)
+        want = product(*(power(linear(6 - 2 * i), math.comb(6, i))
+                         for i in range(7)))
+        assert char_poly(hypercube(6)) == want
+
+    @pytest.mark.parametrize("n", range(30, 41))
+    def test_complete_graphs(self, n):
+        # the densest graphs: maxdeg = v - 1 gives the widest fields
+        assert char_poly(complete_graph(n)) == product(
+            linear(n - 1), power(linear(-1), n - 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    def test_complete_bipartite(self, n):
+        # A^j of K_{n,n} has entries n^(j-1) = maxdeg^(j-1), the most walks
+        # of length j between two vertices that maximum degree n allows
+        g = complement(disjoint_union([complete_graph(n)] * 2))
+        assert char_poly(g) == product(surd(n * n),
+                                       power(linear(0), 2 * n - 2))
+
+    @pytest.mark.parametrize("v", [0, 1, 2, 9])
+    def test_edgeless(self, v):
+        assert char_poly(empty_graph(v)) == (0,) * v + (1,)
+        assert det_x_minus_a(empty_graph(v), 3) == 3 ** v
 
 
 class TestFactorisation:
