@@ -19,12 +19,13 @@ import json
 import multiprocessing
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, Union)
 
 from . import __version__
 from .canon import canon_data, canonical_certificate, refine
+from .catalog import construct
 from .classify import classify
 from .ddg import ddg_detect
 from .graphs import Graph, GraphError
@@ -85,6 +86,19 @@ class PruneSpec:
             else:
                 raise GraphError(f"unknown prune clause {key!r}")
         return PruneSpec(maxpair, sat, distinct, anchor)
+
+    def __str__(self) -> str:
+        """The spec string with every k-term resolved."""
+        parts = []
+        if self.max_pair_count is not None:
+            parts.append(f"maxpair={self.max_pair_count}")
+        if self.saturated_values is not None:
+            parts.append("sat=" + ",".join(map(str, self.saturated_values)))
+        if self.saturated_distinct_max is not None:
+            parts.append(f"satdistinct={self.saturated_distinct_max}")
+        if self.saturated_anchor is not None:
+            parts.append(f"anchor={self.saturated_anchor}")
+        return ";".join(parts)
 
 
 Prune = Union[None, str, PruneSpec, Callable[[Graph], bool]]
@@ -497,19 +511,6 @@ def count_regular_classes_naive(v: int, k: int) -> int:
     return len(certs)
 
 
-def _spec_string(spec: PruneSpec) -> str:
-    parts = []
-    if spec.max_pair_count is not None:
-        parts.append(f"maxpair={spec.max_pair_count}")
-    if spec.saturated_values is not None:
-        parts.append("sat=" + ",".join(map(str, spec.saturated_values)))
-    if spec.saturated_distinct_max is not None:
-        parts.append(f"satdistinct={spec.saturated_distinct_max}")
-    if spec.saturated_anchor is not None:
-        parts.append(f"anchor={spec.saturated_anchor}")
-    return ";".join(parts)
-
-
 @dataclass(frozen=True)
 class CensusRecord:
     """One enumerated graph with its classification summary.
@@ -548,6 +549,11 @@ class CensusRecord:
         return json.dumps(self.as_dict(), separators=(",", ":"))
 
 
+def _cert_hash(g: Graph) -> str:
+    cert = canonical_certificate(g).certificate_bytes
+    return hashlib.sha256(cert).hexdigest()
+
+
 def build_record(g: Graph, generator: Tuple[Tuple[str, object], ...]
                  ) -> CensusRecord:
     rep = classify(g)
@@ -558,7 +564,6 @@ def build_record(g: Graph, generator: Tuple[Tuple[str, object], ...]
     k = g.regular_degree()
     if k is None:
         raise GraphError("census records cover regular graphs only")
-    cert = canonical_certificate(g).certificate_bytes
     return CensusRecord(
         graph6=encode_graph6(g),
         v=g.v,
@@ -568,7 +573,7 @@ def build_record(g: Graph, generator: Tuple[Tuple[str, object], ...]
         srg=rep.srg,
         ddg=ddg,
         diameter=rep.diameter,
-        certificate_hash=hashlib.sha256(cert).hexdigest(),
+        certificate_hash=_cert_hash(g),
         generator=generator,
     )
 
@@ -584,15 +589,6 @@ _FILTER_ALIASES = {
     "connected": "connected",
     "deza with b=k-2": "deza(*,*,k-2,*)",
 }
-
-
-def _match_term(term: str, value: int, k: int, position: int) -> bool:
-    term = term.strip()
-    if term in ("*", "v") and position == 0:
-        return True
-    if term == "*":
-        return True
-    return _bound_term(term, k) == value
 
 
 def parse_filter(spec: str) -> Callable[[CensusRecord], bool]:
@@ -617,7 +613,9 @@ def parse_filter(spec: str) -> Callable[[CensusRecord], bool]:
                 params = rec.deza if kind == "deza" else rec.ddg
                 if params is None:
                     return False
-                return all(_match_term(t, p, rec.k, i)
+                # '*' matches anything, 'v' only as the vertex count
+                return all(t == "*" or (t == "v" and i == 0)
+                           or _bound_term(t, rec.k) == p
                            for i, (t, p) in enumerate(zip(terms, params)))
 
             checks.append(check)
@@ -685,10 +683,7 @@ def census(v_values: Union[int, Iterable[int]],
         for k in ks:
             if 0 <= k < v and v * k % 2 == 0:
                 _check_limits(v, k, long)
-    if isinstance(prune, PruneSpec):
-        prune_note: Optional[str] = _spec_string(prune)
-    else:
-        prune_note = prune
+    prune_note = str(prune) if isinstance(prune, PruneSpec) else prune
     records: List[CensusRecord] = []
     for v in vs:
         for k in ks:
@@ -750,57 +745,178 @@ class AuditReport:
         }
 
 
-def _named_graphs() -> Dict[str, Graph]:
-    from .graphs import (cartesian_product, complement, complete_graph,
-                         disjoint_union, fano_incidence, fano_non_incidence,
-                         hypercube, petersen)
-    named = {
-        "grid-4x2": cartesian_product(complete_graph(4), complete_graph(2)),
-        "fano-non-incidence": fano_non_incidence(),
-        "heawood": fano_incidence(),
-        "hypercube-4": hypercube(4),
-        "petersen": petersen(),
-    }
-    for s in (2, 3):
-        cubes = disjoint_union([hypercube(3)] * s)
-        named[f"complement-{s}-cubes"] = complement(cubes)
-    return named
+@dataclass(frozen=True)
+class _Case:
+    """An expected case of a theorem.
+
+    A certificate case is the catalog graph of that name, found by
+    certificate and checked against its listed parameters; a family is
+    recognised by the theorem's matcher.  A case is in the window when
+    v <= vmax and k <= kmax (no k bound without kmax; a family without a
+    fixed v has no v bound).
+    """
+    name: str
+    params: Tuple[Optional[int], ...]
+    match: str = "certificate"
+    required: bool = True
+    extra: Dict[str, object] = field(default_factory=dict)
+
+    def in_window(self, vmax: int, kmax: Optional[int]) -> bool:
+        v, k = self.params[:2]
+        return (v is None or v <= vmax) and (kmax is None or k <= kmax)
 
 
-def _cert_hash(g: Graph) -> str:
-    cert = canonical_certificate(g).certificate_bytes
-    return hashlib.sha256(cert).hexdigest()
+_Cell = Tuple[int, int, str, object]
+_Match = Tuple[Optional[str], Optional[str]]
 
 
-def _found_entry(g: Graph, rep, case: Optional[str],
-                 ddg: Optional[Tuple[int, int, int, int]] = None
-                 ) -> Dict[str, object]:
-    entry: Dict[str, object] = {
-        "graph6": encode_graph6(g),
-        "v": g.v,
-        "k": g.regular_degree(),
-        "deza": list(rep.deza) if rep.deza else None,
-        "diameter": rep.diameter,
-        "connected": rep.connected,
-        "certificate_hash": _cert_hash(g),
-        "case": case,
-    }
-    if ddg is not None:
-        entry["ddg"] = list(ddg)
-    return entry
+@dataclass(frozen=True)
+class _Theorem:
+    """One classification statement: window, cells, scope and cases.
+
+    cells(vmax, kmax) lists (v, k, prune, target) in enumeration order;
+    in_scope(g, target) returns (classification, parameters) for a graph
+    the theorem covers, else None; match(classification) names the case
+    and the problem of a graph that matched no certificate case.
+    """
+    vmax: int
+    kmax: Optional[int]
+    scope: str
+    key: str
+    cells: Callable[[int, Optional[int]], List[_Cell]]
+    in_scope: Callable[[Graph, object], Optional[tuple]]
+    match: Callable[[object], _Match]
+    missing: str
+    cases: Tuple[_Case, ...]
 
 
-def _theorem1_cells(vmax: int, kmax: int) -> List[Tuple[int, int]]:
+def _a0_cells(vmax: int, kmax: int) -> List[_Cell]:
+    # the count of b-partners, k(k-1)/(k-2) when a=0, must be an integer,
+    # so the other degrees admit no graph at all
+    return [(v, k, "maxpair=k-2;sat=0,k-2", (v, k, k - 2, 0))
+            for k in range(3, kmax + 1) if k * (k - 1) % (k - 2) == 0
+            for v in range(k + 2, vmax + 1) if v * k % 2 == 0]
+
+
+def _gap_cells(vmax: int, kmax: Optional[int]) -> List[_Cell]:
     cells = []
-    for k in range(3, kmax + 1):
-        if k * (k - 1) % (k - 2):
-            # the count of b-partners, k(k-1)/(k-2) when a=0, must be an
-            # integer, so these degrees admit no graph at all
-            continue
-        for v in range(k + 2, vmax + 1):
-            if v * k % 2 == 0:
-                cells.append((v, k))
+    for gap in (3, 4):
+        for v in range(5, vmax + 1):
+            for k in range(gap + 1, min(kmax or v - 2, v - 2) + 1):
+                a = k - gap
+                # b-partner count: elementary double counting, must be a
+                # positive integer at most v-1 for any realization
+                num = k * (k - 1) - a * (v - 1)
+                if (v * k % 2 == 0 and num > 0 and num % (gap - 2) == 0
+                        and num // (gap - 2) <= v - 1):
+                    cells.append((v, k, f"maxpair=k-2;sat=k-{gap},k-2",
+                                  (v, k, k - 2, a)))
     return cells
+
+
+def _ddg_cells(vmax: int, kmax: int) -> List[_Cell]:
+    return [(v, k, "maxpair=k-2;satdistinct=2;anchor=k-2", k - 2)
+            for k in range(3, kmax + 1)
+            for v in range(k + 1, vmax + 1) if v * k % 2 == 0]
+
+
+def _deza_scope(g: Graph, target):
+    rep = classify(g)
+    if rep.connected and rep.deza == target:
+        return rep, rep.deza
+    return None
+
+
+def _ddg_scope(g: Graph, larger: int):
+    res = ddg_detect(g).proper
+    if res is None or max(res.lam1, res.lam2) != larger:
+        return None
+    return classify(g), res.params
+
+
+_A0_OTHERS = {
+    (8, 4): "an (8,4,2,0) graph other than the 4x2 rook's graph",
+    (14, 4): "a (14,4,2,0) graph other than the plane non-incidence graph",
+    (16, 4): "a (16,4,2,0) graph other than the 4-cube",
+}
+
+
+def _match_a0(rep) -> _Match:
+    v, k = rep.deza[:2]
+    if (v, k) in _A0_OTHERS:
+        return None, _A0_OTHERS[v, k]
+    if k != 3:
+        return None, f"parameters {rep.deza} outside every listed case"
+    if rep.diameter == 2:
+        return None, "a diameter-2 (v,3,1,0) graph other than the " \
+                     "Petersen graph"
+    if v == 14:
+        return ("cubic-diameter-exceeds-2",
+                "a (14,3,1,0) graph that is not the point-line "
+                "incidence graph, contradicting the uniqueness claim")
+    return "cubic-diameter-exceeds-2", None
+
+
+def _match_gap(rep) -> _Match:
+    v, k, _, a = rep.deza
+    if k - a == 3:
+        if rep.strictly_deza and (v, k) in ((8, 4), (9, 4)):
+            return f"strict-deza-({v},4,2,1)", None
+        if rep.srg in ((9, 4, 1, 2), (10, 6, 3, 4)):
+            return "srg-({},{},{},{})".format(*rep.srg), None
+    return None, f"parameters {rep.deza} outside every a=k-{k - a} case"
+
+
+def _match_unlisted_ddg(rep) -> _Match:
+    return None, ("a proper divisible design graph with larger constant "
+                  "k-2 not on the list")
+
+
+_MISSING_CERT = "no enumerated graph matched this certificate"
+
+_THEOREMS = {
+    1: _Theorem(
+        vmax=14, kmax=4, key="deza",
+        scope="connected Deza graphs with b=k-2 and a=0",
+        cells=_a0_cells, in_scope=_deza_scope, match=_match_a0,
+        missing=_MISSING_CERT, cases=(
+            _Case("grid-4x2", (8, 4, 2, 0)),
+            _Case("fano-non-incidence", (14, 4, 2, 0)),
+            _Case("hypercube-4", (16, 4, 2, 0)),
+            _Case("petersen", (10, 3, 1, 0), extra={"diameter": 2}),
+            _Case("cubic-diameter-exceeds-2", (None, 3, 1, 0), "family",
+                  required=False, extra={"note": "any number of members"}),
+            _Case("heawood", (14, 3, 1, 0),
+                  extra={"note": "claimed to be the only graph with "
+                                 "these parameters"}),
+        )),
+    2: _Theorem(
+        vmax=10, kmax=None, key="deza",
+        scope="connected Deza graphs with b=k-2 and a in {k-3, k-4}, a>0",
+        cells=_gap_cells, in_scope=_deza_scope, match=_match_gap,
+        missing="no enumerated graph realized this case", cases=(
+            _Case("strict-deza-(8,4,2,1)", (8, 4, 2, 1), "family",
+                  extra={"verdict": "strictly-deza"}),
+            _Case("strict-deza-(9,4,2,1)", (9, 4, 2, 1), "family",
+                  extra={"verdict": "strictly-deza"}),
+            _Case("srg-(9,4,1,2)", (9, 4, 2, 1), "family",
+                  extra={"verdict": "srg"}),
+            _Case("srg-(10,6,3,4)", (10, 6, 4, 3), "family",
+                  extra={"verdict": "srg"}),
+            _Case("complement-2-cubes", (16, 12, 10, 8)),
+            _Case("complement-3-cubes", (24, 20, 18, 16)),
+        )),
+    3: _Theorem(
+        vmax=14, kmax=4, key="ddg",
+        scope="proper divisible design graphs whose larger pair constant "
+              "equals k-2",
+        cells=_ddg_cells, in_scope=_ddg_scope, match=_match_unlisted_ddg,
+        missing=_MISSING_CERT, cases=(
+            _Case("fano-non-incidence", (14, 4, 2, 0, 2, 7)),
+            _Case("heawood", (14, 3, 1, 0, 2, 7)),
+            _Case("grid-4x2", (8, 4, 2, 0, 2, 4)),
+        )),
+}
 
 
 def audit_theorem(theorem: int, vmax: Optional[int] = None,
@@ -811,273 +927,63 @@ def audit_theorem(theorem: int, vmax: Optional[int] = None,
     Theorem 1 covers connected Deza graphs with b=k-2 and a=0; theorem 2
     the a=k-3 and a=k-4 (a>0) cases; theorem 3 proper divisible design
     graphs whose larger pair constant equals k-2.  Named expected graphs
-    are matched by certificate, families by parameters.
+    are matched by certificate, families by parameters.  vmax and kmax
+    default to the theorem's window when absent or 0; an expected case is
+    in the window when its v <= vmax and its k <= kmax.  Every cell is
+    checked against the desk limits before any is enumerated.
     """
-    if theorem == 1:
-        return _audit_theorem1(vmax or 14, kmax or 4, jobs, long)
-    if theorem == 2:
-        return _audit_theorem2(vmax or 10, kmax, jobs, long)
-    if theorem == 3:
-        return _audit_theorem3(vmax or 14, kmax or 4, jobs, long)
-    raise GraphError(f"no theorem {theorem}; pick 1, 2, or 3")
-
-
-def _audit_theorem1(vmax: int, kmax: int, jobs: int,
-                    long: bool) -> AuditReport:
-    named = _named_graphs()
-    certs = {name: _cert_hash(named[name])
-             for name in ("grid-4x2", "fano-non-incidence", "hypercube-4",
-                          "petersen", "heawood")}
-    expected: List[Dict[str, object]] = []
-    unique_cases = [("grid-4x2", (8, 4, 2, 0)),
-                    ("fano-non-incidence", (14, 4, 2, 0)),
-                    ("hypercube-4", (16, 4, 2, 0))]
-    for name, params in unique_cases:
-        if params[0] <= vmax and params[1] <= kmax:
-            expected.append({"case": name, "match": "certificate",
-                             "deza": list(params)})
-    if 10 <= vmax and 3 <= kmax:
-        expected.append({"case": "petersen", "match": "certificate",
-                         "deza": [10, 3, 1, 0], "diameter": 2})
-    if 3 <= kmax:
-        expected.append({"case": "cubic-diameter-exceeds-2",
-                         "match": "family", "deza": [None, 3, 1, 0],
-                         "note": "any number of members"})
-    if 14 <= vmax and 3 <= kmax:
-        expected.append({"case": "heawood", "match": "certificate",
-                         "deza": [14, 3, 1, 0],
-                         "note": "claimed to be the only graph with these "
-                                 "parameters"})
-    found: List[Dict[str, object]] = []
-    matches: List[Dict[str, object]] = []
-    discrepancies: List[Dict[str, object]] = []
-    for v, k in _theorem1_cells(vmax, kmax):
+    t = _THEOREMS.get(theorem)
+    if t is None:
+        raise GraphError(f"no theorem {theorem}; pick 1, 2, or 3")
+    vmax = vmax or t.vmax
+    kmax = kmax or t.kmax
+    cases = [c for c in t.cases if c.in_window(vmax, kmax)]
+    cells = t.cells(vmax, kmax)
+    for v, k, _, _ in cells:
         _check_limits(v, k, long)
-        target = (v, k, k - 2, 0)
-        prune = "maxpair=k-2;sat=0,k-2"
+    by_cert = {_cert_hash(construct(c.name)): c
+               for c in cases if c.match == "certificate"}
+    found: List[Dict[str, object]] = []
+    matches: List[Dict[str, object]] = []
+    discrepancies: List[Dict[str, object]] = []
+    for v, k, prune, target in cells:
         for g in generate_regular(v, k, prune=prune, jobs=jobs):
-            rep = classify(g)
-            if not rep.connected or rep.deza != target:
+            hit = t.in_scope(g, target)
+            if hit is None:
                 continue
-            case, problem = _match_theorem1(rep, _cert_hash(g), certs)
-            found.append(_found_entry(g, rep, case))
+            rep, params = hit
+            cert = _cert_hash(g)
+            g6 = encode_graph6(g)
+            listed = by_cert.get(cert)
+            case, problem = (listed.name, None) if listed else t.match(rep)
+            entry: Dict[str, object] = {
+                "graph6": g6, "v": v, "k": k,
+                "deza": list(rep.deza) if rep.deza else None,
+                "diameter": rep.diameter, "connected": rep.connected,
+                "certificate_hash": cert, "case": case}
+            if t.key == "ddg":
+                entry["ddg"] = list(params[2:])
+            found.append(entry)
             if case is not None:
-                matches.append({"case": case, "graph6": encode_graph6(g)})
+                matches.append({"case": case, "graph6": g6})
             if problem is not None:
                 discrepancies.append({"kind": "found-but-unexpected",
-                                      "graph6": encode_graph6(g),
-                                      "deza": list(rep.deza),
+                                      "graph6": g6, t.key: list(params),
                                       "details": problem})
-    matched_cases = {m["case"] for m in matches}
-    for exp in expected:
-        if exp["match"] == "certificate" and exp["case"] not in matched_cases:
-            discrepancies.append({"kind": "expected-but-missing",
-                                  "case": exp["case"],
-                                  "details": "no enumerated graph matched "
-                                             "this certificate"})
-    bounds = {"vmax": vmax, "kmax": kmax,
-              "scope": "connected Deza graphs with b=k-2 and a=0"}
-    return AuditReport(1, bounds, tuple(expected), tuple(found),
-                       tuple(matches), tuple(discrepancies))
-
-
-def _match_theorem1(rep, cert_hash: str,
-                    certs: Dict[str, str]) -> Tuple[Optional[str],
-                                                    Optional[str]]:
-    v, k, b, a = rep.deza
-    if (v, k) == (8, 4):
-        if cert_hash == certs["grid-4x2"]:
-            return "grid-4x2", None
-        return None, "an (8,4,2,0) graph other than the 4x2 rook's graph"
-    if (v, k) == (14, 4):
-        if cert_hash == certs["fano-non-incidence"]:
-            return "fano-non-incidence", None
-        return None, "a (14,4,2,0) graph other than the plane " \
-                     "non-incidence graph"
-    if (v, k) == (16, 4):
-        if cert_hash == certs["hypercube-4"]:
-            return "hypercube-4", None
-        return None, "a (16,4,2,0) graph other than the 4-cube"
-    if k == 3:
-        if rep.diameter == 2:
-            if cert_hash == certs["petersen"]:
-                return "petersen", None
-            return None, "a diameter-2 (v,3,1,0) graph other than the " \
-                         "Petersen graph"
-        if v == 14 and cert_hash != certs["heawood"]:
-            return ("cubic-diameter-exceeds-2",
-                    "a (14,3,1,0) graph that is not the point-line "
-                    "incidence graph, contradicting the uniqueness claim")
-        if v == 14:
-            return "heawood", None
-        return "cubic-diameter-exceeds-2", None
-    return None, f"parameters {rep.deza} outside every listed case"
-
-
-def _audit_theorem2(vmax: int, kmax: Optional[int], jobs: int,
-                    long: bool) -> AuditReport:
-    named = _named_graphs()
-    expected: List[Dict[str, object]] = []
-    if 8 <= vmax:
-        expected.append({"case": "strict-deza-(8,4,2,1)", "match": "family",
-                         "deza": [8, 4, 2, 1], "verdict": "strictly-deza"})
-    if 9 <= vmax:
-        expected.append({"case": "strict-deza-(9,4,2,1)", "match": "family",
-                         "deza": [9, 4, 2, 1], "verdict": "strictly-deza"})
-        expected.append({"case": "srg-(9,4,1,2)", "match": "family",
-                         "deza": [9, 4, 2, 1], "verdict": "srg"})
-    if 10 <= vmax:
-        expected.append({"case": "srg-(10,6,3,4)", "match": "family",
-                         "deza": [10, 6, 4, 3], "verdict": "srg"})
-    cube_certs: Dict[str, str] = {}
-    for s in (2, 3):
-        params = (8 * s, 8 * (s - 1) + 4, 8 * (s - 1) + 2, 8 * (s - 1))
-        if params[0] <= vmax and params[1] <= (kmax or params[0] - 2):
-            name = f"complement-{s}-cubes"
-            cube_certs[name] = _cert_hash(named[name])
-            expected.append({"case": name, "match": "certificate",
-                             "deza": list(params)})
-    found: List[Dict[str, object]] = []
-    matches: List[Dict[str, object]] = []
-    discrepancies: List[Dict[str, object]] = []
-    for gap in (3, 4):
-        for v, k, g, rep in _theorem2_scan(vmax, kmax, gap, jobs, long):
-            case, problem = _match_theorem2(rep, _cert_hash(g), gap,
-                                            cube_certs)
-            found.append(_found_entry(g, rep, case))
-            if case is not None:
-                matches.append({"case": case, "graph6": encode_graph6(g)})
-            if problem is not None:
-                discrepancies.append({"kind": "found-but-unexpected",
-                                      "graph6": encode_graph6(g),
-                                      "deza": list(rep.deza),
-                                      "details": problem})
-    matched_cases = {m["case"] for m in matches}
-    for exp in expected:
-        if exp["case"] not in matched_cases:
-            discrepancies.append({"kind": "expected-but-missing",
-                                  "case": exp["case"],
-                                  "details": "no enumerated graph realized "
-                                             "this case"})
-    bounds = {"vmax": vmax, "kmax": kmax,
-              "scope": "connected Deza graphs with b=k-2 and "
-                       "a in {k-3, k-4}, a>0"}
-    return AuditReport(2, bounds, tuple(expected), tuple(found),
-                       tuple(matches), tuple(discrepancies))
-
-
-def _theorem2_scan(vmax: int, kmax: Optional[int], gap: int, jobs: int,
-                   long: bool):
-    for v in range(5, vmax + 1):
-        top = min(kmax if kmax is not None else v - 2, v - 2)
-        for k in range(gap + 1, top + 1):
-            if v * k % 2:
-                continue
-            a = k - gap
-            # b-partner count: elementary double counting, must be a
-            # positive integer at most v-1 for any realization
-            num = k * (k - 1) - a * (v - 1)
-            if num <= 0 or num % (gap - 2) or num // (gap - 2) > v - 1:
-                continue
-            _check_limits(v, k, long)
-            target = (v, k, k - 2, a)
-            prune = f"maxpair=k-2;sat=k-{gap},k-2"
-            for g in generate_regular(v, k, prune=prune, jobs=jobs):
-                rep = classify(g)
-                if rep.connected and rep.deza == target:
-                    yield v, k, g, rep
-
-
-def _match_theorem2(rep, cert_hash: str, gap: int,
-                    cube_certs: Dict[str, str]) -> Tuple[Optional[str],
-                                                         Optional[str]]:
-    v, k, b, a = rep.deza
-    if gap == 3:
-        if (v, k) == (8, 4) and rep.strictly_deza:
-            return "strict-deza-(8,4,2,1)", None
-        if (v, k) == (9, 4):
-            if rep.strictly_deza:
-                return "strict-deza-(9,4,2,1)", None
-            if rep.srg == (9, 4, 1, 2):
-                return "srg-(9,4,1,2)", None
-        if rep.srg == (10, 6, 3, 4):
-            return "srg-(10,6,3,4)", None
-        return None, f"parameters {rep.deza} outside every a=k-3 case"
-    s = v // 8
-    name = f"complement-{s}-cubes"
-    if name in cube_certs and cert_hash == cube_certs[name]:
-        return name, None
-    return None, f"parameters {rep.deza} outside every a=k-4 case"
-
-
-def _audit_theorem3(vmax: int, kmax: int, jobs: int,
-                    long: bool) -> AuditReport:
-    named = _named_graphs()
-    listed_params = {
-        "fano-non-incidence": (14, 4, 2, 0, 2, 7),
-        "heawood": (14, 3, 1, 0, 2, 7),
-        "grid-4x2": (8, 4, 2, 0, 2, 4),
-    }
-    certs = {name: _cert_hash(named[name]) for name in listed_params}
-    expected = []
-    for name, params in listed_params.items():
-        if params[0] <= vmax and params[1] <= kmax:
-            expected.append({"case": name, "match": "certificate",
-                             "ddg": list(params)})
-    found: List[Dict[str, object]] = []
-    matches: List[Dict[str, object]] = []
-    discrepancies: List[Dict[str, object]] = []
-    for k in range(3, kmax + 1):
-        for v in range(k + 1, vmax + 1):
-            if v * k % 2:
-                continue
-            _check_limits(v, k, long)
-            prune = "maxpair=k-2;satdistinct=2;anchor=k-2"
-            for g in generate_regular(v, k, prune=prune, jobs=jobs):
-                det = ddg_detect(g)
-                if det.proper is None:
-                    continue
-                res = det.proper
-                if max(res.lam1, res.lam2) != k - 2:
-                    continue
-                computed = res.params
-                rep = classify(g)
-                cert_hash = _cert_hash(g)
-                case = None
-                for name in listed_params:
-                    if cert_hash == certs[name]:
-                        case = name
-                        break
-                found.append(_found_entry(
-                    g, rep, case,
-                    ddg=(res.lam1, res.lam2, res.m, res.n)))
-                if case is None:
-                    discrepancies.append({
-                        "kind": "found-but-unexpected",
-                        "graph6": encode_graph6(g),
-                        "ddg": list(computed),
-                        "details": "a proper divisible design graph with "
-                                   "larger constant k-2 not on the list"})
-                    continue
-                matches.append({"case": case, "graph6": encode_graph6(g)})
-                if computed != listed_params[case]:
-                    discrepancies.append({
-                        "kind": "parameter-mismatch",
-                        "case": case,
-                        "graph6": encode_graph6(g),
-                        "listed": list(listed_params[case]),
-                        "computed": list(computed),
-                        "details": "the listed parameter tuple does not "
-                                   "match the computed one"})
-    matched_cases = {m["case"] for m in matches}
-    for exp in expected:
-        if exp["case"] not in matched_cases:
-            discrepancies.append({"kind": "expected-but-missing",
-                                  "case": exp["case"],
-                                  "details": "no enumerated graph matched "
-                                             "this certificate"})
-    bounds = {"vmax": vmax, "kmax": kmax,
-              "scope": "proper divisible design graphs whose larger pair "
-                       "constant equals k-2"}
-    return AuditReport(3, bounds, tuple(expected), tuple(found),
+            elif listed and listed.params != params:
+                discrepancies.append({
+                    "kind": "parameter-mismatch", "case": case,
+                    "graph6": g6, "listed": list(listed.params),
+                    "computed": list(params),
+                    "details": "the listed parameter tuple does not "
+                               "match the computed one"})
+    matched = {m["case"] for m in matches}
+    discrepancies.extend({"kind": "expected-but-missing", "case": c.name,
+                          "details": t.missing}
+                         for c in cases
+                         if c.required and c.name not in matched)
+    expected = tuple({"case": c.name, "match": c.match,
+                      t.key: list(c.params), **c.extra} for c in cases)
+    bounds = {"vmax": vmax, "kmax": kmax, "scope": t.scope}
+    return AuditReport(theorem, bounds, expected, tuple(found),
                        tuple(matches), tuple(discrepancies))

@@ -1,8 +1,11 @@
+import hashlib
+import importlib
 import json
 import os
 
 import pytest
 
+from deza import cli
 from deza.canon import canonical_certificate, refine
 from deza.catalog import construct
 from deza.census import (
@@ -104,6 +107,12 @@ class TestPrunes:
     def test_unknown_clause(self):
         with pytest.raises(GraphError):
             PruneSpec.from_string("frobnicate=3", 4)
+
+    def test_spec_string_in_provenance(self):
+        spec = PruneSpec.from_string(ANCHOR_PRUNE + ";sat=0,k-2", 4)
+        assert str(spec) == "maxpair=2;sat=0,2;satdistinct=2;anchor=2"
+        records = census([8], [4], prune=PruneSpec.from_string(SAT_PRUNE, 4))
+        assert dict(records[0].generator)["prune"] == "maxpair=2;sat=0,2"
 
     @pytest.mark.parametrize("v,k,prune", [
         pytest.param(8, 3, SAT_PRUNE, id="8-3"),
@@ -241,6 +250,12 @@ class TestFilters:
         records = census([8], [4], filter_spec="deza(8,4,2,0)")
         assert [r.graph6 for r in records] == ["GQzTrg"]
 
+    def test_vertex_term_only_in_first_position(self):
+        records = census([8], [4], filter_spec="deza(v,4,k-2,0)")
+        assert [r.graph6 for r in records] == ["GQzTrg"]
+        with pytest.raises(GraphError, match="k-<int>"):
+            census([8], [4], filter_spec="deza(*,v,*,*)")
+
     def test_wildcard_filter_finds_both_strict_graphs(self):
         records = census([8, 9], [4], filter_spec="deza(*,4,2,1)")
         assert all(r.deza[1:] == (4, 2, 1) for r in records)
@@ -314,6 +329,29 @@ class TestAudits:
         assert mismatch["listed"] == [8, 4, 2, 0, 2, 4]
         assert mismatch["computed"] == [8, 4, 0, 2, 4, 2]
 
+    def test_theorem_two_expected_cases_follow_kmax(self):
+        # an expected case is in the window when v <= vmax and k <= kmax
+        report = audit_theorem(2, vmax=10, kmax=5)
+        assert report.ok
+        cases = [e["case"] for e in report.expected]
+        assert cases == ["strict-deza-(8,4,2,1)", "strict-deza-(9,4,2,1)",
+                         "srg-(9,4,1,2)"]
+        report = audit_theorem(2, vmax=10, kmax=3)
+        assert report.ok
+        assert report.expected == ()
+
+    @pytest.mark.parametrize("theorem,vmax,cell", [
+        (1, 16, "v=16, k=3"), (2, 12, "v=11, k=8"), (3, 16, "v=16, k=3")])
+    def test_limits_checked_before_enumerating(self, monkeypatch, theorem,
+                                               vmax, cell):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated before checking every cell")
+        # the attribute deza.census is the re-exported function, not the module
+        monkeypatch.setattr(importlib.import_module("deza.census"),
+                            "generate_regular", never)
+        with pytest.raises(GraphError, match=f"^{cell} outside default"):
+            audit_theorem(theorem, vmax=vmax)
+
     def test_report_serializes(self):
         report = audit_theorem(3, vmax=8)
         text = json.dumps(report.as_dict(), separators=(",", ":"))
@@ -322,3 +360,28 @@ class TestAudits:
     def test_unknown_theorem(self):
         with pytest.raises(GraphError):
             audit_theorem(7)
+
+
+# SHA-256 of `deza audit` stdout, frozen before the audits shared a driver
+AUDIT_GOLDEN = [
+    (("--theorem", "1", "--vmax", "10", "--json"), 0,
+     "9d40a3935cd60586c803494ef7e3b0a053b13fb09e0b7615ce000f11fd1d75ed"),
+    (("--theorem", "1", "--vmax", "10"), 0,
+     "3c2ba3653830f5037072620b68fb1cb2bada291ec26f2f873d147ef17d6cecf4"),
+    (("--theorem", "2", "--json"), 0,
+     "08696e7a12f59ebd988f70d1d2bcfc74762cd07b90c7ad5c8809af808905720d"),
+    (("--theorem", "2"), 0,
+     "1ed2e44e53bc38af6340d73b1244de04e1c5385e20a5dc36f6557ddbbac81542"),
+    (("--theorem", "3", "--vmax", "10", "--json"), 2,
+     "2bda760ceb1c112f0825f441d1887b93c999fb2e92191df94521ffb8a79fb9f7"),
+    (("--theorem", "3", "--vmax", "10"), 2,
+     "b68745c35d4baa9b4d865c12f98016dfc2d4bf5a1b7b86acca2ca862197dd6da"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", AUDIT_GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in AUDIT_GOLDEN])
+def test_audit_output_golden(capsys, argv, code, digest):
+    assert cli.main(["audit", *argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
