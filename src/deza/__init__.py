@@ -19,7 +19,6 @@ from .ddg import (ClassAudit, DdgDetection, DdgResult, class_audits,
 from .sieve import (RuleResult, SieveVerdict, ddg_sieve, deza_sieve,
                     quadratic_residue, scan_n2_tuples, scan_small_n_tuples)
 from .census import (AuditReport, CensusRecord, PruneSpec, audit_theorem,
-                     build_record, census, count_regular_classes_naive,
-                     generate_regular, parse_filter)
+                     build_record, census, generate_regular, parse_filter)
 from .catalog import (CatalogEntry, catalog, catalog_names, construct,
                       verify_catalog, verify_entry)

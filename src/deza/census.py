@@ -8,13 +8,14 @@ per isomorphism class without a global seen-set, so memory stays
 proportional to the search depth.
 
 Prunes must be monotone: a violating partial graph can only have violating
-completions.  Built-in prunes track pair counts incrementally; the value
-of a pair whose two endpoints are both saturated can never change again,
-which is what makes frozen-value constraints monotone.
+completions.  Built-in prunes read a pair count off the packed adjacency
+rows, as the popcount of the AND of two rows, only where a step can
+change it; the value of a pair whose two endpoints are both saturated can
+never change again, which is what makes frozen-value constraints
+monotone.
 """
 
 import hashlib
-import itertools
 import json
 import multiprocessing
 import os
@@ -36,14 +37,17 @@ DEFAULT_LIMITS_NOTE = ("default limits: any k for v <= 10, k <= 4 for "
                        "set DEZA_MAX_VERTICES to override")
 
 
-def _bound_term(term: str, k: int) -> int:
+def _compile_term(term: str, kind: str = "prune") -> Callable[[int], int]:
+    """Compile an integer or k-<int> term to a function of the degree."""
     term = term.strip()
     m = re.fullmatch(r"k-(\d+)", term)
     if m:
-        return max(k - int(m.group(1)), 0)
+        offset = int(m.group(1))
+        return lambda k: max(k - offset, 0)
     if re.fullmatch(r"-?\d+", term):
-        return int(term)
-    raise GraphError(f"bad prune term {term!r}; use an integer or k-<int>")
+        value = int(term)
+        return lambda k: value
+    raise GraphError(f"bad {kind} term {term!r}; use an integer or k-<int>")
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,14 @@ class PruneSpec:
             key, _, value = clause.partition("=")
             key = key.strip()
             if key == "maxpair":
-                maxpair = _bound_term(value, k)
+                maxpair = _compile_term(value)(k)
             elif key == "sat":
-                sat = tuple(sorted({_bound_term(t, k)
+                sat = tuple(sorted({_compile_term(t)(k)
                                     for t in value.split(",")}))
             elif key == "satdistinct":
                 distinct = int(value)
             elif key == "anchor":
-                anchor = _bound_term(value, k)
+                anchor = _compile_term(value)(k)
             else:
                 raise GraphError(f"unknown prune clause {key!r}")
         return PruneSpec(maxpair, sat, distinct, anchor)
@@ -107,20 +111,21 @@ Prune = Union[None, str, PruneSpec, Callable[[Graph], bool]]
 class _Partial:
     """Mutable search state with journaled undo.
 
-    Tracks adjacency rows, degrees, all pair counts, and the multiset of
-    frozen pair values (pairs whose endpoints are both saturated).
+    Tracks adjacency rows, degrees and the multiset of frozen pair values
+    (pairs whose endpoints are both saturated).  A pair count is read off
+    the bit rows as (rows[x] & rows[y]).bit_count(); no count matrix is
+    kept, so the journal holds only each step's frozen values.
     """
 
-    __slots__ = ("v", "k", "rows", "deg", "cnt", "frozen", "journal")
+    __slots__ = ("v", "k", "rows", "deg", "frozen", "journal")
 
     def __init__(self, v: int, k: int):
         self.v = v
         self.k = k
         self.rows: List[int] = []
         self.deg: List[int] = []
-        self.cnt: List[List[int]] = [[0] * v for _ in range(v)]
         self.frozen: Dict[int, int] = {}
-        self.journal: List[Tuple[List[Tuple[int, int]], List[int]]] = []
+        self.journal: List[List[int]] = []
 
     def graph(self) -> Graph:
         return Graph(len(self.rows), tuple(self.rows))
@@ -136,63 +141,54 @@ class _Partial:
         """Append a vertex adjacent to s; False when spec is violated.
 
         Only pairs this step can affect are checked: counts through the
-        new vertex and pairs that become frozen now.  On violation the
-        state is left unchanged.
+        new vertex and pairs that become frozen now, which pair a newly
+        saturated vertex with a saturated one.  Every check runs before
+        the state changes, so a rejected step leaves it as it was.
         """
-        r = len(self.rows)
+        rows = self.rows
+        deg = self.deg
         k = self.k
-        cnt = self.cnt
-        maxp = spec.max_pair_count if spec else None
-        ok = True
-        bumps: List[Tuple[int, int]] = []
-        for i, x in enumerate(s):
-            for y in s[i + 1:]:
-                a, b = (x, y) if x < y else (y, x)
-                cnt[a][b] += 1
-                bumps.append((a, b))
-                if maxp is not None and cnt[a][b] > maxp:
-                    ok = False
+        r = len(rows)
         smask = 0
         for x in s:
             smask |= 1 << x
-        if ok:
-            for x in range(r):
-                c = (self.rows[x] & smask).bit_count()
-                cnt[x][r] = c
-                bumps.append((x, r))
-                if maxp is not None and c > maxp:
-                    ok = False
-                    break
-        newly = [x for x in s if self.deg[x] + 1 == k]
-        if len(s) == k:
-            newly.append(r)
+        maxp = spec.max_pair_count if spec else None
+        if maxp is not None:
+            # a pair inside s gains r as a common neighbour
+            for i, x in enumerate(s):
+                row = rows[x]
+                for y in s[i + 1:]:
+                    if (row & rows[y]).bit_count() >= maxp:
+                        return False
+            for row in rows:
+                if (row & smask).bit_count() > maxp:
+                    return False
+        newly = [x for x in s if deg[x] + 1 == k]
         adds: List[int] = []
-        if ok:
-            sat_before = [x for x in range(r)
-                          if self.deg[x] == k and x not in s]
-            news = set(newly)
-            sat_after = sorted(set(sat_before) | news)
-            for i, x in enumerate(sat_after):
-                for y in sat_after[i + 1:]:
-                    if x in news or y in news:
-                        adds.append(cnt[x][y])
-            if spec is not None:
-                ok = self._frozen_ok(adds, spec)
-        if not ok:
-            for a, b in bumps:
-                if b == r:
-                    cnt[a][b] = 0
-                else:
-                    cnt[a][b] -= 1
-            return False
+        if newly or len(s) == k:
+            saturated = [x for x in range(r)
+                         if deg[x] == k and not smask >> x & 1]
+            for i, x in enumerate(newly):
+                row = rows[x]
+                for y in newly[i + 1:]:
+                    adds.append((row & rows[y]).bit_count() + 1)
+                for y in saturated:
+                    adds.append((row & rows[y]).bit_count())
+            if len(s) == k:
+                for x in saturated + newly:
+                    adds.append((rows[x] & smask).bit_count())
+            if spec is not None and not self._frozen_ok(adds, spec):
+                return False
+        frozen = self.frozen
         for value in adds:
-            self.frozen[value] = self.frozen.get(value, 0) + 1
-        self.rows.append(smask)
+            frozen[value] = frozen.get(value, 0) + 1
+        bit = 1 << r
         for x in s:
-            self.rows[x] |= 1 << r
-            self.deg[x] += 1
-        self.deg.append(len(s))
-        self.journal.append((bumps, adds))
+            rows[x] |= bit
+            deg[x] += 1
+        rows.append(smask)
+        deg.append(len(s))
+        self.journal.append(adds)
         return True
 
     def _frozen_ok(self, adds: List[int], spec: PruneSpec) -> bool:
@@ -222,37 +218,35 @@ class _Partial:
                             and spec.saturated_distinct_max is None):
             return set()
         k = self.k
-        cnt = self.cnt
-        saturated = [y for y, d in enumerate(self.deg) if d == k]
+        rows = self.rows
+        saturated = [rows[y] for y, d in enumerate(self.deg) if d == k]
         doomed: Set[int] = set()
         for j, d in enumerate(self.deg):
             if d != k - 1:
                 continue
-            values = [cnt[j][y] if j < y else cnt[y][j] for y in saturated]
+            row = rows[j]
+            values = [(row & other).bit_count() for other in saturated]
             if not self._frozen_ok(values, spec):
                 doomed.add(j)
         return doomed
 
     def pop_vertex(self) -> None:
-        bumps, adds = self.journal.pop()
-        r = len(self.rows) - 1
-        for value in adds:
-            left = self.frozen[value] - 1
+        frozen = self.frozen
+        for value in self.journal.pop():
+            left = frozen[value] - 1
             if left:
-                self.frozen[value] = left
+                frozen[value] = left
             else:
-                del self.frozen[value]
-        smask = self.rows.pop()
-        for x in range(r):
+                del frozen[value]
+        rows = self.rows
+        deg = self.deg
+        smask = rows.pop()
+        deg.pop()
+        keep = ~(1 << len(rows))
+        for x in range(len(rows)):
             if smask >> x & 1:
-                self.rows[x] &= ~(1 << r)
-                self.deg[x] -= 1
-        self.deg.pop()
-        for a, b in bumps:
-            if b == r:
-                self.cnt[a][b] = 0
-            else:
-                self.cnt[a][b] -= 1
+                rows[x] &= keep
+                deg[x] -= 1
 
 
 def _normalize_prune(prune: Prune, k: int):
@@ -272,18 +266,33 @@ def _candidate_sets(state: _Partial, spec: Optional[PruneSpec]
                     ) -> Iterator[Tuple[int, ...]]:
     """Neighbour sets for the next vertex, in a fixed deterministic order.
 
-    Applies the forced-vertex rule (a vertex whose deficiency equals the
-    number of vertices still to come after this one must be picked now)
-    and two counting bounds on the total remaining deficiency.  Under a
-    frozen-value spec a vertex of degree k-1 is left out when saturating
-    it would already violate the spec: its pair counts with the saturated
-    vertices are final once it is picked, since those cannot be picked.
+    Sets come by size, then in lexicographic order of their optional
+    members.  The forced-vertex rule (a vertex whose deficiency equals
+    the number of vertices still to come after this one must be picked
+    now) and two counting bounds on the total remaining deficiency shape
+    them, and three filters drop sets that could only be rejected later:
+
+    - degree: the new vertex r must get the child's maximum degree, since
+      refine splits by degree first and orders the fragments ascending,
+      so only then can r lie in the last root cell; smaller sizes are
+      skipped, and at the parent's maximum degree a vertex already there
+      is left out;
+    - doomed: under a frozen-value spec a vertex of degree k-1 is left
+      out when saturating it would already violate the spec, since its
+      pair counts with the saturated vertices are final once it is
+      picked;
+    - maxpair: a set is dropped as soon as a pair inside it already has
+      maxpair common neighbours, or an existing vertex has more than
+      maxpair neighbours in it.  Both counts only grow with the set, so
+      dropping at the first such prefix is exact.
+
     The surviving sets keep their relative order.
     """
     v, k = state.v, state.k
-    r = len(state.rows)
-    rem_after = v - r - 1
+    rows = state.rows
     deg = state.deg
+    r = len(rows)
+    rem_after = v - r - 1
     doomed = state.doomed_vertices(spec)
     forced: List[int] = []
     optional: List[int] = []
@@ -301,7 +310,8 @@ def _candidate_sets(state: _Partial, spec: Optional[PruneSpec]
             forced.append(j)
         elif j not in doomed:
             optional.append(j)
-    lo = max(len(forced), k - rem_after)
+    top = max(deg)
+    lo = max(len(forced), k - rem_after, top)
     hi = min(k, len(forced) + len(optional))
     # after the step the remaining deficiency must fit in the leftover
     # vertices: sum <= rem_after*k and the excess of rem_after*k over the
@@ -310,12 +320,101 @@ def _candidate_sets(state: _Partial, spec: Optional[PruneSpec]
     lo = max(lo, (num + 1) // 2)
     num = rem_after * (rem_after - 1) - rem_after * k + total_def + k
     hi = min(hi, num // 2)
+    if lo > hi:
+        return
+    maxp = spec.max_pair_count if spec else None
+    # conflict[x]: the candidates y that cannot join x, because x and y
+    # already have maxpair common neighbours; a vertex z with maxpair
+    # neighbours in the set blocks every further neighbour of z
+    conflict = dict.fromkeys(forced + optional, 0)
+    nbrs = {}
+    if maxp is not None:
+        for x in conflict:
+            row = rows[x]
+            nbrs[x] = [z for z in range(r) if row >> z & 1]
+            for y in conflict:
+                if y != x and (row & rows[y]).bit_count() >= maxp:
+                    conflict[x] |= 1 << y
+    base = 0
+    blocked = 0
+    for x in forced:
+        if blocked >> x & 1:
+            return
+        base |= 1 << x
+        blocked |= conflict[x]
+    if maxp is not None:
+        for row in rows:
+            c = (row & base).bit_count()
+            if c > maxp:
+                return
+            if c == maxp:
+                blocked |= row
     for size in range(lo, hi + 1):
         need = size - len(forced)
-        if need < 0:
+        pool = optional
+        if size == top:
+            if any(deg[x] == top for x in forced):
+                continue
+            pool = [x for x in optional if deg[x] != top]
+        n = len(pool)
+        if need == 0:
+            yield tuple(forced)
             continue
-        for extra in itertools.combinations(optional, need):
-            yield tuple(sorted(forced + list(extra)))
+        # lexicographic combinations of need members of pool, built one
+        # member at a time; masks[d] and blocks[d] hold the set and its
+        # blocked vertices after d picks
+        picks = [0] * need
+        masks = [base] * need
+        blocks = [blocked] * need
+        d = 0
+        i = 0
+        while True:
+            block = blocks[d]
+            last = n - need + d
+            while i <= last and block >> pool[i] & 1:
+                i += 1
+            if i > last:
+                if d == 0:
+                    break
+                d -= 1
+                i = picks[d] + 1
+                continue
+            picks[d] = i
+            if d + 1 == need:
+                yield tuple(sorted(forced + [pool[p] for p in picks]))
+                i += 1
+                continue
+            x = pool[i]
+            mask = masks[d] | 1 << x
+            block |= conflict[x]
+            if maxp is not None:
+                for z in nbrs[x]:
+                    if (rows[z] & mask).bit_count() == maxp:
+                        block |= rows[z]
+            d += 1
+            masks[d] = mask
+            blocks[d] = block
+            i += 1
+
+
+def _last_cell_possible(rows: Sequence[int], deg: Sequence[int]) -> bool:
+    """Whether the last vertex r can lie in the last root cell.
+
+    refine splits the unit partition by degree and then, popping the
+    last-pushed splitter first, by neighbours in the maximum-degree cell
+    D, ordering fragments ascending each time.  So its last cell holds
+    only members of D with the most neighbours in D, and r must be one.
+    """
+    r = len(rows) - 1
+    top = max(deg)
+    if deg[r] != top:
+        return False
+    members = [x for x in range(r + 1) if deg[x] == top]
+    dmask = 0
+    for x in members:
+        dmask |= 1 << x
+    mine = (rows[r] & dmask).bit_count()
+    return all((rows[x] & dmask).bit_count() <= mine for x in members)
 
 
 def _orbit_seen(s: Tuple[int, ...], seen: Set[Tuple[int, ...]],
@@ -381,33 +480,30 @@ def _accepted_children(state: _Partial, spec: Optional[PruneSpec],
     A child is accepted when it passes the prunes, its new vertex r lies
     in the canonical last orbit, and its certificate is new among its
     siblings.  The child is popped when the consumer resumes.  Cheap
-    necessary conditions run first: refine splits the unit partition by
-    degree and orders the fragments ascending, so r can be in the last
-    root cell only if it has the maximum degree.  Every test is invariant
-    under the parent's automorphisms, so skipping orbits with _orbit_seen
-    after them keeps the same representatives.
+    necessary conditions run first: _candidate_sets yields only sets that
+    give r the maximum degree and pass maxpair, add_vertex checks the
+    frozen values, and _last_cell_possible runs before the root refine.
+    Every test is invariant under the parent's automorphisms, so skipping
+    orbits with _orbit_seen after the first ones keeps the same
+    representatives.
     """
     r = len(state.rows)
-    deg = state.deg
-    top = max(deg)
     seen_sets: Set[Tuple[int, ...]] = set()
     seen_certs: Set[bytes] = set()
     for s in _candidate_sets(state, spec):
-        # r must reach the child's maximum degree, max(deg[x] + (x in s))
-        if len(s) < top or (len(s) == top and any(deg[x] == top for x in s)):
-            continue
         if parent_gens and _orbit_seen(s, seen_sets, parent_gens):
             continue
         if not state.add_vertex(s, spec):
             continue
-        child = state.graph()
-        if predicate is None or predicate(child):
-            cells = refine(child.rows, [list(range(r + 1))])
-            if r in cells[-1]:
-                data = canon_data(child, cells)
-                if r in data.last_orbit and data.cert not in seen_certs:
-                    seen_certs.add(data.cert)
-                    yield data.aut_gens
+        if _last_cell_possible(state.rows, state.deg):
+            child = state.graph()
+            if predicate is None or predicate(child):
+                cells = refine(child.rows, [list(range(r + 1))])
+                if r in cells[-1]:
+                    data = canon_data(child, cells)
+                    if r in data.last_orbit and data.cert not in seen_certs:
+                        seen_certs.add(data.cert)
+                        yield data.aut_gens
         state.pop_vertex()
 
 
@@ -463,52 +559,6 @@ def _generate_parallel(v: int, k: int, prune: Prune,
         for chunk in pool.imap(_subtree_task, tasks):
             for rows in chunk:
                 yield Graph(v, rows)
-
-
-def count_regular_classes_naive(v: int, k: int) -> int:
-    """Count isomorphism classes by brute force over labeled graphs.
-
-    Every labeled k-regular graph is generated by choosing each vertex's
-    forward neighbours in turn; classes are collapsed with certificates.
-    Complement symmetry keeps the dense half affordable.  Shares no logic
-    with the augmentation generator.
-    """
-    if v < 1 or not 0 <= k < v:
-        raise GraphError("bad parameters")
-    if v * k % 2:
-        return 0
-    if k > (v - 1) // 2:
-        return count_regular_classes_naive(v, v - 1 - k)
-    certs: Set[bytes] = set()
-    deg = [0] * v
-    rows = [0] * v
-
-    def place(i: int) -> None:
-        if i == v:
-            g = Graph(v, tuple(rows))
-            certs.add(canonical_certificate(g).certificate_bytes)
-            return
-        need = k - deg[i]
-        if need < 0:
-            return
-        avail = [j for j in range(i + 1, v) if deg[j] < k]
-        if need > len(avail):
-            return
-        for picks in itertools.combinations(avail, need):
-            for j in picks:
-                deg[j] += 1
-                rows[j] |= 1 << i
-                rows[i] |= 1 << j
-            deg[i] += need
-            place(i + 1)
-            deg[i] -= need
-            for j in picks:
-                deg[j] -= 1
-                rows[j] &= ~(1 << i)
-                rows[i] &= ~(1 << j)
-
-    place(0)
-    return len(certs)
 
 
 @dataclass(frozen=True)
@@ -596,7 +646,8 @@ def parse_filter(spec: str) -> Callable[[CensusRecord], bool]:
 
     Atoms: all, connected, deza, strictly-deza, srg, ddg-proper, and
     parameter forms deza(v,k,b,a) / ddg(l1,l2,m,n) whose terms are
-    integers, '*', or k-<int> resolved against the record's degree.
+    integers, '*', 'v' (first term only), or k-<int> resolved against the
+    record's degree.  A bad term raises here, before any record is seen.
     """
     checks: List[Callable[[CensusRecord], bool]] = []
     for raw in spec.split("&"):
@@ -608,15 +659,18 @@ def parse_filter(spec: str) -> Callable[[CensusRecord], bool]:
             terms = [t.strip() for t in m.group(2).split(",")]
             if len(terms) != 4:
                 raise GraphError(f"filter {raw!r} needs four parameters")
+            # '*' matches anything, 'v' only as the vertex count; every
+            # other term is compiled now, before any record exists
+            bounds = [None if t == "*" or (t == "v" and i == 0)
+                      else _compile_term(t, "filter")
+                      for i, t in enumerate(terms)]
 
-            def check(rec: CensusRecord, kind=kind, terms=terms) -> bool:
+            def check(rec: CensusRecord, kind=kind, bounds=bounds) -> bool:
                 params = rec.deza if kind == "deza" else rec.ddg
                 if params is None:
                     return False
-                # '*' matches anything, 'v' only as the vertex count
-                return all(t == "*" or (t == "v" and i == 0)
-                           or _bound_term(t, rec.k) == p
-                           for i, (t, p) in enumerate(zip(terms, params)))
+                return all(b is None or b(rec.k) == p
+                           for b, p in zip(bounds, params))
 
             checks.append(check)
         elif atom == "all":

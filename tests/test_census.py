@@ -1,7 +1,10 @@
 import hashlib
 import importlib
+import itertools
 import json
 import os
+import random
+from collections import Counter
 
 import pytest
 
@@ -12,16 +15,17 @@ from deza.census import (
     PruneSpec,
     _accepted_children,
     _candidate_sets,
+    _last_cell_possible,
     _Partial,
     audit_theorem,
     census,
-    count_regular_classes_naive,
     generate_regular,
     parse_filter,
 )
 from deza.classify import classify
 from deza.graph6 import decode_graph6, encode_graph6
 from deza.graphs import GraphError
+from oracle import count_regular_classes_naive
 
 # isomorphism-class counts of k-regular graphs, any connectivity; the
 # published cubic counts (6 at v=8, 21 at v=10) pin the generator to the
@@ -122,6 +126,9 @@ class TestPrunes:
         pytest.param(9, 4, "maxpair=k-2;sat=k-3,k-2", id="9-4-theorem2"),
         pytest.param(9, 4, ANCHOR_PRUNE, id="9-4-anchor"),
         pytest.param(12, 3, ANCHOR_PRUNE, id="12-3-anchor"),
+        # no sat clause: only the maxpair prune of candidate generation
+        # and add_vertex fires
+        pytest.param(10, 4, "maxpair=k-2", id="10-4-maxpair"),
     ])
     def test_prune_equals_post_filter(self, v, k, prune):
         # a pruned run must produce exactly the unpruned graphs whose pair
@@ -136,7 +143,7 @@ class TestPrunes:
             if spec.saturated_values is not None:
                 return values <= set(spec.saturated_values)
             distinct = spec.saturated_distinct_max
-            return len(values) < distinct or (
+            return distinct is None or len(values) < distinct or (
                 len(values) == distinct and spec.saturated_anchor in values)
 
         pruned = _g6_set(generate_regular(v, k, prune=prune))
@@ -144,40 +151,61 @@ class TestPrunes:
         assert pruned == plain
 
     @pytest.mark.parametrize("v,k,prune", [(10, 4, SAT_PRUNE),
-                                           (9, 4, ANCHOR_PRUNE)])
+                                           (9, 4, ANCHOR_PRUNE),
+                                           (10, 4, None),
+                                           (11, 4, "maxpair=k-2")])
     def test_candidate_filters_drop_only_rejected_sets(self, v, k, prune):
-        # walk the whole pruned search; at every node the sets the spec
-        # drops from the candidates must be sets add_vertex rejects, the
-        # kept ones must come in the unfiltered order, and a child whose
-        # new vertex reaches the last root cell must have maximum degree
-        spec = PruneSpec.from_string(prune, k)
+        # walk the whole pruned search; at every node the sets dropped
+        # from the reference list must fail the degree rule or be sets
+        # add_vertex rejects, the kept ones must pass the degree rule and
+        # maxpair and come in reference order, and a child skipped by the
+        # degree rule or the last-cell test must have its new vertex
+        # outside the last root cell
+        spec = None if prune is None else PruneSpec.from_string(prune, k)
+        maxpair = spec and PruneSpec(spec.max_pair_count)
         state = _Partial(v, k)
         state.add_vertex([], spec)
-        dropped = 0
+        dropped = skipped = 0
+
+        def outside_last_cell(r):
+            return r not in refine(state.rows, [list(range(r + 1))])[-1]
 
         def walk(gens):
-            nonlocal dropped
-            every = list(_candidate_sets(state, None))
+            nonlocal dropped, skipped
+            every = _reference_sets(state)
             kept = list(_candidate_sets(state, spec))
-            assert kept == [s for s in every if s in set(kept)]
+            kept_set = set(kept)
+            assert kept == [s for s in every if s in kept_set]
             r = len(state.rows)
+            top = max(state.deg)
             for s in every:
-                if s not in kept:
-                    dropped += 1
-                    rows = list(state.rows)
+                rows = list(state.rows)
+                lower = len(s) < top or (
+                    len(s) == top and any(state.deg[x] == top for x in s))
+                if s in kept_set:
+                    assert not lower
+                    if maxpair is not None:
+                        assert state.add_vertex(s, maxpair)
+                        state.pop_vertex()
+                    if state.add_vertex(s, spec):
+                        if not _last_cell_possible(state.rows, state.deg):
+                            skipped += 1
+                            assert outside_last_cell(r)
+                        state.pop_vertex()
+                    continue
+                dropped += 1
+                if not lower:
                     assert not state.add_vertex(s, spec)
                     assert state.rows == rows
                 elif state.add_vertex(s, spec):
-                    cells = refine(state.rows, [list(range(r + 1))])
-                    if r in cells[-1]:
-                        assert len(s) == max(state.deg)
+                    assert outside_last_cell(r)
                     state.pop_vertex()
             if r + 1 < v:
                 for child_gens in _accepted_children(state, spec, None, gens):
                     walk(child_gens)
 
         walk(())
-        assert dropped > 0
+        assert dropped > 0 and skipped > 0
 
     def test_anchor_prune_subset(self):
         # anchored runs keep only graphs where some saturated pair hits k-2
@@ -186,6 +214,104 @@ class TestPrunes:
         everything = _g6_set(generate_regular(8, 4))
         assert set(anchored) <= set(everything)
         assert "GQzTrg" in anchored      # the 4x2 grid survives
+
+
+def _reference_sets(state):
+    """Every neighbour set the forced-vertex rule and the deficiency
+    bounds allow, by size and then in lexicographic order, before the
+    degree, maxpair and doomed filters."""
+    v, k, deg = state.v, state.k, state.deg
+    rem = v - len(deg) - 1
+    open_ = [x for x, d in enumerate(deg) if d < k]
+    if any(k - deg[x] > rem + 1 for x in open_):
+        return []
+    forced = [x for x in open_ if k - deg[x] == rem + 1]
+    optional = [x for x in open_ if x not in forced]
+    sets = []
+    for size in range(len(forced), k + 1):
+        # the deficiency left after the step must fit in the rem later
+        # vertices, and what they lack must be edges among themselves
+        left = sum(k - d for d in deg) - size + (k - size)
+        if (k - size > rem or left > rem * k
+                or rem * k - left > rem * (rem - 1)):
+            continue
+        sets += [tuple(sorted(forced + list(extra)))
+                 for extra in itertools.combinations(optional,
+                                                     size - len(forced))]
+    return sets
+
+
+def _pair_counts(rows):
+    return {(x, y): (rows[x] & rows[y]).bit_count()
+            for x in range(len(rows)) for y in range(x + 1, len(rows))}
+
+
+def _frozen_from_rows(rows, k):
+    saturated = {x for x, row in enumerate(rows) if row.bit_count() == k}
+    return dict(Counter(c for (x, y), c in _pair_counts(rows).items()
+                        if x in saturated and y in saturated))
+
+
+def _spec_allows(rows, k, spec):
+    """The spec verdict on a whole partial graph, from its rows alone."""
+    counts = _pair_counts(rows)
+    if spec.max_pair_count is not None and \
+            any(c > spec.max_pair_count for c in counts.values()):
+        return False
+    values = set(_frozen_from_rows(rows, k))
+    if spec.saturated_values is not None and \
+            not values <= set(spec.saturated_values):
+        return False
+    distinct = spec.saturated_distinct_max
+    if distinct is not None:
+        if len(values) > distinct:
+            return False
+        if spec.saturated_anchor is not None and len(values) == distinct \
+                and spec.saturated_anchor not in values:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("v,k", [(10, 4), (12, 3)])
+@pytest.mark.parametrize("prune", [SAT_PRUNE, ANCHOR_PRUNE, "maxpair=k-2"],
+                         ids=["sat", "anchor", "maxpair"])
+def test_partial_matches_recomputation(v, k, prune):
+    # seeded random add_vertex/pop_vertex walks: the verdict and the
+    # frozen multiset must equal a from-scratch recomputation over the
+    # rows, and a rejected add or an add and pop must change nothing
+    spec = PruneSpec.from_string(prune, k)
+    rng = random.Random(f"{v}-{k}-{prune}")
+    outcomes = Counter()
+    for _ in range(40):
+        state = _Partial(v, k)
+        assert state.add_vertex([], spec)
+        for _ in range(60):
+            before = (list(state.rows), list(state.deg), dict(state.frozen))
+            r = len(state.rows)
+            if r > 1 and (r == v or rng.random() < 0.2):
+                state.pop_vertex()
+                rows = state.rows
+                assert state.deg == [row.bit_count() for row in rows]
+                assert state.frozen == _frozen_from_rows(rows, k)
+                continue
+            open_ = [x for x in range(r) if state.deg[x] < k]
+            s = sorted(rng.sample(open_, rng.randint(0, min(k, len(open_)))))
+            smask = sum(1 << x for x in s)
+            child = [row | (1 << r if row_id in s else 0)
+                     for row_id, row in enumerate(state.rows)] + [smask]
+            ok = state.add_vertex(s, spec)
+            outcomes[ok] += 1
+            assert ok == _spec_allows(child, k, spec)
+            if not ok:
+                assert (state.rows, state.deg, state.frozen) == before
+                continue
+            assert state.rows == child
+            assert state.deg == [row.bit_count() for row in child]
+            assert state.frozen == _frozen_from_rows(child, k)
+            if rng.random() < 0.3:
+                state.pop_vertex()
+                assert (state.rows, state.deg, state.frozen) == before
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -212,6 +213,20 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("usage error: range") and "reversed" in err
+
+    @pytest.mark.parametrize("spec", ["deza(*,q,*,*)", "ddg(k-x,*,*,*)",
+                                      "deza(*,v,*,*)"])
+    def test_bad_filter_term_before_enumerating(self, capsys, monkeypatch,
+                                                spec):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated before checking the filter")
+        monkeypatch.setattr(importlib.import_module("deza.census"),
+                            "generate_regular", never)
+        code, out, err = run(capsys, "enumerate", "--v", "11", "--k", "4",
+                             "--filter", spec)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad filter term")
 
     def test_non_integer_vertex_ceiling(self, capsys, monkeypatch):
         monkeypatch.setenv("DEZA_MAX_VERTICES", "abc")
