@@ -8,11 +8,11 @@ per isomorphism class without a global seen-set, so memory stays
 proportional to the search depth.
 
 Prunes must be monotone: a violating partial graph can only have violating
-completions.  Built-in prunes read a pair count off the packed adjacency
-rows, as the popcount of the AND of two rows, only where a step can
-change it; the value of a pair whose two endpoints are both saturated can
-never change again, which is what makes frozen-value constraints
-monotone.
+completions.  A prune is a PruneSpec.  Its checks read a pair count off
+the packed adjacency rows, as the popcount of the AND of two rows, only
+where a step can change it; the value of a pair whose two endpoints are
+both saturated can never change again, which is what makes frozen-value
+constraints monotone.
 """
 
 import hashlib
@@ -105,7 +105,7 @@ class PruneSpec:
         return ";".join(parts)
 
 
-Prune = Union[None, str, PruneSpec, Callable[[Graph], bool]]
+Prune = Union[None, str, PruneSpec]
 
 
 class _Partial:
@@ -138,12 +138,14 @@ class _Partial:
 
     def add_vertex(self, s: Sequence[int],
                    spec: Optional[PruneSpec]) -> bool:
-        """Append a vertex adjacent to s; False when spec is violated.
+        """Append a vertex adjacent to s; False when the step breaks the
+        frozen-value rules of spec.
 
-        Only pairs this step can affect are checked: counts through the
-        new vertex and pairs that become frozen now, which pair a newly
-        saturated vertex with a saturated one.  Every check runs before
-        the state changes, so a rejected step leaves it as it was.
+        Callers pass sets that already satisfy maxpair (_candidate_sets
+        drops every other one), so only the pairs that become frozen now,
+        which pair a newly saturated vertex with a saturated one, are
+        checked.  Every check runs before the state changes, so a rejected
+        step leaves it as it was.
         """
         rows = self.rows
         deg = self.deg
@@ -152,17 +154,6 @@ class _Partial:
         smask = 0
         for x in s:
             smask |= 1 << x
-        maxp = spec.max_pair_count if spec else None
-        if maxp is not None:
-            # a pair inside s gains r as a common neighbour
-            for i, x in enumerate(s):
-                row = rows[x]
-                for y in s[i + 1:]:
-                    if (row & rows[y]).bit_count() >= maxp:
-                        return False
-            for row in rows:
-                if (row & smask).bit_count() > maxp:
-                    return False
         newly = [x for x in s if deg[x] + 1 == k]
         adds: List[int] = []
         if newly or len(s) == k:
@@ -249,16 +240,11 @@ class _Partial:
                 deg[x] -= 1
 
 
-def _normalize_prune(prune: Prune, k: int):
-    """Split a prune argument into (PruneSpec or None, callable or None)."""
-    if prune is None:
-        return None, None
+def _parse_prune(prune: Prune, k: int) -> Optional[PruneSpec]:
+    if prune is None or isinstance(prune, PruneSpec):
+        return prune
     if isinstance(prune, str):
-        return PruneSpec.from_string(prune, k), None
-    if isinstance(prune, PruneSpec):
-        return prune, None
-    if callable(prune):
-        return None, prune
+        return PruneSpec.from_string(prune, k)
     raise GraphError(f"unsupported prune argument {prune!r}")
 
 
@@ -446,8 +432,7 @@ def generate_regular(v: int, k: int, prune: Prune = None,
     """Yield one representative per isomorphism class of k-regular graphs.
 
     The output order is deterministic and independent of jobs.  A prune
-    may be a PruneSpec, its string form, or a monotone predicate on
-    partial graphs; with jobs > 1 a predicate must be picklable.
+    is a PruneSpec or its string form.
     """
     if v < 1:
         raise GraphError("need at least one vertex")
@@ -457,22 +442,19 @@ def generate_regular(v: int, k: int, prune: Prune = None,
         raise GraphError(f"no {k}-regular graph on {v} vertices: v*k is odd")
     if jobs < 1:
         raise GraphError(f"jobs must be at least 1, got {jobs}")
-    spec, predicate = _normalize_prune(prune, k)
+    spec = _parse_prune(prune, k)
     if v == 1:
-        g = Graph(1, (0,))
-        if predicate is None or predicate(g):
-            yield g
+        yield Graph(1, (0,))
         return
     if jobs > 1:
-        yield from _generate_parallel(v, k, prune, jobs)
+        yield from _generate_parallel(v, k, spec, jobs)
         return
     state = _Partial(v, k)
     state.add_vertex([], spec)
-    yield from _extend(state, spec, predicate, ())
+    yield from _extend(state, spec, ())
 
 
 def _accepted_children(state: _Partial, spec: Optional[PruneSpec],
-                       predicate: Optional[Callable[[Graph], bool]],
                        parent_gens: Sequence[Tuple[int, ...]]
                        ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """Push each accepted child onto state and yield its automorphisms.
@@ -497,32 +479,29 @@ def _accepted_children(state: _Partial, spec: Optional[PruneSpec],
             continue
         if _last_cell_possible(state.rows, state.deg):
             child = state.graph()
-            if predicate is None or predicate(child):
-                cells = refine(child.rows, [list(range(r + 1))])
-                if r in cells[-1]:
-                    data = canon_data(child, cells)
-                    if r in data.last_orbit and data.cert not in seen_certs:
-                        seen_certs.add(data.cert)
-                        yield data.aut_gens
+            cells = refine(child.rows, [list(range(r + 1))])
+            if r in cells[-1]:
+                data = canon_data(child, cells)
+                if r in data.last_orbit and data.cert not in seen_certs:
+                    seen_certs.add(data.cert)
+                    yield data.aut_gens
         state.pop_vertex()
 
 
 def _extend(state: _Partial, spec: Optional[PruneSpec],
-            predicate: Optional[Callable[[Graph], bool]],
             parent_gens: Sequence[Tuple[int, ...]]) -> Iterator[Graph]:
     leaf = len(state.rows) + 1 == state.v
-    for gens in _accepted_children(state, spec, predicate, parent_gens):
+    for gens in _accepted_children(state, spec, parent_gens):
         if leaf:
             yield state.graph()
         else:
-            yield from _extend(state, spec, predicate, gens)
+            yield from _extend(state, spec, gens)
 
 
 _Node = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
 
 def _frontier(v: int, k: int, spec: Optional[PruneSpec],
-              predicate: Optional[Callable[[Graph], bool]],
               min_nodes: int) -> List[_Node]:
     """Accepted partial graphs (rows, automorphisms) at one depth below
     v, in DFS order."""
@@ -534,27 +513,25 @@ def _frontier(v: int, k: int, spec: Optional[PruneSpec],
             state = _Partial(v, k)
             state.rebuild(rows)
             nxt.extend((tuple(state.rows), child_gens) for child_gens
-                       in _accepted_children(state, spec, predicate, gens))
+                       in _accepted_children(state, spec, gens))
         depth += 1
         level = nxt
     return level
 
 
 def _subtree_task(args) -> List[Tuple[int, ...]]:
-    v, k, prune, (rows, gens) = args
-    spec, predicate = _normalize_prune(prune, k)
+    v, k, spec, (rows, gens) = args
     state = _Partial(v, k)
     state.rebuild(rows)
-    return [g.rows for g in _extend(state, spec, predicate, gens)]
+    return [g.rows for g in _extend(state, spec, gens)]
 
 
-def _generate_parallel(v: int, k: int, prune: Prune,
+def _generate_parallel(v: int, k: int, spec: Optional[PruneSpec],
                        jobs: int) -> Iterator[Graph]:
-    spec, predicate = _normalize_prune(prune, k)
-    level = _frontier(v, k, spec, predicate, min_nodes=4 * jobs)
+    level = _frontier(v, k, spec, min_nodes=4 * jobs)
     if not level:
         return
-    tasks = [(v, k, prune, node) for node in level]
+    tasks = [(v, k, spec, node) for node in level]
     with multiprocessing.Pool(jobs) as pool:
         for chunk in pool.imap(_subtree_task, tasks):
             for rows in chunk:
@@ -720,7 +697,7 @@ def census(v_values: Union[int, Iterable[int]],
            k_values: Union[int, Iterable[int]],
            filter_spec: str = "all",
            out: Optional[str] = None,
-           prune: Union[None, str, PruneSpec] = None,
+           prune: Prune = None,
            jobs: int = 1,
            long: bool = False) -> List[CensusRecord]:
     """Enumerate the given (v, k) cells into sorted census records.

@@ -172,7 +172,7 @@ def _cmd_ddg(args) -> int:
           f"{_render(res.params)}")
     print(f"classes: {_render([list(c) for c in res.classes])}")
     print(f"quotient: {_render([list(r) for r in res.quotient])}")
-    for a in class_audits(g, res):
+    for a in audits:
         tags = []
         tags.append("coclique" if a.coclique else "not a coclique")
         tags.append(f"common neighbourhood size {a.witness_size}")
@@ -265,7 +265,7 @@ def _verdict_lines(verdict: SieveVerdict) -> List[str]:
     if failures:
         first = verdict.rule(failures[0])
         tail = ""
-        if first is not None and first.witness:
+        if first.witness:
             key, value = next(iter(first.witness.items()))
             tail = f" {key}={value}"
         lines.append(f"infeasible: {failures[0]}{tail}")

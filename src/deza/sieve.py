@@ -8,11 +8,11 @@ verdict's trace can be read as a proof sketch.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from .classify import beta_formula
 from .graphs import GraphError
-from .spectra import squarefree_part
+from .spectra import _balanced_attributions
 
 DdgParams = Tuple[int, int, int, int, int, int]
 
@@ -84,7 +84,7 @@ def deza_sieve(v: int, k: int, b: int, a: int) -> SieveVerdict:
         trace.append(RuleResult("R2", "skip", {"note": "b == a"}))
         trace.append(RuleResult("R3", "fail", {"b": b, "a": a}))
     else:
-        beta = Fraction(k * (k - 1) - a * (v - 1), b - a)
+        beta = beta_formula(v, k, b, a)
         ok = beta.denominator == 1 and 0 < beta <= v - 1
         trace.append(RuleResult("R2", "pass" if ok else "fail",
                                 {"beta": str(beta)}))
@@ -114,57 +114,6 @@ def deza_sieve(v: int, k: int, b: int, a: int) -> SieveVerdict:
         trace.append(RuleResult("R6", "skip", None))
 
     return _verdict(trace)
-
-
-def _balance_attribution(k: int, d1: int, d2: int, ftot: int,
-                         gtot: int) -> Optional[Tuple[int, int, int, int]]:
-    """Solve k + (f1-f2) sqrt(d1) + (g1-g2) sqrt(d2) = 0 exactly.
-
-    f1+f2 = ftot, g1+g2 = gtot, all nonnegative.  Surds are split by
-    squarefree part, so equal irrational parts may cancel jointly while
-    distinct ones must vanish separately.  For a zero discriminant the
-    sign pair merges and the whole multiplicity is reported in the first
-    slot.  Returns the first solution or None.
-    """
-    s1 = q1 = 0
-    if d1 > 0:
-        s1, q1 = squarefree_part(d1)
-    s2 = q2 = 0
-    if d2 > 0:
-        s2, q2 = squarefree_part(d2)
-
-    if d1 == 0:
-        dfs = [0]
-    else:
-        dfs = [df for df in range(-ftot, ftot + 1) if (df - ftot) % 2 == 0]
-    for df in dfs:
-        rat = k
-        surd: Dict[int, int] = {}
-        if d1 > 0 and df:
-            if q1 == 1:
-                rat += df * s1
-            else:
-                surd[q1] = df * s1
-        # solve dg * sqrt(d2) = -(rat + surd terms)
-        if d2 == 0:
-            if rat != 0 or any(surd.values()):
-                continue
-            dg = 0
-        elif q2 == 1:
-            if any(surd.values()) or rat % s2 != 0:
-                continue
-            dg = -rat // s2
-        else:
-            coeff = surd.pop(q2, 0)
-            if rat != 0 or any(surd.values()) or coeff % s2 != 0:
-                continue
-            dg = -coeff // s2
-        if d2 != 0 and (abs(dg) > gtot or (dg - gtot) % 2 != 0):
-            continue
-        f1, f2 = (ftot, 0) if d1 == 0 else ((ftot + df) // 2, (ftot - df) // 2)
-        g1, g2 = (gtot, 0) if d2 == 0 else ((gtot + dg) // 2, (gtot - dg) // 2)
-        return f1, f2, g1, g2
-    return None
 
 
 def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
@@ -197,7 +146,7 @@ def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
                             {"d1": d1, "d2": d2}))
 
     if d1 >= 0 and d2 >= 0 and v == m * n:
-        sol = _balance_attribution(k, d1, d2, v - m, m - 1)
+        sol = next(_balanced_attributions(k, d1, d2, v - m, m - 1), None)
         if sol is None:
             trace.append(RuleResult("D4", "fail", {"d1": d1, "d2": d2}))
         else:

@@ -10,7 +10,7 @@ roots and quadratic surd pairs (x^2 - d).
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, GraphError, InternalInvariantError
 
@@ -248,29 +248,46 @@ def _expected_multiset(k: int, d1: int, d2: int, f1: int, f2: int,
     return out
 
 
-def _balance(k: int, d1: int, d2: int, f1: int, f2: int,
-             g1: int, g2: int) -> bool:
-    """Exact check that the eigenvalue sum (the trace) vanishes."""
-    rational = k
-    surd: Dict[int, int] = {}
-    for d, delta in ((d1, f1 - f2), (d2, g1 - g2)):
-        if d == 0 or delta == 0:
+def _balanced_attributions(k: int, d1: int, d2: int, ftot: int, gtot: int
+                           ) -> Iterator[Tuple[int, int, int, int]]:
+    """Every exact solution of k + (f1-f2) sqrt(d1) + (g1-g2) sqrt(d2) = 0.
+
+    The eigenvalue sum of a DDG (the trace of A) must vanish.  Solutions
+    (f1, f2, g1, g2) have f1+f2 = ftot, g1+g2 = gtot, all nonnegative, and
+    come in ascending f1; for d2 > 0 each f1 fixes g1.  Surds are split by
+    squarefree part, so equal irrational parts may cancel jointly while
+    distinct ones must vanish separately.  For a zero discriminant the
+    sign pair merges into the eigenvalue 0 and the whole multiplicity is
+    reported in the first slot.
+    """
+    s1, q1 = squarefree_part(d1) if d1 else (0, 1)
+    s2, q2 = squarefree_part(d2) if d2 else (0, 1)
+    for f1 in range(ftot + 1) if d1 else (ftot,):
+        # coefficient of sqrt(q) for each squarefree q, before the d2 term
+        parts = {1: k}
+        if d1:
+            parts[q1] = parts.get(q1, 0) + (2 * f1 - ftot) * s1
+        if not d2:
+            if not any(parts.values()):
+                yield f1, ftot - f1, gtot, 0
             continue
-        s, q = squarefree_part(d)
-        if q == 1:
-            rational += delta * s
-        else:
-            surd[q] = surd.get(q, 0) + delta * s
-    return rational == 0 and all(c == 0 for c in surd.values())
+        # (g1-g2) * s2 must cancel the sqrt(q2) part, and nothing else
+        # may be left
+        need = -parts.pop(q2, 0)
+        if any(parts.values()) or need % s2:
+            continue
+        dg = need // s2
+        if abs(dg) <= gtot and (gtot - dg) % 2 == 0:
+            yield f1, ftot - f1, (gtot + dg) // 2, (gtot - dg) // 2
 
 
 def ddg_spectrum_check(g: Graph, v: int, k: int, lam1: int, lam2: int,
                        m: int, n: int) -> DdgSpectrum:
     """Verify that g has the eigenvalue layout forced by DDG parameters.
 
-    Factors the characteristic polynomial exactly, then searches the
-    multiplicity attributions (f1, g1) for one whose root multiset matches
-    the factorisation and whose signed eigenvalue sum is zero.  Raises
+    Factors the characteristic polynomial exactly, then takes the first
+    multiplicity attribution with zero eigenvalue sum, in ascending f1,
+    whose root multiset matches the factorisation.  Raises
     SpectrumMismatch when no attribution fits.
     """
     return _ddg_spectrum(g, (v, k, lam1, lam2, m, n))
@@ -304,19 +321,8 @@ def _ddg_spectrum(g: Graph, params: Tuple[int, int, int, int, int, int],
     for d, mult in factors.surd_pairs:
         actual[("surd", d)] = mult
 
-    ftot, gtot = v - m, m - 1
-    for f1 in range(ftot + 1):
-        f2 = ftot - f1
-        for g1 in range(gtot + 1):
-            g2 = gtot - g1
-            if _expected_multiset(k, d1, d2, f1, f2, g1, g2) != actual:
-                continue
-            if not _balance(k, d1, d2, f1, f2, g1, g2):
-                continue
-            if d1 == 0:
-                f1, f2 = ftot, 0
-            if d2 == 0:
-                g1, g2 = gtot, 0
+    for f1, f2, g1, g2 in _balanced_attributions(k, d1, d2, v - m, m - 1):
+        if _expected_multiset(k, d1, d2, f1, f2, g1, g2) == actual:
             return DdgSpectrum(k, d1, d2, f1, f2, g1, g2,
                                d1 == 0, d2 == 0, factors)
     raise SpectrumMismatch(params, factors,

@@ -94,6 +94,8 @@ class TestGenerateRegular:
         for jobs in (0, -3):
             with pytest.raises(GraphError, match="jobs"):
                 list(generate_regular(8, 3, jobs=jobs))
+        with pytest.raises(GraphError, match="unsupported prune argument"):
+            list(generate_regular(8, 3, prune=lambda g: True))
 
     def test_oracle_parity_shortcut(self):
         assert count_regular_classes_naive(5, 3) == 0
@@ -156,19 +158,28 @@ class TestPrunes:
                                            (11, 4, "maxpair=k-2")])
     def test_candidate_filters_drop_only_rejected_sets(self, v, k, prune):
         # walk the whole pruned search; at every node the sets dropped
-        # from the reference list must fail the degree rule or be sets
-        # add_vertex rejects, the kept ones must pass the degree rule and
-        # maxpair and come in reference order, and a child skipped by the
-        # degree rule or the last-cell test must have its new vertex
-        # outside the last root cell
+        # from the reference list must fail the degree rule, break maxpair
+        # on the child's rows or be sets add_vertex rejects, the kept ones
+        # must pass the degree rule and maxpair and come in reference
+        # order, and a child skipped by the degree rule or the last-cell
+        # test must have its new vertex outside the last root cell
         spec = None if prune is None else PruneSpec.from_string(prune, k)
-        maxpair = spec and PruneSpec(spec.max_pair_count)
+        maxpair = spec and spec.max_pair_count
         state = _Partial(v, k)
         state.add_vertex([], spec)
         dropped = skipped = 0
 
         def outside_last_cell(r):
             return r not in refine(state.rows, [list(range(r + 1))])[-1]
+
+        def breaks_maxpair(s):
+            if maxpair is None:
+                return False
+            r = len(state.rows)
+            child = [row | (1 << r if x in s else 0)
+                     for x, row in enumerate(state.rows)]
+            child.append(sum(1 << x for x in s))
+            return max(_pair_counts(child).values()) > maxpair
 
         def walk(gens):
             nonlocal dropped, skipped
@@ -184,9 +195,7 @@ class TestPrunes:
                     len(s) == top and any(state.deg[x] == top for x in s))
                 if s in kept_set:
                     assert not lower
-                    if maxpair is not None:
-                        assert state.add_vertex(s, maxpair)
-                        state.pop_vertex()
+                    assert not breaks_maxpair(s)
                     if state.add_vertex(s, spec):
                         if not _last_cell_possible(state.rows, state.deg):
                             skipped += 1
@@ -195,13 +204,13 @@ class TestPrunes:
                     continue
                 dropped += 1
                 if not lower:
-                    assert not state.add_vertex(s, spec)
+                    assert breaks_maxpair(s) or not state.add_vertex(s, spec)
                     assert state.rows == rows
                 elif state.add_vertex(s, spec):
                     assert outside_last_cell(r)
                     state.pop_vertex()
             if r + 1 < v:
-                for child_gens in _accepted_children(state, spec, None, gens):
+                for child_gens in _accepted_children(state, spec, gens):
                     walk(child_gens)
 
         walk(())
@@ -252,12 +261,9 @@ def _frozen_from_rows(rows, k):
                         if x in saturated and y in saturated))
 
 
-def _spec_allows(rows, k, spec):
-    """The spec verdict on a whole partial graph, from its rows alone."""
-    counts = _pair_counts(rows)
-    if spec.max_pair_count is not None and \
-            any(c > spec.max_pair_count for c in counts.values()):
-        return False
+def _frozen_rules_allow(rows, k, spec):
+    """The verdict of the spec's frozen-value rules on a whole partial
+    graph, from its rows alone; maxpair is left to candidate choice."""
     values = set(_frozen_from_rows(rows, k))
     if spec.saturated_values is not None and \
             not values <= set(spec.saturated_values):
@@ -276,10 +282,13 @@ def _spec_allows(rows, k, spec):
 @pytest.mark.parametrize("prune", [SAT_PRUNE, ANCHOR_PRUNE, "maxpair=k-2"],
                          ids=["sat", "anchor", "maxpair"])
 def test_partial_matches_recomputation(v, k, prune):
-    # seeded random add_vertex/pop_vertex walks: the verdict and the
-    # frozen multiset must equal a from-scratch recomputation over the
-    # rows, and a rejected add or an add and pop must change nothing
+    # seeded random add_vertex/pop_vertex walks: the verdict of the
+    # frozen-value rules and the frozen multiset must equal a from-scratch
+    # recomputation over the rows, and a rejected add or an add and pop
+    # must change nothing; add_vertex does not judge maxpair, so under a
+    # maxpair-only spec every add is accepted
     spec = PruneSpec.from_string(prune, k)
+    frozen_rules = spec != PruneSpec(spec.max_pair_count)
     rng = random.Random(f"{v}-{k}-{prune}")
     outcomes = Counter()
     for _ in range(40):
@@ -301,7 +310,7 @@ def test_partial_matches_recomputation(v, k, prune):
                      for row_id, row in enumerate(state.rows)] + [smask]
             ok = state.add_vertex(s, spec)
             outcomes[ok] += 1
-            assert ok == _spec_allows(child, k, spec)
+            assert ok == _frozen_rules_allow(child, k, spec)
             if not ok:
                 assert (state.rows, state.deg, state.frozen) == before
                 continue
@@ -311,7 +320,8 @@ def test_partial_matches_recomputation(v, k, prune):
             if rng.random() < 0.3:
                 state.pop_vertex()
                 assert (state.rows, state.deg, state.frozen) == before
-    assert outcomes[True] > 0 and outcomes[False] > 0
+    assert outcomes[True] > 0
+    assert (outcomes[False] > 0) == frozen_rules
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 
 import deza
 from deza import cli, spectra
-from deza.catalog import construct
+from deza.catalog import catalog_names, construct
 from deza.classify import classify
 from deza.graph6 import decode_graph6
 from deza.graphs import InternalInvariantError
@@ -19,6 +20,11 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# SHA-256 of `spectrum <name> --json` over every catalog graph
+SPECTRUM_GOLDEN = (
+    "d75b667dbd0a7fe4995f6d3704b72808e2da7f026e49534231837200fa4258de")
 
 
 class TestConstruct:
@@ -113,6 +119,16 @@ class TestDdgAndSpectrum:
         assert json.loads(out)["ddg_spectrum"] == {
             "k": s.k, "d1": s.d1, "d2": s.d2,
             "f1": s.f1, "f2": s.f2, "g1": s.g1, "g2": s.g2}
+
+    def test_spectrum_json_golden(self, capsys):
+        # SHA-256 of `spectrum --json` over the catalog, frozen before the
+        # sieve and the spectrum check shared one balance solver
+        digest = hashlib.sha256()
+        for name in catalog_names():
+            code, out, _ = run(capsys, "spectrum", name, "--json")
+            assert code == 0
+            digest.update(f"{name}\n{out}".encode())
+        assert digest.hexdigest() == SPECTRUM_GOLDEN
 
     def test_unresolvable_input(self, capsys):
         code, _, err = run(capsys, "spectrum", "???")

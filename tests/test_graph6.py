@@ -62,3 +62,29 @@ def test_decode_rejects_over_cap():
     too_big = "~" + "".join(chr(63 + (600 >> s & 0x3F)) for s in (12, 6, 0))
     with pytest.raises(Graph6Error, match="cap"):
         decode_graph6(too_big)
+
+
+def test_arbitrary_strings_raise_only_graph6_error():
+    # seeded random strings, biased towards the graph6 alphabet, long-form
+    # headers and the >>graph6<< prefix, must decode or raise Graph6Error
+    rng = random.Random(2024)
+    alphabet = [chr(c) for c in range(63, 127)]
+    other = [chr(c) for c in range(0, 63)] + ["\x7f", "\u00e9", "\u2603",
+                                               "\U0001f600"]
+    decoded = 0
+    for _ in range(20000):
+        chars = [rng.choice(alphabet) if rng.random() < 0.9
+                 else rng.choice(other)
+                 for _ in range(rng.randrange(0, 24))]
+        text = "".join(chars)
+        roll = rng.random()
+        if roll < 0.2:
+            text = "~" + text
+        elif roll < 0.3:
+            text = ">>graph6<<" + text
+        try:
+            decode_graph6(text)
+        except Graph6Error:
+            continue
+        decoded += 1
+    assert decoded > 0

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from deza.sieve import (
@@ -223,3 +226,37 @@ class TestScans:
         for params, verdict in rows:
             assert not verdict.feasible, params
             assert verdict.rule("D7").status == "fail", params
+
+
+def _small_ddg_tuples():
+    """Every (v, k, lam1, lam2, m, n) with v <= 16, m * n = v, k < v and
+    lam1, lam2 <= k; 344 of them have more than one balanced eigenvalue
+    attribution, so D4 there depends on the order of the solutions."""
+    return [(v, k, lam1, lam2, m, v // m)
+            for v in range(2, 17) for m in range(1, v + 1) if v % m == 0
+            for k in range(v) for lam1 in range(k + 1)
+            for lam2 in range(k + 1)]
+
+
+# SHA-256 of the ddg_sieve verdicts, D4 witnesses included, frozen before
+# the sieve and the spectrum check shared one balance solver
+DDG_SIEVE_GOLDEN = [
+    ("scans", 1544,
+     "55b15c59089814a5a3711ee2d23181766a5b819aefd9f027ed8b724c3c7ce1dc"),
+    ("v-le-16", 27143,
+     "5869892c1e35b5b66cf27568e0052b0d9281e323bdcf1eff81137c3a52b1cd6b"),
+]
+
+
+@pytest.mark.parametrize("family,count,digest", DDG_SIEVE_GOLDEN,
+                         ids=[f for f, _, _ in DDG_SIEVE_GOLDEN])
+def test_ddg_sieve_golden(family, count, digest):
+    if family == "scans":
+        params = [p for p, _ in
+                  scan_small_n_tuples(12, 6) + scan_n2_tuples(40)]
+    else:
+        params = _small_ddg_tuples()
+    blob = json.dumps([[list(p), ddg_sieve(*p).as_dict()] for p in params],
+                      separators=(",", ":"))
+    assert len(params) == count
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -21,6 +22,7 @@ from deza.graphs import (
 from deza.spectra import (
     A2Violation,
     SpectrumMismatch,
+    _balanced_attributions,
     adjacency_square_identity,
     char_poly,
     ddg_spectrum_check,
@@ -314,6 +316,43 @@ class TestDdgSpectrum:
     def test_size_mismatch(self):
         with pytest.raises(GraphError):
             ddg_spectrum_check(petersen(), 10, 3, 1, 0, 3, 3)
+
+
+def _brute_attributions(d1, d2, ftot, gtot, zero):
+    """The (f1, f2, g1, g2) whose sign differences (f1-f2, g1-g2) lie in
+    zero, by a double loop over (f1, g1); a zero discriminant merges its
+    sign pair into the first slot."""
+    out = []
+    for f1, g1 in itertools.product(range(ftot + 1), range(gtot + 1)):
+        if (2 * f1 - ftot, 2 * g1 - gtot) in zero:
+            sol = (ftot, 0) if d1 == 0 else (f1, ftot - f1)
+            sol += (gtot, 0) if d2 == 0 else (g1, gtot - g1)
+            if sol not in out:
+                out.append(sol)
+    return out
+
+
+def test_balanced_attributions_match_brute_force():
+    # every (k, d1, d2, ftot, gtot) with k <= 12, d1 <= 20, d2 <= 40,
+    # ftot <= 8, gtot <= 4.  zero holds the (a, b) with
+    # x = k + a sqrt(d1) + b sqrt(d2) = 0.  x is an algebraic integer of
+    # degree at most 4 whose conjugates k +- a sqrt(d1) +- b sqrt(d2) all
+    # lie below 74 in absolute value; a nonzero x has a nonzero integer
+    # norm, so |x| > 74^-3 > 2e-6, and a float test at 1e-9 is exact
+    checked = solved = 0
+    for k, d1, d2 in itertools.product(range(13), range(21), range(41)):
+        r1, r2 = math.sqrt(d1), math.sqrt(d2)
+        zero = {(a, b) for a in range(-8, 9) for b in range(-4, 5)
+                if abs(k + a * r1 + b * r2) < 1e-9}
+        for ftot, gtot in itertools.product(range(9), range(5)):
+            want = _brute_attributions(d1, d2, ftot, gtot, zero) \
+                if zero else []
+            got = list(_balanced_attributions(k, d1, d2, ftot, gtot))
+            assert got == want, (k, d1, d2, ftot, gtot)
+            checked += 1
+            solved += bool(want)
+    assert checked == 13 * 21 * 41 * 9 * 5
+    assert solved > 0
 
 
 class TestAdjacencySquare:
