@@ -3,13 +3,32 @@
 The canonical form of a graph is the lexicographically least packed adjacency
 obtained over a search tree: refine the unit partition to its coarsest
 equitable refinement, then repeatedly individualize one vertex of the first
-non-singleton cell and refine again until the partition is discrete.  Every
-branch is explored, so two graphs get equal certificates iff they are
-isomorphic.  No floating point, no hashing shortcuts.
+smallest non-singleton cell and refine again until the partition is
+discrete.  Every branch is explored or is the image of an explored one
+under a found automorphism, so two graphs get equal certificates iff they
+are isomorphic.  No floating point, no hashing shortcuts.
 
-Automorphisms discovered as certificate collisions are kept both to prune
-sibling branches at the root node and because callers (the enumerator) use
-them to collapse symmetric extension choices.
+Callers (the enumerator) use the automorphisms discovered as certificate
+collisions to collapse symmetric extension choices.  They also prune the
+tree in two ways (McKay, "Practical graph isomorphism", Congr. Numer. 30
+(1981); McKay and Piperno, "Practical graph isomorphism, II", J. Symbolic
+Comput. 60 (2014)):
+
+* Orbit pruning.  At a node, a sibling in the orbit of an explored one
+  under the found automorphisms fixing every individualized vertex is
+  skipped.
+* Backjumping.  Each individualized vertex sits at the start position of
+  its cell, so a leaf's order determines its path.  When a leaf ties the
+  best leaf, the automorphism sigma between them therefore fixes their
+  common path prefix of length l and maps the best leaf's fully explored
+  subtree at depth l+1 onto the current one.  Every node deeper than l
+  returns at once, and the node at depth l goes on to its next sibling.
+
+Every skipped leaf is the image of an earlier leaf under a found
+automorphism, with an equal certificate.  So the certificate, the labeling
+(the first minimal leaf in depth-first order) and the last orbit (the
+closure of the visited last vertices under the found automorphisms) are
+those of the full tree; only the list of generators gets shorter.
 """
 from __future__ import annotations
 
@@ -50,13 +69,23 @@ def _mask(cell: List[int]) -> int:
     return m
 
 
-def refine(rows: Tuple[int, ...], cells: List[List[int]]) -> List[List[int]]:
+def refine(rows: Tuple[int, ...], cells: List[List[int]],
+           splitters: List[int] | None = None) -> List[List[int]]:
     """Coarsest equitable refinement of the ordered partition `cells`.
 
-    Cells split by neighbour count into a configured splitter set; fragments
-    are ordered by count, so the result is equivariant under relabeling.
+    Cells split by neighbour count into a splitter set, popped last-pushed
+    first; fragments are ordered by count, so the result is equivariant
+    under relabeling.  `splitters` (vertex masks) seeds the work stack and
+    defaults to every cell.  After x is individualized out of a cell of an
+    equitable partition, only the rest of that cell can split anything:
+    every cell stays uniform on each other old cell, and on [x] once the
+    rest has been used.  So seeding the stack with the rest's mask alone
+    gives the same splits in the same order as seeding it with every cell.
     """
-    work = [_mask(c) for c in cells]
+    if splitters is None:
+        work = [_mask(c) for c in cells]
+    else:
+        work = list(splitters)
     while work:
         wmask = work.pop()
         out: List[List[int]] = []
@@ -145,14 +174,18 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
 
     best_cert: bytes | None = None
     best_order: List[int] = []
+    best_fixed: List[int] = []
     last_set: set[int] = set()
     gens: List[Tuple[int, ...]] = []
 
     if root_cells is None:
         root_cells = refine(rows, [list(range(v))])
 
-    def dfs(cells: List[List[int]], fixed: List[int]) -> None:
-        nonlocal best_cert, best_order
+    def dfs(cells: List[List[int]], fixed: List[int]) -> int:
+        """Search below the equitable partition `cells` reached by
+        individualizing `fixed`; return the depth of the node to resume at,
+        or v to go on as usual."""
+        nonlocal best_cert, best_order, best_fixed
         ci = -1
         size = v + 1
         for i, c in enumerate(cells):
@@ -165,6 +198,7 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
             if best_cert is None or cert < best_cert:
                 best_cert = cert
                 best_order = order
+                best_fixed = fixed
                 last_set.clear()
                 last_set.add(order[-1])
             elif cert == best_cert:
@@ -176,10 +210,16 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
                 for x in range(v):
                     union(x, sigma[x])
                 last_set.add(order[-1])
-            return
+                # backjump to where this path left the best leaf's path
+                depth = 0
+                while fixed[depth] == best_fixed[depth]:
+                    depth += 1
+                return depth
+            return v
         cell = cells[ci]
         prefix = cells[:ci]
         suffix = cells[ci + 1:]
+        depth = len(fixed)
         # Automorphisms fixing every individualized vertex map this node onto
         # itself, so siblings in one orbit under them explore identical
         # subtrees; keep one representative per orbit.  Exactness is kept:
@@ -190,9 +230,13 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
             if stab and _in_orbit(x, done, stab):
                 continue
             rest = [y for y in cell if y != x]
-            dfs(refine(rows, prefix + [[x], rest] + suffix), fixed + [x])
+            back = dfs(refine(rows, prefix + [[x], rest] + suffix,
+                              [_mask(rest)]), fixed + [x])
+            if back < depth:
+                return back
             done.append(x)
             stab = [s for s in gens if all(s[y] == y for y in fixed)]
+        return v
 
     dfs(root_cells, [])
     assert best_cert is not None

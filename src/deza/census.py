@@ -131,10 +131,9 @@ class _Partial:
         return Graph(len(self.rows), tuple(self.rows))
 
     def rebuild(self, rows: Sequence[int]) -> None:
+        """Replay rows vertex by vertex; with no spec every step is taken."""
         for r, mask in enumerate(rows):
-            s = [j for j in range(r) if mask >> j & 1]
-            if not self.add_vertex(s, None):
-                raise GraphError("state rebuild failed")
+            self.add_vertex([j for j in range(r) if mask >> j & 1], None)
 
     def add_vertex(self, s: Sequence[int],
                    spec: Optional[PruneSpec]) -> bool:

@@ -7,6 +7,7 @@ only, so parse/re-serialize round-trips byte-identically.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -62,7 +63,9 @@ def _graph_from_flags(args) -> Graph:
     if args.g6 == "-":
         line = sys.stdin.readline().strip()
     else:
-        with open(args.g6, "r", encoding="ascii") as fh:
+        # non-ASCII text reaches decode_graph6, which names it
+        with open(args.g6, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             line = fh.readline().strip()
     return decode_graph6(line)
 
@@ -386,7 +389,9 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and reused by every later one."""
     parser = _Parser(prog="deza", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -44,7 +44,10 @@ def decode_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    data = s.encode("ascii", errors="replace")
+    for off, ch in enumerate(s):
+        if not ch.isascii():
+            raise Graph6Error(f"non-ASCII character {ch!r}", off)
+    data = s.encode("ascii")
     for off, byte in enumerate(data):
         if byte < 63 or byte > 126:
             raise Graph6Error(f"invalid graph6 byte {byte}", off)

@@ -163,11 +163,13 @@ def factor_adjacency_poly(coeffs: Sequence[int], bound: int) -> SpectrumFactors:
         if _isqrt_exact(d) is not None:
             continue
         mult = 0
-        while len(p) > 2:
-            quo, rem = poly_divmod(p, (-d, 0, 1))
+        # p(x) = E(x^2) + x*O(x^2), so p(sqrt d) = E(d) + sqrt(d)*O(d); as d
+        # is not a square, x^2 - d divides p iff E(d) = O(d) = 0
+        while (len(p) > 2 and poly_eval(p[0::2], d) == 0
+               and poly_eval(p[1::2], d) == 0):
+            p, rem = poly_divmod(p, (-d, 0, 1))
             if not _is_zero(rem):
-                break
-            p = quo
+                raise InternalInvariantError("inexact surd division")
             mult += 1
         if mult:
             surds.append((d, mult))

@@ -1,7 +1,8 @@
-"""Brute-force test oracle for the regular-graph generator."""
+"""Brute-force test oracles for the regular-graph generator and the
+canonical search."""
 
 import itertools
-from typing import Set
+from typing import List, Set, Tuple
 
 from deza.canon import canonical_certificate
 from deza.graphs import Graph, GraphError
@@ -52,3 +53,35 @@ def count_regular_classes_naive(v: int, k: int) -> int:
     place(0)
     return len(certs)
 
+
+
+def automorphisms(g: Graph) -> List[Tuple[int, ...]]:
+    """Every automorphism of g, by backtracking over vertex images.
+
+    Vertex x is mapped after 0..x-1, to an unused vertex of its degree
+    whose adjacencies to the images of 0..x-1 match.  Shares no logic with
+    the canonical search; meant for v <= 7 or so.
+    """
+    v = g.v
+    adj = [[g.rows[x] >> y & 1 for y in range(v)] for x in range(v)]
+    deg = [sum(row) for row in adj]
+    img: List[int] = []
+    used = [False] * v
+    out: List[Tuple[int, ...]] = []
+
+    def place(x: int) -> None:
+        if x == v:
+            out.append(tuple(img))
+            return
+        for y in range(v):
+            if used[y] or deg[y] != deg[x]:
+                continue
+            if all(adj[x][z] == adj[y][img[z]] for z in range(x)):
+                used[y] = True
+                img.append(y)
+                place(x + 1)
+                img.pop()
+                used[y] = False
+
+    place(0)
+    return out

@@ -62,6 +62,21 @@ class TestClassify:
         assert code == 0
         assert "regular: 2" in out
 
+    @pytest.mark.parametrize("data", ["A\u00e9\n".encode(),
+                                      "\u2603\n".encode(), b"A\xe9\n"])
+    def test_non_ascii_file_is_an_error(self, capsys, tmp_path, data):
+        path = tmp_path / "g.g6"
+        path.write_bytes(data)
+        code, _, err = run(capsys, "classify", "--g6", str(path))
+        assert code == 1
+        assert err.startswith("error: non-ASCII character")
+
+    @pytest.mark.parametrize("text", ["A\u00e9", "\u2603"])
+    def test_non_ascii_input_is_an_error(self, capsys, text):
+        code, _, err = run(capsys, "ddg", text)
+        assert code == 1
+        assert "neither a catalog name nor a graph6" in err
+
     def test_json_round_trips_byte_identically(self, capsys):
         code, out, _ = run(capsys, "classify", "--name", "petersen",
                            "--json")
@@ -266,11 +281,11 @@ class TestExitCodes:
         assert "--jobs" in err
 
     def test_internal_invariant_maps_to_three(self, capsys, monkeypatch):
-        # the parser is rebuilt on every main() call, so patching the
-        # handler is enough to exercise the translation layer
-        def boom(args):
+        # the parser is built once per process and holds the handlers, so
+        # the fault is injected into what the catalog handler calls
+        def boom():
             raise InternalInvariantError("synthetic")
-        monkeypatch.setattr(cli, "_cmd_catalog", boom)
+        monkeypatch.setattr(cli, "catalog", boom)
         code, _, err = run(capsys, "catalog")
         assert code == 3
         assert "invariant" in err

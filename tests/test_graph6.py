@@ -58,6 +58,16 @@ def test_decode_errors_carry_offsets():
         decode_graph6("A" + chr(63 + 1))
 
 
+def test_decode_rejects_non_ascii():
+    # a replacement '?' would be a valid data byte
+    with pytest.raises(Graph6Error, match="non-ASCII character 'é'") as e:
+        decode_graph6("A\u00e9")
+    assert e.value.offset == 1
+    with pytest.raises(Graph6Error, match="non-ASCII") as e:
+        decode_graph6("\u2603")
+    assert e.value.offset == 0
+
+
 def test_decode_rejects_over_cap():
     too_big = "~" + "".join(chr(63 + (600 >> s & 0x3F)) for s in (12, 6, 0))
     with pytest.raises(Graph6Error, match="cap"):

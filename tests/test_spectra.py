@@ -266,6 +266,38 @@ class TestFactorisation:
         with pytest.raises(ValueError):
             factor_adjacency_poly((1, 2), 3)
 
+    def test_surds_match_trial_division(self):
+        # reference: divide by x^2 - d while the remainder is zero
+        def trial(p, bound):
+            pairs = []
+            for d in range(2, bound * bound + 1):
+                if math.isqrt(d) ** 2 == d:
+                    continue
+                mult = 0
+                while len(p) > 2:
+                    quo, rem = poly_divmod(p, surd(d))
+                    if any(rem):
+                        break
+                    p = quo
+                    mult += 1
+                if mult:
+                    pairs.append((d, mult))
+            return tuple(pairs), p
+
+        rng = random.Random(31)
+        cases = [(product(power(surd(2), 3), surd(3), linear(4), surd(12),
+                          (1, 1, 1), (-5, 0, 0, 0, 1)), 4),
+                 (product(power(surd(8), 2), linear(-1), (2, 0, 1)), 3)]
+        cases += [(char_poly(g), g.v) for g in
+                  (random_graph(rng.randint(2, 14), rng.randrange(1, 10), rng)
+                   for _ in range(60))]
+        for p, bound in cases:
+            f = factor_adjacency_poly(p, bound)
+            roots = product(*(power(linear(r), m) for r, m in f.int_roots))
+            rest, rem = poly_divmod(p, roots)
+            assert not any(rem)
+            assert (f.surd_pairs, f.residual) == trial(rest, bound)
+
 
 class TestDdgSpectrum:
     def test_heawood(self):
