@@ -3,7 +3,8 @@
 Everything here runs over Python integers.  Characteristic polynomials come
 from closed-walk counts tr(A^j), summed over packed bit rows in
 O(maxdeg * v^2) big-int additions with a proven field width, and Newton's
-identities (all divisions asserted exact).  Factorisation is limited to
+identities (all divisions asserted exact); a dense regular graph is
+handled through its sparse complement.  Factorisation is limited to
 the shapes that matter for walk-regular graph families, namely integer
 roots and quadratic surd pairs (x^2 - d).
 """
@@ -12,11 +13,52 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, GraphError, InternalInvariantError
+from .graphs import Graph, GraphError, InternalInvariantError, complement
 
 
 def char_poly(g: Graph) -> Tuple[int, ...]:
     """Coefficients of det(xI - A), index i holding the x^i coefficient.
+
+    Two routes, chosen by the input.  The walk route (_walk_char_poly) costs
+    O(maxdeg * v^2) big-int additions on fields of maxdeg^v's bit length, so
+    a dense graph pays for its degree twice.  A k-regular g with
+    2k > v - 1 therefore goes through its complement H, which is
+    (v-1-k)-regular, by Cvetkovic, Doob and Sachs, Spectra of Graphs
+    (1980), Thm 2.6:
+
+        chi_G(x) = (-1)^v (x - k) chi_H(-x - 1) / (x + v - k).
+
+    The all-ones vector carries k in g and v-1-k in H; every other
+    eigenvalue l of g is -1-l in H.  So x + v - k divides the numerator,
+    and that division is asserted exact: a remainder means corrupted
+    input, as an inexact Newton step does.  For a regular input the cost
+    is thus O(D * v^2) with D = min(k, v-1-k), on fields of D^v's bit
+    length; the composition and division add O(v^2) operations.
+    """
+    v = g.v
+    k = g.regular_degree()
+    if k is None or 2 * k <= v - 1:
+        return _walk_char_poly(g)
+    # q(x) = chi_H(-x - 1) by Horner: q <- q * (-x - 1) + c
+    q: List[int] = []
+    for c in reversed(_walk_char_poly(complement(g))):
+        q = [-a - b for a, b in zip(q + [0], [0] + q)]
+        q[0] += c
+    # times (x - k), then divide synthetically by x - r with r = k - v
+    num = [-k * a + b for a, b in zip(q + [0], [0] + q)]
+    r = k - v
+    out = [0] * (v + 1)
+    acc = 0
+    for i in range(v + 1, 0, -1):
+        acc = num[i] + r * acc
+        out[i - 1] = acc
+    if num[0] + r * acc:
+        raise InternalInvariantError("inexact complement division")
+    return tuple(out) if v % 2 == 0 else tuple(-c for c in out)
+
+
+def _walk_char_poly(g: Graph) -> Tuple[int, ...]:
+    """char_poly by closed-walk counts and Newton's identities.
 
     The power sums p_j = tr(A^j), j = 1..v, count closed walks of length j.
     Row i of A^j is one int of v fixed-width fields, field t holding the
@@ -258,25 +300,40 @@ def _balanced_attributions(k: int, d1: int, d2: int, ftot: int, gtot: int
     (f1, f2, g1, g2) have f1+f2 = ftot, g1+g2 = gtot, all nonnegative, and
     come in ascending f1; for d2 > 0 each f1 fixes g1.  Surds are split by
     squarefree part, so equal irrational parts may cancel jointly while
-    distinct ones must vanish separately.  For a zero discriminant the
-    sign pair merges into the eigenvalue 0 and the whole multiplicity is
-    reported in the first slot.
+    distinct ones must vanish separately.  So at most one f1 fits, solved
+    directly, unless d1 and d2 share their squarefree part.  For a zero
+    discriminant the sign pair merges into the eigenvalue 0 and the whole
+    multiplicity is reported in the first slot.
     """
     s1, q1 = squarefree_part(d1) if d1 else (0, 1)
     s2, q2 = squarefree_part(d2) if d2 else (0, 1)
-    for f1 in range(ftot + 1) if d1 else (ftot,):
-        # coefficient of sqrt(q) for each squarefree q, before the d2 term
-        parts = {1: k}
-        if d1:
-            parts[q1] = parts.get(q1, 0) + (2 * f1 - ftot) * s1
+    if not d1:
+        f1s: Sequence[int] = (ftot,)
+    elif d2 and q2 == q1:
+        f1s = range(ftot + 1)
+    else:
+        # nothing but k (q1 = 1) can cancel the sqrt(q1) term
+        # (2 f1 - ftot) s1, so it equals -t and at most one f1 fits
+        t = k if q1 == 1 else 0
+        f1, odd = divmod(ftot - t // s1, 2)
+        f1s = (f1,) if not t % s1 and not odd and 0 <= f1 <= ftot else ()
+    for f1 in f1s:
+        # the rational part and the sqrt(q1) part, q1 > 1, before the d2 term
+        a = (2 * f1 - ftot) * s1
+        rat, sur = (k + a, 0) if q1 == 1 else (k, a)
         if not d2:
-            if not any(parts.values()):
+            if not rat and not sur:
                 yield f1, ftot - f1, gtot, 0
             continue
         # (g1-g2) * s2 must cancel the sqrt(q2) part, and nothing else
         # may be left
-        need = -parts.pop(q2, 0)
-        if any(parts.values()) or need % s2:
+        if q2 == 1:
+            need, rest = -rat, sur
+        elif q2 == q1:
+            need, rest = -sur, rat
+        else:
+            need, rest = 0, rat or sur
+        if rest or need % s2:
             continue
         dg = need // s2
         if abs(dg) <= gtot and (gtot - dg) % 2 == 0:

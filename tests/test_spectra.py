@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from deza import spectra
 from deza.graphs import (
     GraphError,
+    InternalInvariantError,
     cartesian_product,
     complement,
     complete_graph,
@@ -23,6 +25,7 @@ from deza.spectra import (
     A2Violation,
     SpectrumMismatch,
     _balanced_attributions,
+    _walk_char_poly,
     adjacency_square_identity,
     char_poly,
     ddg_spectrum_check,
@@ -200,21 +203,45 @@ def random_circulant(v, rng):
     return permute_graph(g, perm)
 
 
+def paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return make_graph(q, [(x, y) for x in range(q) for y in range(x + 1, q)
+                          if (y - x) % q in squares])
+
+
+def is_dense_regular(g):
+    # the inputs char_poly sends through the complement
+    k = g.regular_degree()
+    return k is not None and 2 * k > g.v - 1
+
+
 # det(xI - A) by elimination, and closed forms: neither shares code with
-# the walk counts in char_poly
+# the walk counts in char_poly or with its complement route
 class TestCharPolyCrossCheck:
-    @pytest.mark.parametrize("regular", [True, False],
-                             ids=["regular", "irregular"])
-    def test_seeded_random_graphs(self, regular):
-        rng = random.Random(41 if regular else 43)
+    @pytest.mark.parametrize("kind", ["regular", "irregular", "regular-dense"])
+    def test_seeded_random_graphs(self, kind):
+        rng = random.Random({"regular": 41, "irregular": 43,
+                             "regular-dense": 47}[kind])
+        parities = set()
         for _ in range(12):
             v = rng.randrange(2, 41)
-            g = (random_circulant(v, rng) if regular
-                 else random_graph(v, rng.randrange(1, 10), rng))
+            if kind == "irregular":
+                g = random_graph(v, rng.randrange(1, 10), rng)
+            else:
+                g = random_circulant(v, rng)
+            if kind == "regular-dense":
+                # dense unless the circulant was dense already
+                g = complement(g)
+                if is_dense_regular(g):
+                    parities.add(v % 2)
             p = char_poly(g)
             assert len(p) == v + 1 and p[v] == 1
             for x in rng.sample(range(-6, 7), 3):
                 assert poly_eval(p, x) == det_x_minus_a(g, x)
+            if kind == "regular-dense":
+                assert p == _walk_char_poly(g)
+        if kind == "regular-dense":
+            assert parities == {0, 1}
 
     def test_hypercube_q6(self):
         # eigenvalues 6 - 2i with multiplicity C(6, i)
@@ -222,24 +249,94 @@ class TestCharPolyCrossCheck:
                          for i in range(7)))
         assert char_poly(hypercube(6)) == want
 
+    def test_complement_of_q7(self):
+        # Q7 has eigenvalues 7 - 2i with multiplicity C(7, i); its
+        # complement has 127 - 7 = 120 once and -1 - (7 - 2i) for i >= 1
+        g = complement(hypercube(7))
+        assert is_dense_regular(g)
+        want = product(linear(120), *(power(linear(-1 - (7 - 2 * i)),
+                                            math.comb(7, i))
+                                      for i in range(1, 8)))
+        assert char_poly(g) == want
+
     @pytest.mark.parametrize("n", range(30, 41))
     def test_complete_graphs(self, n):
-        # the densest graphs: maxdeg = v - 1 gives the widest fields
-        assert char_poly(complete_graph(n)) == product(
-            linear(n - 1), power(linear(-1), n - 1))
+        # the densest graphs: maxdeg = v - 1 gives the widest fields, so
+        # the walk route is checked on them too, not only char_poly, which
+        # takes the complement route here
+        want = product(linear(n - 1), power(linear(-1), n - 1))
+        assert char_poly(complete_graph(n)) == want
+        assert _walk_char_poly(complete_graph(n)) == want
 
     @pytest.mark.parametrize("n", [1, 2, 7, 20])
     def test_complete_bipartite(self, n):
         # A^j of K_{n,n} has entries n^(j-1) = maxdeg^(j-1), the most walks
-        # of length j between two vertices that maximum degree n allows
+        # of length j between two vertices that maximum degree n allows;
+        # K_{n,n} is dense, so the walk route is checked directly too
         g = complement(disjoint_union([complete_graph(n)] * 2))
-        assert char_poly(g) == product(surd(n * n),
-                                       power(linear(0), 2 * n - 2))
+        want = product(surd(n * n), power(linear(0), 2 * n - 2))
+        assert char_poly(g) == want
+        assert _walk_char_poly(g) == want
 
     @pytest.mark.parametrize("v", [0, 1, 2, 9])
     def test_edgeless(self, v):
         assert char_poly(empty_graph(v)) == (0,) * v + (1,)
         assert det_x_minus_a(empty_graph(v), 3) == 3 ** v
+
+
+def walk_route_inputs(monkeypatch, g):
+    """char_poly(g), and the graphs it handed to the walk route."""
+    seen = []
+
+    def record(h):
+        seen.append(h)
+        return _walk_char_poly(h)
+
+    monkeypatch.setattr(spectra, "_walk_char_poly", record)
+    return char_poly(g), seen
+
+
+class TestCharPolyRoutes:
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_small_complete_graphs(self, monkeypatch, v):
+        # K_1 has 2k = v - 1 and stays on the walk route; K_2 and K_3 go
+        # through their edgeless complements
+        g = complete_graph(v)
+        p, seen = walk_route_inputs(monkeypatch, g)
+        assert p == product(linear(v - 1), power(linear(-1), v - 1))
+        assert seen == [g if v == 1 else empty_graph(v)]
+
+    @pytest.mark.parametrize("g, want", [
+        (cycle_graph(5), product(linear(2), power((-1, 1, 1), 2))),
+        (paley(13), product(linear(6), power((-3, 1, 1), 6))),
+    ], ids=["cycle-5", "paley-13"])
+    def test_boundary_stays_on_walk_route(self, monkeypatch, g, want):
+        # 2k = v - 1: the complement is no sparser, so no detour
+        assert 2 * g.regular_degree() == g.v - 1
+        p, seen = walk_route_inputs(monkeypatch, g)
+        assert p == want
+        assert seen == [g]
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_dense_irregular_stays_on_walk_route(self, monkeypatch, n):
+        # K_n minus one edge is dense but not regular
+        g = complement(make_graph(n, [(0, 1)]))
+        assert g.regular_degree() is None
+        p, seen = walk_route_inputs(monkeypatch, g)
+        assert seen == [g]
+        for x in (-3, 0, 5):
+            assert poly_eval(p, x) == det_x_minus_a(g, x)
+
+    def test_inexact_complement_division_raises(self, monkeypatch):
+        # a wrong chi_H leaves a remainder at x = k - v
+        def corrupted(h):
+            p = list(_walk_char_poly(h))
+            p[0] += 1
+            return tuple(p)
+
+        monkeypatch.setattr(spectra, "_walk_char_poly", corrupted)
+        with pytest.raises(InternalInvariantError):
+            char_poly(complement(hypercube(3)))
 
 
 class TestFactorisation:
