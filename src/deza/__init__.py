@@ -15,7 +15,7 @@ from .spectra import (A2Violation, DdgSpectrum, SpectrumFactors,
                       ddg_spectrum_check, factor_adjacency_poly,
                       squarefree_part)
 from .ddg import (ClassAudit, DdgDetection, DdgResult, class_audits,
-                  ddg_detect, equitable_check, rho_closure_shortcut)
+                  ddg_detect, equitable_check)
 from .sieve import (RuleResult, SieveVerdict, ddg_sieve, deza_sieve,
                     quadratic_residue, scan_n2_tuples, scan_small_n_tuples)
 from .census import (AuditReport, CensusRecord, PruneSpec, audit_theorem,

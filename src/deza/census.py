@@ -10,9 +10,12 @@ proportional to the search depth.
 Prunes must be monotone: a violating partial graph can only have violating
 completions.  A prune is a PruneSpec.  Its checks read a pair count off
 the packed adjacency rows, as the popcount of the AND of two rows, only
-where a step can change it; the value of a pair whose two endpoints are
-both saturated can never change again, which is what makes frozen-value
-constraints monotone.
+where a step can change it.  The value of a pair with one saturated
+endpoint can never change again, since a saturated vertex gains no
+neighbour; that is what makes frozen-value constraints monotone.  An
+unfrozen pair can still gain only as many common neighbours as both
+endpoints have free degree and vertices remain, which bounds its final
+value to an interval.
 """
 
 import hashlib
@@ -54,11 +57,13 @@ def _compile_term(term: str, kind: str = "prune") -> Callable[[int], int]:
 class PruneSpec:
     """Declarative monotone prune on partial graphs.
 
-    max_pair_count bounds every common-neighbour count.  For pairs whose
-    endpoints are both saturated (degree k, value frozen): the value must
-    lie in saturated_values when given; the number of distinct frozen
-    values must not exceed saturated_distinct_max; and once that many are
-    present, saturated_anchor must be among them.
+    max_pair_count bounds every common-neighbour count.  For pairs with a
+    saturated endpoint (degree k, value frozen): the value must lie in
+    saturated_values when given; the number of distinct frozen values
+    must not exceed saturated_distinct_max; and once that many are
+    present, saturated_anchor must be among them.  Since a regular graph
+    freezes every pair, saturated_values also rejects an unfrozen pair
+    whose reachable interval holds none of its values.
     """
     max_pair_count: Optional[int] = None
     saturated_values: Optional[Tuple[int, ...]] = None
@@ -113,69 +118,86 @@ Prune = Union[None, str, PruneSpec]
 
 
 class _Partial:
-    """Mutable search state with journaled undo.
+    """Mutable search state under one prune spec, with journaled undo.
 
-    Tracks adjacency rows, degrees and the multiset of frozen pair values
-    (pairs whose endpoints are both saturated).  A pair count is read off
-    the bit rows as (rows[x] & rows[y]).bit_count(); no count matrix is
-    kept, so the journal holds only each step's frozen values.
+    Tracks adjacency rows, degrees and the multiset of frozen pair values.
+    A pair is frozen once one of its endpoints is saturated: a saturated
+    vertex gets no new neighbour, so no later vertex adds to the pair's
+    common neighbours.  A pair count is read off the bit rows as
+    (rows[x] & rows[y]).bit_count(); no count matrix is kept, so the
+    journal holds only each step's frozen values.
+
+    The spec is judged once, here.  gap[c] is how far a count c lies below
+    the nearest sat value at or above it (k+1 when there is none), so a
+    pair with c common neighbours that can gain at most slack more is dead
+    exactly when gap[c] > slack.  A frozen pair has slack 0, which is the
+    sat membership test.  interval says whether any entry with slack >= 1
+    is dead for a count maxpair allows.  vacuous says whether the frozen
+    rules accept every value 0..min(maxpair, k) from an empty multiset.
+    The rules only get stricter on larger value sets, and such a spec has
+    gap 0 on all those values, so it can reject no step; then no frozen
+    value is computed at all and the multiset stays empty.
     """
 
-    __slots__ = ("v", "k", "rows", "deg", "frozen", "journal")
+    __slots__ = ("v", "k", "spec", "gap", "interval", "vacuous", "rows",
+                 "deg", "frozen", "journal")
 
-    def __init__(self, v: int, k: int):
+    def __init__(self, v: int, k: int, spec: Optional[PruneSpec] = None):
         self.v = v
         self.k = k
+        self.spec = spec
         self.rows: List[int] = []
         self.deg: List[int] = []
         self.frozen: Dict[int, int] = {}
-        self.journal: List[List[int]] = []
+        self.journal: List[Sequence[int]] = []
+        self.gap: Optional[List[int]] = None
+        if spec is not None and spec.saturated_values is not None:
+            self.gap = [min((t - c for t in spec.saturated_values if t >= c),
+                            default=k + 1) for c in range(k + 1)]
+        top = k
+        if spec is not None and spec.max_pair_count is not None:
+            top = min(spec.max_pair_count, k)
+        self.vacuous = spec is None or self._frozen_ok(range(top + 1))
+        self.interval = (not self.vacuous and self.gap is not None
+                         and max(self.gap[:top + 1]) > 1)
 
     def graph(self) -> Graph:
         return Graph(len(self.rows), tuple(self.rows))
 
     def rebuild(self, rows: Sequence[int]) -> None:
-        """Replay rows vertex by vertex; with no spec every step is taken."""
+        """Replay rows that the search accepted under the same spec, vertex
+        by vertex, so every step is taken again and the frozen values of
+        the rebuilt state are those of the search."""
         for r, mask in enumerate(rows):
-            self.add_vertex([j for j in range(r) if mask >> j & 1], None)
+            self.add_vertex([j for j in range(r) if mask >> j & 1])
 
-    def add_vertex(self, s: Sequence[int],
-                   spec: Optional[PruneSpec]) -> bool:
+    def add_vertex(self, s: Sequence[int]) -> bool:
         """Append a vertex adjacent to s; False when the step breaks the
-        frozen-value rules of spec.
+        frozen-value rules or the interval rule of the spec.
 
-        Callers pass sets that already satisfy maxpair (_candidate_sets
-        drops every other one), so only the pairs that become frozen now,
-        which pair a newly saturated vertex with a saturated one, are
-        checked.  Every check runs before the state changes, so a rejected
-        step leaves it as it was.
+        Callers pass sets of unsaturated vertices that already satisfy
+        maxpair (_candidate_sets drops every other one), so only the pairs
+        that become frozen now are checked against the frozen-value rules,
+        and only the unfrozen pairs whose interval this step moves (those
+        with an endpoint in s, and those with the new vertex) against the
+        interval rule.  Every check runs before the state changes, so a
+        rejected step leaves it as it was.
         """
         rows = self.rows
         deg = self.deg
-        k = self.k
         r = len(rows)
         smask = 0
         for x in s:
             smask |= 1 << x
-        newly = [x for x in s if deg[x] + 1 == k]
-        adds: List[int] = []
-        if newly or len(s) == k:
-            saturated = [x for x in range(r)
-                         if deg[x] == k and not smask >> x & 1]
-            for i, x in enumerate(newly):
-                row = rows[x]
-                for y in newly[i + 1:]:
-                    adds.append((row & rows[y]).bit_count() + 1)
-                for y in saturated:
-                    adds.append((row & rows[y]).bit_count())
-            if len(s) == k:
-                for x in saturated + newly:
-                    adds.append((rows[x] & smask).bit_count())
-            if spec is not None and not self._frozen_ok(adds, spec):
+        adds: Sequence[int] = ()
+        if not self.vacuous:
+            adds = self._frozen_now(s, smask)
+            if not self._frozen_ok(adds) or (
+                    self.interval and not self._intervals_ok(s, smask)):
                 return False
-        frozen = self.frozen
-        for value in adds:
-            frozen[value] = frozen.get(value, 0) + 1
+            frozen = self.frozen
+            for value in adds:
+                frozen[value] = frozen.get(value, 0) + 1
         bit = 1 << r
         for x in s:
             rows[x] |= bit
@@ -185,10 +207,45 @@ class _Partial:
         self.journal.append(adds)
         return True
 
-    def _frozen_ok(self, adds: List[int], spec: PruneSpec) -> bool:
-        if spec.saturated_values is not None:
-            if any(value not in spec.saturated_values for value in adds):
-                return False
+    def _frozen_now(self, s: Sequence[int], smask: int) -> List[int]:
+        """The counts of the pairs that become frozen when a vertex r
+        adjacent to s is appended.
+
+        Each pair is frozen exactly once, at the first step where one of
+        its endpoints is saturated: (r, y) for every y saturated before
+        the step; (x, y) for every x that s saturates and every other
+        placed y not saturated before, r included; and, when s saturates
+        r itself, (r, y) for every placed y left.
+        """
+        rows = self.rows
+        deg = self.deg
+        k = self.k
+        adds = []
+        # placed vertices that are unsaturated both before and after
+        rest = []
+        for y in range(len(rows)):
+            if deg[y] == k:
+                adds.append((rows[y] & smask).bit_count())
+            elif deg[y] + 1 < k or not smask >> y & 1:
+                rest.append(y)
+        newly = [x for x in s if deg[x] + 1 == k]
+        for i, x in enumerate(newly):
+            row = rows[x]
+            adds.append((row & smask).bit_count())
+            for y in newly[i + 1:]:
+                adds.append((row & rows[y]).bit_count() + 1)
+            for y in rest:
+                adds.append((row & rows[y]).bit_count() + (smask >> y & 1))
+        if len(s) == k:
+            for y in rest:
+                adds.append((rows[y] & smask).bit_count())
+        return adds
+
+    def _frozen_ok(self, adds: Iterable[int]) -> bool:
+        spec = self.spec
+        gap = self.gap
+        if gap is not None and any(gap[value] for value in adds):
+            return False
         if spec.saturated_distinct_max is not None:
             distinct = set(self.frozen)
             distinct.update(adds)
@@ -200,29 +257,47 @@ class _Partial:
                 return False
         return True
 
-    def doomed_vertices(self, spec: Optional[PruneSpec]) -> Set[int]:
-        """Degree k-1 vertices that no accepted neighbour set can contain.
+    def _intervals_ok(self, s: Sequence[int], smask: int) -> bool:
+        """Whether every unfrozen pair whose interval this step moves can
+        still reach a sat value.
 
-        Once such a vertex is picked, its values with the saturated
-        vertices are frozen by add_vertex unchanged, and the set of
-        distinct frozen values only grows, so failing _frozen_ok on these
-        values alone is final.
+        With c common neighbours after the step, a pair's final count lies
+        in [c, c + slack], slack = min(k - deg x, k - deg y, v - n) with n
+        vertices placed: each later common neighbour is a later vertex and
+        uses one unit of each endpoint's deficiency.  Pairs where only
+        v - n shrank are not rechecked; that is weaker, never wrong.  Nor
+        is the last step, where an unfrozen pair means an unsaturated
+        vertex with no vertex left, which candidate choice never yields.
         """
-        if spec is None or (spec.saturated_values is None
-                            and spec.saturated_distinct_max is None):
-            return set()
-        k = self.k
         rows = self.rows
-        saturated = [rows[y] for y, d in enumerate(self.deg) if d == k]
-        doomed: Set[int] = set()
-        for j, d in enumerate(self.deg):
-            if d != k - 1:
+        deg = self.deg
+        k = self.k
+        gap = self.gap
+        left = self.v - len(rows) - 1
+        if not left:
+            return True
+        # (vertex, deficiency after the step) of every placed vertex that
+        # stays unsaturated
+        open_ = []
+        for y in range(len(rows)):
+            d = k - deg[y] - (smask >> y & 1)
+            if d:
+                open_.append((y, d))
+        if len(s) < k:
+            dr = min(k - len(s), left)
+            for y, d in open_:
+                if gap[(rows[y] & smask).bit_count()] > min(dr, d):
+                    return False
+        for x in s:
+            if deg[x] + 1 == k:
                 continue
-            row = rows[j]
-            values = [(row & other).bit_count() for other in saturated]
-            if not self._frozen_ok(values, spec):
-                doomed.add(j)
-        return doomed
+            dx = min(k - deg[x] - 1, left)
+            row = rows[x]
+            for y, d in open_:
+                if y != x and gap[(row & rows[y]).bit_count()
+                                  + (smask >> y & 1)] > min(dx, d):
+                    return False
+        return True
 
     def pop_vertex(self) -> None:
         frozen = self.frozen
@@ -251,25 +326,20 @@ def _parse_prune(prune: Prune, k: int) -> Optional[PruneSpec]:
     raise GraphError(f"unsupported prune argument {prune!r}")
 
 
-def _candidate_sets(state: _Partial, spec: Optional[PruneSpec]
-                    ) -> Iterator[Tuple[int, ...]]:
+def _candidate_sets(state: _Partial) -> Iterator[Tuple[int, ...]]:
     """Neighbour sets for the next vertex, in a fixed deterministic order.
 
     Sets come by size, then in lexicographic order of their optional
     members.  The forced-vertex rule (a vertex whose deficiency equals
     the number of vertices still to come after this one must be picked
     now) and two counting bounds on the total remaining deficiency shape
-    them, and three filters drop sets that could only be rejected later:
+    them, and two filters drop sets that could only be rejected later:
 
     - degree: the new vertex r must get the child's maximum degree, since
       refine splits by degree first and orders the fragments ascending,
       so only then can r lie in the last root cell; smaller sizes are
       skipped, and at the parent's maximum degree a vertex already there
       is left out;
-    - doomed: under a frozen-value spec a vertex of degree k-1 is left
-      out when saturating it would already violate the spec, since its
-      pair counts with the saturated vertices are final once it is
-      picked;
     - maxpair: a set is dropped as soon as a pair inside it already has
       maxpair common neighbours, or an existing vertex has more than
       maxpair neighbours in it.  Both counts only grow with the set, so
@@ -282,7 +352,6 @@ def _candidate_sets(state: _Partial, spec: Optional[PruneSpec]
     deg = state.deg
     r = len(rows)
     rem_after = v - r - 1
-    doomed = state.doomed_vertices(spec)
     forced: List[int] = []
     optional: List[int] = []
     total_def = 0
@@ -294,10 +363,8 @@ def _candidate_sets(state: _Partial, spec: Optional[PruneSpec]
         if d > rem_after + 1:
             return
         if d == rem_after + 1:
-            if j in doomed:
-                return
             forced.append(j)
-        elif j not in doomed:
+        else:
             optional.append(j)
     top = max(deg)
     lo = max(len(forced), k - rem_after, top)
@@ -311,6 +378,7 @@ def _candidate_sets(state: _Partial, spec: Optional[PruneSpec]
     hi = min(hi, num // 2)
     if lo > hi:
         return
+    spec = state.spec
     maxp = spec.max_pair_count if spec else None
     # conflict[x]: the candidates y that cannot join x, because x and y
     # already have maxpair common neighbours; a vertex z with maxpair
@@ -452,13 +520,12 @@ def generate_regular(v: int, k: int, prune: Prune = None,
     if jobs > 1:
         yield from _generate_parallel(v, k, spec, jobs)
         return
-    state = _Partial(v, k)
-    state.add_vertex([], spec)
-    yield from _extend(state, spec, ())
+    state = _Partial(v, k, spec)
+    state.add_vertex([])
+    yield from _extend(state, ())
 
 
-def _accepted_children(state: _Partial, spec: Optional[PruneSpec],
-                       parent_gens: Sequence[Tuple[int, ...]]
+def _accepted_children(state: _Partial, parent_gens: Sequence[Tuple[int, ...]]
                        ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """Push each accepted child onto state and yield its automorphisms.
 
@@ -467,7 +534,8 @@ def _accepted_children(state: _Partial, spec: Optional[PruneSpec],
     siblings.  The child is popped when the consumer resumes.  Cheap
     necessary conditions run first: _candidate_sets yields only sets that
     give r the maximum degree and pass maxpair, add_vertex checks the
-    frozen values, and _last_cell_possible runs before the root refine.
+    frozen values and the intervals, and _last_cell_possible runs before
+    the root refine.
     Every test is invariant under the parent's automorphisms, so skipping
     orbits with _orbit_seen after the first ones keeps the same
     representatives.
@@ -475,10 +543,10 @@ def _accepted_children(state: _Partial, spec: Optional[PruneSpec],
     r = len(state.rows)
     seen_sets: Set[Tuple[int, ...]] = set()
     seen_certs: Set[bytes] = set()
-    for s in _candidate_sets(state, spec):
+    for s in _candidate_sets(state):
         if parent_gens and _orbit_seen(s, seen_sets, parent_gens):
             continue
-        if not state.add_vertex(s, spec):
+        if not state.add_vertex(s):
             continue
         if _last_cell_possible(state.rows, state.deg):
             child = state.graph()
@@ -491,14 +559,14 @@ def _accepted_children(state: _Partial, spec: Optional[PruneSpec],
         state.pop_vertex()
 
 
-def _extend(state: _Partial, spec: Optional[PruneSpec],
-            parent_gens: Sequence[Tuple[int, ...]]) -> Iterator[Graph]:
+def _extend(state: _Partial, parent_gens: Sequence[Tuple[int, ...]]
+            ) -> Iterator[Graph]:
     leaf = len(state.rows) + 1 == state.v
-    for gens in _accepted_children(state, spec, parent_gens):
+    for gens in _accepted_children(state, parent_gens):
         if leaf:
             yield state.graph()
         else:
-            yield from _extend(state, spec, gens)
+            yield from _extend(state, gens)
 
 
 _Node = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
@@ -513,10 +581,10 @@ def _frontier(v: int, k: int, spec: Optional[PruneSpec],
     while depth < v - 1 and 0 < len(level) < min_nodes:
         nxt: List[_Node] = []
         for rows, gens in level:
-            state = _Partial(v, k)
+            state = _Partial(v, k, spec)
             state.rebuild(rows)
             nxt.extend((tuple(state.rows), child_gens) for child_gens
-                       in _accepted_children(state, spec, gens))
+                       in _accepted_children(state, gens))
         depth += 1
         level = nxt
     return level
@@ -531,9 +599,9 @@ _SUBTREES_PER_JOB = 16
 
 def _subtree_task(args) -> List[Tuple[int, ...]]:
     v, k, spec, (rows, gens) = args
-    state = _Partial(v, k)
+    state = _Partial(v, k, spec)
     state.rebuild(rows)
-    return [g.rows for g in _extend(state, spec, gens)]
+    return [g.rows for g in _extend(state, gens)]
 
 
 def _generate_parallel(v: int, k: int, spec: Optional[PruneSpec],

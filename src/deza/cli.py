@@ -484,6 +484,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does
+        return 1
 
 
 if __name__ == "__main__":

@@ -233,19 +233,3 @@ def permute_graph(g: Graph, perm: Sequence[int]) -> Graph:
         rows[perm[x]] = m
     return Graph(g.v, tuple(rows))
 
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph induced on the given vertices, relabelled 0..len-1 in order."""
-    pos = {x: i for i, x in enumerate(vertices)}
-    if len(pos) != len(vertices):
-        raise GraphError("duplicate vertices")
-    rows = [0] * len(vertices)
-    for x, i in pos.items():
-        r = g.rows[x]
-        while r:
-            y = (r & -r).bit_length() - 1
-            r &= r - 1
-            if y in pos:
-                rows[i] |= 1 << pos[y]
-    return Graph(len(vertices), tuple(rows))
-

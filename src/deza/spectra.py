@@ -91,15 +91,6 @@ def _walk_char_poly(g: Graph) -> Tuple[int, ...]:
     return tuple(reversed(c))
 
 
-def poly_mul(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return tuple(out)
-
-
 def poly_eval(p: Sequence[int], x: int) -> int:
     acc = 0
     for c in reversed(p):

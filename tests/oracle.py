@@ -2,7 +2,7 @@
 canonical search."""
 
 import itertools
-from typing import List, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from deza.canon import canonical_certificate
 from deza.graphs import Graph, GraphError
@@ -85,3 +85,29 @@ def automorphisms(g: Graph) -> List[Tuple[int, ...]]:
 
     place(0)
     return out
+
+
+def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
+    """Subgraph induced on the given vertices, relabelled 0..len-1 in order."""
+    pos = {x: i for i, x in enumerate(vertices)}
+    if len(pos) != len(vertices):
+        raise GraphError("duplicate vertices")
+    rows = [0] * len(vertices)
+    for x, i in pos.items():
+        r = g.rows[x]
+        while r:
+            y = (r & -r).bit_length() - 1
+            r &= r - 1
+            if y in pos:
+                rows[i] |= 1 << pos[y]
+    return Graph(len(vertices), tuple(rows))
+
+
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:
+    """Product of two integer polynomials, coefficients lowest first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        if pi:
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+    return tuple(out)

