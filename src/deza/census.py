@@ -7,15 +7,20 @@ certificate equality.  Together these guarantee exactly one representative
 per isomorphism class without a global seen-set, so memory stays
 proportional to the search depth.
 
+A search node is immutable: adding a vertex returns a new child node and
+leaves its parent as it was, so the search needs no undo, and a node can
+be handed to a pool worker as it is.
+
 Prunes must be monotone: a violating partial graph can only have violating
 completions.  A prune is a PruneSpec.  Its checks read a pair count off
 the packed adjacency rows, as the popcount of the AND of two rows, only
 where a step can change it.  The value of a pair with one saturated
 endpoint can never change again, since a saturated vertex gains no
-neighbour; that is what makes frozen-value constraints monotone.  An
-unfrozen pair can still gain only as many common neighbours as both
-endpoints have free degree and vertices remain, which bounds its final
-value to an interval.
+neighbour; that is what makes frozen-value constraints monotone.  Those
+constraints read only which values are frozen, so a node keeps them as a
+bitmask of distinct values.  An unfrozen pair can still gain only as many
+common neighbours as both endpoints have free degree and vertices remain,
+which bounds its final value to an interval.
 """
 
 import hashlib
@@ -24,8 +29,8 @@ import multiprocessing
 import os
 import re
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from . import __version__
 from .canon import canon_data, canonical_certificate, refine
@@ -117,99 +122,118 @@ class PruneSpec:
 Prune = Union[None, str, PruneSpec]
 
 
-class _Partial:
-    """Mutable search state under one prune spec, with journaled undo.
+class _Search:
+    """What every node of one search shares: v, k, the prune spec and the
+    tables derived from it, computed once.
 
-    Tracks adjacency rows, degrees and the multiset of frozen pair values.
-    A pair is frozen once one of its endpoints is saturated: a saturated
-    vertex gets no new neighbour, so no later vertex adds to the pair's
-    common neighbours.  A pair count is read off the bit rows as
-    (rows[x] & rows[y]).bit_count(); no count matrix is kept, so the
-    journal holds only each step's frozen values.
-
-    The spec is judged once, here.  gap[c] is how far a count c lies below
-    the nearest sat value at or above it (k+1 when there is none), so a
-    pair with c common neighbours that can gain at most slack more is dead
-    exactly when gap[c] > slack.  A frozen pair has slack 0, which is the
-    sat membership test.  interval says whether any entry with slack >= 1
-    is dead for a count maxpair allows.  vacuous says whether the frozen
-    rules accept every value 0..min(maxpair, k) from an empty multiset.
+    gap[c] is how far a count c lies below the nearest sat value at or
+    above it (k+1 when there is none), so a pair with c common neighbours
+    that can gain at most slack more is dead exactly when gap[c] > slack.
+    A frozen pair has slack 0, so bad, the mask of the counts c with
+    gap[c] > 0, is the sat membership test.  interval says whether any
+    entry with slack >= 1 is dead for a count maxpair allows.  vacuous
+    says whether the frozen rules accept every value 0..min(maxpair, k).
     The rules only get stricter on larger value sets, and such a spec has
     gap 0 on all those values, so it can reject no step; then no frozen
-    value is computed at all and the multiset stays empty.
+    value is computed at all and every node's mask stays 0.
     """
 
-    __slots__ = ("v", "k", "spec", "gap", "interval", "vacuous", "rows",
-                 "deg", "frozen", "journal")
+    __slots__ = ("v", "k", "spec", "gap", "bad", "interval", "vacuous")
 
-    def __init__(self, v: int, k: int, spec: Optional[PruneSpec] = None):
+    def __init__(self, v: int, k: int, spec: Optional[PruneSpec]):
         self.v = v
         self.k = k
         self.spec = spec
-        self.rows: List[int] = []
-        self.deg: List[int] = []
-        self.frozen: Dict[int, int] = {}
-        self.journal: List[Sequence[int]] = []
         self.gap: Optional[List[int]] = None
+        self.bad = 0
         if spec is not None and spec.saturated_values is not None:
             self.gap = [min((t - c for t in spec.saturated_values if t >= c),
                             default=k + 1) for c in range(k + 1)]
+            self.bad = sum(1 << c for c, g in enumerate(self.gap) if g)
         top = k
         if spec is not None and spec.max_pair_count is not None:
             top = min(spec.max_pair_count, k)
-        self.vacuous = spec is None or self._frozen_ok(range(top + 1))
+        self.vacuous = spec is None or self.frozen_ok(
+            sum(1 << c for c in range(top + 1)))
         self.interval = (not self.vacuous and self.gap is not None
                          and max(self.gap[:top + 1]) > 1)
 
+    def frozen_ok(self, seen: int) -> bool:
+        """Whether the frozen-value rules accept the values in the mask
+        seen (bit c set when some frozen pair has c common neighbours)."""
+        if seen & self.bad:
+            return False
+        spec = self.spec
+        most = spec.saturated_distinct_max
+        if most is not None:
+            distinct = seen.bit_count()
+            if distinct > most:
+                return False
+            anchor = spec.saturated_anchor
+            if (anchor is not None and distinct == most
+                    and (anchor < 0 or not seen >> anchor & 1)):
+                return False
+        return True
+
+    def root(self) -> "_Partial":
+        """The node holding the first vertex alone."""
+        return _Partial(self, (0,), (0,), 0)
+
+
+class _Partial(NamedTuple):
+    """An immutable search node: adjacency rows and degrees of a partial
+    graph, and seen, the mask of its distinct frozen pair values.
+
+    A pair is frozen once one of its endpoints is saturated: a saturated
+    vertex gets no new neighbour, so no later vertex adds to the pair's
+    common neighbours.  A pair count is read off the bit rows as
+    (rows[x] & rows[y]).bit_count().  Every frozen-value rule reads only
+    which values occur, so bit c of seen is all a node keeps of the pairs
+    with count c.  add_vertex returns a child and never changes its node.
+    """
+
+    search: _Search
+    rows: Tuple[int, ...]
+    deg: Tuple[int, ...]
+    seen: int
+
     def graph(self) -> Graph:
-        return Graph(len(self.rows), tuple(self.rows))
+        return Graph(len(self.rows), self.rows)
 
-    def rebuild(self, rows: Sequence[int]) -> None:
-        """Replay rows that the search accepted under the same spec, vertex
-        by vertex, so every step is taken again and the frozen values of
-        the rebuilt state are those of the search."""
-        for r, mask in enumerate(rows):
-            self.add_vertex([j for j in range(r) if mask >> j & 1])
-
-    def add_vertex(self, s: Sequence[int]) -> bool:
-        """Append a vertex adjacent to s; False when the step breaks the
-        frozen-value rules or the interval rule of the spec.
+    def add_vertex(self, s: Sequence[int]) -> Optional["_Partial"]:
+        """The child with a new vertex adjacent to s; None when the step
+        breaks the frozen-value rules or the interval rule of the spec.
 
         Callers pass sets of unsaturated vertices that already satisfy
         maxpair (_candidate_sets drops every other one), so only the pairs
         that become frozen now are checked against the frozen-value rules,
         and only the unfrozen pairs whose interval this step moves (those
         with an endpoint in s, and those with the new vertex) against the
-        interval rule.  Every check runs before the state changes, so a
-        rejected step leaves it as it was.
+        interval rule.
         """
-        rows = self.rows
-        deg = self.deg
-        r = len(rows)
+        search = self.search
         smask = 0
         for x in s:
             smask |= 1 << x
-        adds: Sequence[int] = ()
-        if not self.vacuous:
-            adds = self._frozen_now(s, smask)
-            if not self._frozen_ok(adds) or (
-                    self.interval and not self._intervals_ok(s, smask)):
-                return False
-            frozen = self.frozen
-            for value in adds:
-                frozen[value] = frozen.get(value, 0) + 1
-        bit = 1 << r
+        seen = self.seen
+        if not search.vacuous:
+            seen |= self._frozen_now(s, smask)
+            if not search.frozen_ok(seen) or (
+                    search.interval and not self._intervals_ok(s, smask)):
+                return None
+        rows = list(self.rows)
+        deg = list(self.deg)
+        bit = 1 << len(rows)
         for x in s:
             rows[x] |= bit
             deg[x] += 1
         rows.append(smask)
         deg.append(len(s))
-        self.journal.append(adds)
-        return True
+        return _Partial(search, tuple(rows), tuple(deg), seen)
 
-    def _frozen_now(self, s: Sequence[int], smask: int) -> List[int]:
-        """The counts of the pairs that become frozen when a vertex r
-        adjacent to s is appended.
+    def _frozen_now(self, s: Sequence[int], smask: int) -> int:
+        """The mask of the counts of the pairs that become frozen when a
+        vertex r adjacent to s is appended.
 
         Each pair is frozen exactly once, at the first step where one of
         its endpoints is saturated: (r, y) for every y saturated before
@@ -219,43 +243,28 @@ class _Partial:
         """
         rows = self.rows
         deg = self.deg
-        k = self.k
-        adds = []
+        k = self.search.k
+        adds = 0
         # placed vertices that are unsaturated both before and after
         rest = []
         for y in range(len(rows)):
             if deg[y] == k:
-                adds.append((rows[y] & smask).bit_count())
+                adds |= 1 << (rows[y] & smask).bit_count()
             elif deg[y] + 1 < k or not smask >> y & 1:
                 rest.append(y)
         newly = [x for x in s if deg[x] + 1 == k]
         for i, x in enumerate(newly):
             row = rows[x]
-            adds.append((row & smask).bit_count())
+            adds |= 1 << (row & smask).bit_count()
             for y in newly[i + 1:]:
-                adds.append((row & rows[y]).bit_count() + 1)
+                adds |= 1 << ((row & rows[y]).bit_count() + 1)
             for y in rest:
-                adds.append((row & rows[y]).bit_count() + (smask >> y & 1))
+                adds |= 1 << ((row & rows[y]).bit_count()
+                              + (smask >> y & 1))
         if len(s) == k:
             for y in rest:
-                adds.append((rows[y] & smask).bit_count())
+                adds |= 1 << (rows[y] & smask).bit_count()
         return adds
-
-    def _frozen_ok(self, adds: Iterable[int]) -> bool:
-        spec = self.spec
-        gap = self.gap
-        if gap is not None and any(gap[value] for value in adds):
-            return False
-        if spec.saturated_distinct_max is not None:
-            distinct = set(self.frozen)
-            distinct.update(adds)
-            if len(distinct) > spec.saturated_distinct_max:
-                return False
-            if (spec.saturated_anchor is not None
-                    and len(distinct) == spec.saturated_distinct_max
-                    and spec.saturated_anchor not in distinct):
-                return False
-        return True
 
     def _intervals_ok(self, s: Sequence[int], smask: int) -> bool:
         """Whether every unfrozen pair whose interval this step moves can
@@ -271,9 +280,10 @@ class _Partial:
         """
         rows = self.rows
         deg = self.deg
-        k = self.k
-        gap = self.gap
-        left = self.v - len(rows) - 1
+        search = self.search
+        k = search.k
+        gap = search.gap
+        left = search.v - len(rows) - 1
         if not left:
             return True
         # (vertex, deficiency after the step) of every placed vertex that
@@ -299,24 +309,6 @@ class _Partial:
                     return False
         return True
 
-    def pop_vertex(self) -> None:
-        frozen = self.frozen
-        for value in self.journal.pop():
-            left = frozen[value] - 1
-            if left:
-                frozen[value] = left
-            else:
-                del frozen[value]
-        rows = self.rows
-        deg = self.deg
-        smask = rows.pop()
-        deg.pop()
-        keep = ~(1 << len(rows))
-        for x in range(len(rows)):
-            if smask >> x & 1:
-                rows[x] &= keep
-                deg[x] -= 1
-
 
 def _parse_prune(prune: Prune, k: int) -> Optional[PruneSpec]:
     if prune is None or isinstance(prune, PruneSpec):
@@ -326,7 +318,7 @@ def _parse_prune(prune: Prune, k: int) -> Optional[PruneSpec]:
     raise GraphError(f"unsupported prune argument {prune!r}")
 
 
-def _candidate_sets(state: _Partial) -> Iterator[Tuple[int, ...]]:
+def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
     """Neighbour sets for the next vertex, in a fixed deterministic order.
 
     Sets come by size, then in lexicographic order of their optional
@@ -347,9 +339,10 @@ def _candidate_sets(state: _Partial) -> Iterator[Tuple[int, ...]]:
 
     The surviving sets keep their relative order.
     """
-    v, k = state.v, state.k
-    rows = state.rows
-    deg = state.deg
+    search = node.search
+    v, k = search.v, search.k
+    rows = node.rows
+    deg = node.deg
     r = len(rows)
     rem_after = v - r - 1
     forced: List[int] = []
@@ -378,7 +371,7 @@ def _candidate_sets(state: _Partial) -> Iterator[Tuple[int, ...]]:
     hi = min(hi, num // 2)
     if lo > hi:
         return
-    spec = state.spec
+    spec = search.spec
     maxp = spec.max_pair_count if spec else None
     # conflict[x]: the candidates y that cannot join x, because x and y
     # already have maxpair common neighbours; a vertex z with maxpair
@@ -513,80 +506,68 @@ def generate_regular(v: int, k: int, prune: Prune = None,
         raise GraphError(f"no {k}-regular graph on {v} vertices: v*k is odd")
     if jobs < 1:
         raise GraphError(f"jobs must be at least 1, got {jobs}")
-    spec = _parse_prune(prune, k)
+    search = _Search(v, k, _parse_prune(prune, k))
     if v == 1:
         yield Graph(1, (0,))
         return
     if jobs > 1:
-        yield from _generate_parallel(v, k, spec, jobs)
+        yield from _generate_parallel(search, jobs)
         return
-    state = _Partial(v, k, spec)
-    state.add_vertex([])
-    yield from _extend(state, ())
+    yield from _extend(search.root(), ())
 
 
-def _accepted_children(state: _Partial, parent_gens: Sequence[Tuple[int, ...]]
-                       ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    """Push each accepted child onto state and yield its automorphisms.
+_Gens = Tuple[Tuple[int, ...], ...]
+_Node = Tuple[_Partial, _Gens]
+
+
+def _accepted_children(node: _Partial, parent_gens: _Gens) -> Iterator[_Node]:
+    """Yield each accepted child of node with its automorphisms.
 
     A child is accepted when it passes the prunes, its new vertex r lies
     in the canonical last orbit, and its certificate is new among its
-    siblings.  The child is popped when the consumer resumes.  Cheap
-    necessary conditions run first: _candidate_sets yields only sets that
-    give r the maximum degree and pass maxpair, add_vertex checks the
-    frozen values and the intervals, and _last_cell_possible runs before
-    the root refine.
+    siblings.  Cheap necessary conditions run first: _candidate_sets
+    yields only sets that give r the maximum degree and pass maxpair,
+    add_vertex checks the frozen values and the intervals, and
+    _last_cell_possible runs before the root refine.
     Every test is invariant under the parent's automorphisms, so skipping
     orbits with _orbit_seen after the first ones keeps the same
     representatives.
     """
-    r = len(state.rows)
+    r = len(node.rows)
     seen_sets: Set[Tuple[int, ...]] = set()
     seen_certs: Set[bytes] = set()
-    for s in _candidate_sets(state):
+    for s in _candidate_sets(node):
         if parent_gens and _orbit_seen(s, seen_sets, parent_gens):
             continue
-        if not state.add_vertex(s):
+        child = node.add_vertex(s)
+        if child is None or not _last_cell_possible(child.rows, child.deg):
             continue
-        if _last_cell_possible(state.rows, state.deg):
-            child = state.graph()
-            cells = refine(child.rows, [list(range(r + 1))])
-            if r in cells[-1]:
-                data = canon_data(child, cells)
-                if r in data.last_orbit and data.cert not in seen_certs:
-                    seen_certs.add(data.cert)
-                    yield data.aut_gens
-        state.pop_vertex()
+        cells = refine(child.rows, [list(range(r + 1))])
+        if r in cells[-1]:
+            data = canon_data(child.graph(), cells)
+            if r in data.last_orbit and data.cert not in seen_certs:
+                seen_certs.add(data.cert)
+                yield child, data.aut_gens
 
 
-def _extend(state: _Partial, parent_gens: Sequence[Tuple[int, ...]]
-            ) -> Iterator[Graph]:
-    leaf = len(state.rows) + 1 == state.v
-    for gens in _accepted_children(state, parent_gens):
+def _extend(node: _Partial, parent_gens: _Gens) -> Iterator[Graph]:
+    leaf = len(node.rows) + 1 == node.search.v
+    for child, gens in _accepted_children(node, parent_gens):
         if leaf:
-            yield state.graph()
+            yield child.graph()
         else:
-            yield from _extend(state, gens)
+            yield from _extend(child, gens)
 
 
-_Node = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
-
-
-def _frontier(v: int, k: int, spec: Optional[PruneSpec],
-              min_nodes: int) -> List[_Node]:
-    """Accepted partial graphs (rows, automorphisms) at one depth below
-    v, in DFS order."""
+def _frontier(search: _Search, min_nodes: int) -> List[_Node]:
+    """Accepted nodes with their automorphisms at one depth below v, in
+    DFS order."""
     depth = 1
-    level: List[_Node] = [((0,), ())]
-    while depth < v - 1 and 0 < len(level) < min_nodes:
-        nxt: List[_Node] = []
-        for rows, gens in level:
-            state = _Partial(v, k, spec)
-            state.rebuild(rows)
-            nxt.extend((tuple(state.rows), child_gens) for child_gens
-                       in _accepted_children(state, gens))
+    level: List[_Node] = [(search.root(), ())]
+    while depth < search.v - 1 and 0 < len(level) < min_nodes:
+        level = [child for node, gens in level
+                 for child in _accepted_children(node, gens)]
         depth += 1
-        level = nxt
     return level
 
 
@@ -597,33 +578,31 @@ def _frontier(v: int, k: int, spec: Optional[PruneSpec],
 _SUBTREES_PER_JOB = 16
 
 
-def _subtree_task(args) -> List[Tuple[int, ...]]:
-    v, k, spec, (rows, gens) = args
-    state = _Partial(v, k, spec)
-    state.rebuild(rows)
-    return [g.rows for g in _extend(state, gens)]
+def _subtree_task(task: _Node) -> List[Tuple[int, ...]]:
+    node, gens = task
+    return [g.rows for g in _extend(node, gens)]
 
 
-def _generate_parallel(v: int, k: int, spec: Optional[PruneSpec],
-                       jobs: int) -> Iterator[Graph]:
+def _generate_parallel(search: _Search, jobs: int) -> Iterator[Graph]:
     """Yield the serial output of generate_regular from a pool of jobs.
 
     The tree is cut at the first whole level, in DFS order, that holds at
     least _SUBTREES_PER_JOB * jobs nodes, or at depth v-1; each node's
-    subtree is one task.  Work per subtree is very uneven, so many small
-    tasks per worker are what keep every worker busy to the end.  The
-    ordered imap returns the subtrees in frontier order, and every
-    frontier level is itself in DFS order, so the output is the serial
-    DFS order whatever depth the cut lands at.
+    subtree is one task.  A node is immutable, so it goes to its worker
+    as it is, frozen-value mask included, and the worker searches on from
+    it exactly as the serial run would.  Work per subtree is very uneven,
+    so many small tasks per worker are what keep every worker busy to the
+    end.  The ordered imap returns the subtrees in frontier order, and
+    every frontier level is itself in DFS order, so the output is the
+    serial DFS order whatever depth the cut lands at.
     """
-    level = _frontier(v, k, spec, min_nodes=_SUBTREES_PER_JOB * jobs)
+    level = _frontier(search, min_nodes=_SUBTREES_PER_JOB * jobs)
     if not level:
         return
-    tasks = [(v, k, spec, node) for node in level]
     with multiprocessing.Pool(jobs) as pool:
-        for chunk in pool.imap(_subtree_task, tasks):
+        for chunk in pool.imap(_subtree_task, level):
             for rows in chunk:
-                yield Graph(v, rows)
+                yield Graph(search.v, rows)
 
 
 @dataclass(frozen=True)

@@ -137,20 +137,12 @@ def _render(value) -> str:
 def _cmd_ddg(args) -> int:
     g = _read_graph(args.input)
     det = ddg_detect(g)
-    payload = {
-        "regular": det.regular,
-        "values": list(det.values),
-        "proper": None,
-        "improper": [list(p) for p in det.improper],
-        "class_audits": None,
-        "a2_identity": None,
-    }
+    payload = {**det.as_dict(), "class_audits": None, "a2_identity": None}
     if det.proper is not None:
         res = det.proper
         audits = class_audits(g, res)
         violation = adjacency_square_identity(
             g, res.classes, res.lam1, res.lam2, res.k)
-        payload["proper"] = res.as_dict()
         payload["class_audits"] = [
             {"index": a.index, "coclique": a.coclique,
              "witness_size": a.witness_size, "divisible": a.divisible}
@@ -232,13 +224,8 @@ def _cmd_spectrum(args) -> int:
     k = g.regular_degree()
     bound = k if k is not None else g.v
     factors = factor_adjacency_poly(coeffs, max(bound, 1))
-    payload = {
-        "coeffs": list(coeffs),
-        "int_roots": [list(p) for p in factors.int_roots],
-        "surd_pairs": [list(p) for p in factors.surd_pairs],
-        "residual": list(factors.residual),
-        "ddg_spectrum": None,
-    }
+    payload = {"coeffs": list(coeffs), **factors.as_dict(),
+               "ddg_spectrum": None}
     det = ddg_detect(g)
     if det.proper is not None:
         res = det.proper

@@ -246,15 +246,6 @@ class DdgSpectrum:
     degenerate_d2_zero: bool
     factors: SpectrumFactors
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k, "d1": self.d1, "d2": self.d2,
-            "f1": self.f1, "f2": self.f2, "g1": self.g1, "g2": self.g2,
-            "degenerate_d1_zero": self.degenerate_d1_zero,
-            "degenerate_d2_zero": self.degenerate_d2_zero,
-            "factors": self.factors.as_dict(),
-        }
-
 
 def _expected_multiset(k: int, d1: int, d2: int, f1: int, f2: int,
                        g1: int, g2: int) -> Dict[Tuple, int]:

@@ -1,13 +1,14 @@
 import hashlib
-import importlib
 import itertools
 import json
 import os
+import pickle
 import random
 from collections import Counter
 
 import pytest
 
+import deza.census
 from deza import cli
 from deza.canon import canonical_certificate, refine
 from deza.catalog import construct
@@ -18,6 +19,8 @@ from deza.census import (
     _frontier,
     _last_cell_possible,
     _Partial,
+    _Search,
+    _SUBTREES_PER_JOB,
     _subtree_task,
     audit_theorem,
     census,
@@ -171,16 +174,16 @@ class TestPrunes:
     def test_post_filter_cells_fire(self, monkeypatch, v, k, prune, rule):
         # the post-filter cases above stand for a rule only where it
         # rejects a step and output remains
-        partial = importlib.import_module("deza.census")._Partial
-        real = getattr(partial, rule)
+        real = getattr(_Partial, rule)
         verdicts = Counter()
 
         def counted(self, *args):
-            ok = real(self, *args)
-            verdicts[ok] += 1
-            return ok
+            verdict = real(self, *args)
+            # add_vertex rejects with None, _intervals_ok with False
+            verdicts[verdict is not None and verdict is not False] += 1
+            return verdict
 
-        monkeypatch.setattr(partial, rule, counted)
+        monkeypatch.setattr(_Partial, rule, counted)
         assert list(generate_regular(v, k, prune))
         assert verdicts[False] > 0
 
@@ -197,55 +200,56 @@ class TestPrunes:
         # test must have its new vertex outside the last root cell
         spec = None if prune is None else PruneSpec.from_string(prune, k)
         maxpair = spec and spec.max_pair_count
-        state = _Partial(v, k, spec)
-        state.add_vertex([])
         dropped = skipped = 0
 
-        def outside_last_cell(r):
-            return r not in refine(state.rows, [list(range(r + 1))])[-1]
+        def outside_last_cell(rows):
+            r = len(rows) - 1
+            return r not in refine(rows, [list(range(r + 1))])[-1]
 
-        def breaks_maxpair(s):
+        def breaks_maxpair(node, s):
             if maxpair is None:
                 return False
-            r = len(state.rows)
+            r = len(node.rows)
             child = [row | (1 << r if x in s else 0)
-                     for x, row in enumerate(state.rows)]
+                     for x, row in enumerate(node.rows)]
             child.append(sum(1 << x for x in s))
             return max(_pair_counts(child).values()) > maxpair
 
-        def walk(gens):
+        def walk(node, gens):
             nonlocal dropped, skipped
-            every = _reference_sets(state)
-            kept = list(_candidate_sets(state))
+            every = _reference_sets(node)
+            kept = list(_candidate_sets(node))
             kept_set = set(kept)
             assert kept == [s for s in every if s in kept_set]
-            r = len(state.rows)
-            top = max(state.deg)
+            r = len(node.rows)
+            top = max(node.deg)
             for s in every:
-                rows = list(state.rows)
+                rows = list(node.rows)
                 lower = len(s) < top or (
-                    len(s) == top and any(state.deg[x] == top for x in s))
+                    len(s) == top and any(node.deg[x] == top for x in s))
                 if s in kept_set:
                     assert not lower
-                    assert not breaks_maxpair(s)
-                    if state.add_vertex(s):
-                        if not _last_cell_possible(state.rows, state.deg):
-                            skipped += 1
-                            assert outside_last_cell(r)
-                        state.pop_vertex()
+                    assert not breaks_maxpair(node, s)
+                    child = node.add_vertex(s)
+                    if child is not None and not _last_cell_possible(
+                            child.rows, child.deg):
+                        skipped += 1
+                        assert outside_last_cell(child.rows)
                     continue
                 dropped += 1
                 if not lower:
-                    assert breaks_maxpair(s) or not state.add_vertex(s)
-                    assert state.rows == rows
-                elif state.add_vertex(s):
-                    assert outside_last_cell(r)
-                    state.pop_vertex()
+                    assert (breaks_maxpair(node, s)
+                            or node.add_vertex(s) is None)
+                    assert list(node.rows) == rows
+                    continue
+                child = node.add_vertex(s)
+                if child is not None:
+                    assert outside_last_cell(child.rows)
             if r + 1 < v:
-                for child_gens in _accepted_children(state, gens):
-                    walk(child_gens)
+                for child, child_gens in _accepted_children(node, gens):
+                    walk(child, child_gens)
 
-        walk(())
+        walk(_Search(v, k, spec).root(), ())
         assert dropped > 0 and skipped > 0
 
     def test_anchor_prune_subset(self):
@@ -257,11 +261,11 @@ class TestPrunes:
         assert "GQzTrg" in anchored      # the 4x2 grid survives
 
 
-def _reference_sets(state):
+def _reference_sets(node):
     """Every neighbour set the forced-vertex rule and the deficiency
     bounds allow, by size and then in lexicographic order, before the
     degree and maxpair filters."""
-    v, k, deg = state.v, state.k, state.deg
+    v, k, deg = node.search.v, node.search.k, node.deg
     rem = v - len(deg) - 1
     open_ = [x for x, d in enumerate(deg) if d < k]
     if any(k - deg[x] > rem + 1 for x in open_):
@@ -288,11 +292,19 @@ def _pair_counts(rows):
 
 
 def _frozen_from_rows(rows, k):
-    """The counts of every pair with a saturated endpoint, which no later
-    vertex can change."""
+    """The distinct counts of the pairs with a saturated endpoint, which
+    no later vertex can change."""
     saturated = {x for x, row in enumerate(rows) if row.bit_count() == k}
-    return dict(Counter(c for (x, y), c in _pair_counts(rows).items()
-                        if x in saturated or y in saturated))
+    return {c for (x, y), c in _pair_counts(rows).items()
+            if x in saturated or y in saturated}
+
+
+def _seen_from_rows(rows, k, search):
+    """The frozen-value mask a node on these rows must hold: bit c for
+    each frozen count c, and 0 under a vacuous spec."""
+    if search.vacuous:
+        return 0
+    return sum(1 << c for c in _frozen_from_rows(rows, k))
 
 
 def _values_allowed(values, spec):
@@ -313,7 +325,7 @@ def _values_allowed(values, spec):
 def _frozen_rules_allow(rows, k, spec):
     """The verdict of the spec's frozen-value rules on a whole partial
     graph, from its rows alone; maxpair is left to candidate choice."""
-    return _values_allowed(set(_frozen_from_rows(rows, k)), spec)
+    return _values_allowed(_frozen_from_rows(rows, k), spec)
 
 
 def _intervals_allow(rows, v, k, spec, moved):
@@ -349,17 +361,21 @@ def _vacuous(spec, k):
 
 
 @pytest.mark.parametrize("v,k", [(10, 4), (12, 3), (10, 6)])
+# without maxpair, satdistinct=3 walks reach steps where the count of two
+# vertices saturated together decides the verdict
 @pytest.mark.parametrize("prune", [SAT_PRUNE, ANCHOR_PRUNE, "maxpair=k-2",
-                                   GAP3_PRUNE, GAP4_PRUNE],
-                         ids=["sat", "anchor", "maxpair", "gap3", "gap4"])
+                                   GAP3_PRUNE, GAP4_PRUNE, "satdistinct=3"],
+                         ids=["sat", "anchor", "maxpair", "gap3", "gap4",
+                              "distinct3"])
 def test_partial_matches_recomputation(v, k, prune):
-    # seeded random add_vertex/pop_vertex walks over sets that keep
-    # maxpair, as candidate choice guarantees: the verdict of add_vertex
-    # must equal the frozen-value rules on every pair with a saturated
-    # endpoint and the interval rule on the pairs the step touched, both
-    # recomputed from the rows; the frozen multiset must equal those
-    # pairs' counts, or stay empty under a vacuous spec; a rejected add or
-    # an add and pop must change nothing
+    # seeded random walks over sets that keep maxpair, as candidate choice
+    # guarantees, with a stack of ancestors to step back to: the verdict
+    # of add_vertex must equal the frozen-value rules on every pair with a
+    # saturated endpoint and the interval rule on the pairs the step
+    # touched, both recomputed from the rows; a child's rows, degrees and
+    # frozen-value mask must equal the recomputation (the mask 0 under a
+    # vacuous spec); and no step, accepted or rejected, may change the
+    # node it was taken from, nor any of its ancestors
     spec = PruneSpec.from_string(prune, k)
     vacuous = _vacuous(spec, k)
     # a dead count at slack 1 among the reachable ones: only then can the
@@ -367,46 +383,47 @@ def test_partial_matches_recomputation(v, k, prune):
     interval = spec.saturated_values is not None and any(
         not {c, c + 1} & set(spec.saturated_values)
         for c in _reachable(spec, k))
+    search = _Search(v, k, spec)
+    assert search.vacuous == vacuous
     rng = random.Random(f"{v}-{k}-{prune}")
     outcomes = Counter()
     for _ in range(40):
-        state = _Partial(v, k, spec)
-        assert state.vacuous == vacuous
-        assert state.add_vertex([])
+        path = [search.root()]
         for _ in range(60):
-            before = (list(state.rows), list(state.deg), dict(state.frozen))
-            r = len(state.rows)
+            node = path[-1]
+            r = len(node.rows)
             if r > 1 and (r == v or rng.random() < 0.2):
-                state.pop_vertex()
-                rows = state.rows
-                assert state.deg == [row.bit_count() for row in rows]
-                assert state.frozen == ({} if vacuous
-                                        else _frozen_from_rows(rows, k))
+                path.pop()
+                rows = list(path[-1].rows)
+                assert list(path[-1].deg) == [row.bit_count() for row in rows]
+                assert path[-1].seen == _seen_from_rows(rows, k, search)
                 continue
-            open_ = [x for x in range(r) if state.deg[x] < k]
+            open_ = [x for x in range(r) if node.deg[x] < k]
             s = sorted(rng.sample(open_, rng.randint(0, min(k, len(open_)))))
             smask = sum(1 << x for x in s)
-            child = [row | (1 << r if row_id in s else 0)
-                     for row_id, row in enumerate(state.rows)] + [smask]
-            if max(_pair_counts(child).values(), default=0) > \
+            child_rows = [row | (1 << r if row_id in s else 0)
+                          for row_id, row in enumerate(node.rows)] + [smask]
+            if spec.max_pair_count is not None and max(
+                    _pair_counts(child_rows).values(), default=0) > \
                     spec.max_pair_count:
                 continue
-            ok = state.add_vertex(s)
+            before = (list(node.rows), list(node.deg), node.seen)
+            child = node.add_vertex(s)
+            assert (list(node.rows), list(node.deg), node.seen) == before
+            ok = child is not None
             outcomes[ok] += 1
-            frozen_ok = _frozen_rules_allow(child, k, spec)
-            intervals_ok = _intervals_allow(child, v, k, spec, set(s) | {r})
+            frozen_ok = _frozen_rules_allow(child_rows, k, spec)
+            intervals_ok = _intervals_allow(child_rows, v, k, spec,
+                                            set(s) | {r})
             outcomes["interval"] += frozen_ok and not intervals_ok
             assert ok == (frozen_ok and intervals_ok)
             if not ok:
-                assert (state.rows, state.deg, state.frozen) == before
                 continue
-            assert state.rows == child
-            assert state.deg == [row.bit_count() for row in child]
-            assert state.frozen == ({} if vacuous
-                                    else _frozen_from_rows(child, k))
-            if rng.random() < 0.3:
-                state.pop_vertex()
-                assert (state.rows, state.deg, state.frozen) == before
+            assert list(child.rows) == child_rows
+            assert list(child.deg) == [row.bit_count() for row in child_rows]
+            assert child.seen == _seen_from_rows(child_rows, k, search)
+            if rng.random() >= 0.3:
+                path.append(child)
     assert outcomes[True] > 0
     assert (outcomes[False] > 0) == (not vacuous)
     assert (outcomes["interval"] > 0) == interval
@@ -432,7 +449,7 @@ def test_vacuity_verdict(prune, k, vacuous):
     # a spec is vacuous exactly when its frozen-value rules accept every
     # set of reachable values, by brute force over those sets
     spec = None if prune is None else PruneSpec.from_string(prune, k)
-    assert _Partial(12, k, spec).vacuous == vacuous
+    assert _Search(12, k, spec).vacuous == vacuous
     if spec is not None:
         assert _vacuous(spec, k) == vacuous
 
@@ -445,27 +462,44 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("v,k,prune", [
         (12, 3, ANCHOR_PRUNE), (10, 4, SAT_PRUNE), (10, 4, None),
-        (9, 4, ANCHOR_PRUNE)])
+        (9, 4, ANCHOR_PRUNE), (9, 4, "satdistinct=3")])
     def test_frontier_depth_never_changes_output(self, v, k, prune):
         # the subtrees of any cut, in frontier order, are the serial run;
         # 10**6 cuts at depth v-1 or where the tree dies out, as the
         # pruned (10,4) cell does: it has no graph.  (9,4) under the
-        # anchor prune rejects steps and has output, so its subtrees must
-        # be rebuilt under the spec, frozen values included
+        # anchor prune rejects steps and has output, so each frontier
+        # node must carry the frozen values of its rows; under
+        # satdistinct=3 one subtree of the depth v-1 cut keeps a graph
+        # the serial run drops when its root has lost them
         spec = PruneSpec.from_string(prune, k) if prune else None
+        search = _Search(v, k, spec)
         serial = [g.rows for g in generate_regular(v, k, spec)]
         for min_nodes in (1, 8, 32, 10**6):
-            level = _frontier(v, k, spec, min_nodes)
+            level = _frontier(search, min_nodes)
             assert (len(level) >= min_nodes or not level
-                    or all(len(rows) == v - 1 for rows, _ in level))
-            for rows, _ in level:
-                state = _Partial(v, k, spec)
-                state.rebuild(rows)
-                assert state.frozen == (
-                    {} if state.vacuous else _frozen_from_rows(rows, k))
-            joined = [rows for node in level
-                      for rows in _subtree_task((v, k, spec, node))]
+                    or all(len(node.rows) == v - 1 for node, _ in level))
+            for node, _ in level:
+                assert node.seen == _seen_from_rows(node.rows, k, search)
+            joined = [rows for task in level for rows in _subtree_task(task)]
             assert joined == serial
+
+    def test_frontier_nodes_survive_pickling(self):
+        # pool workers get their frontier node as a pickle: the subtree of
+        # the copy must be the subtree of the node, and the subtrees of
+        # the cut that two workers get must join into the serial run
+        spec = PruneSpec.from_string(ANCHOR_PRUNE, 4)
+        search = _Search(9, 4, spec)
+        serial = [g.rows for g in generate_regular(9, 4, spec)]
+        level = _frontier(search, min_nodes=_SUBTREES_PER_JOB * 2)
+        joined = []
+        for task in level:
+            node, gens = copy = pickle.loads(pickle.dumps(task))
+            assert (node.rows, node.deg, node.seen, gens) == (
+                task[0].rows, task[0].deg, task[0].seen, task[1])
+            subtree = _subtree_task(copy)
+            assert subtree == _subtree_task(task)
+            joined += subtree
+        assert serial and joined == serial
 
     def test_parallel_pruned_sequence_identical(self):
         serial = [encode_graph6(g)
@@ -475,9 +509,9 @@ class TestDeterminism:
         assert serial and serial == parallel
 
     def test_parallel_firing_spec_identical(self):
-        # the anchor prune rejects steps at (9,4), and pool workers start
-        # from rebuilt states, so a worker that lost the frozen values of
-        # its subtree's root would keep graphs the serial run drops
+        # the anchor prune rejects steps at (9,4), so a worker whose
+        # subtree root lost its frozen values would keep graphs the
+        # serial run drops
         serial = [encode_graph6(g)
                   for g in generate_regular(9, 4, ANCHOR_PRUNE)]
         parallel = [encode_graph6(g)
@@ -636,9 +670,7 @@ class TestAudits:
                                                vmax, cell):
         def never(*args, **kwargs):
             raise AssertionError("enumerated before checking every cell")
-        # the attribute deza.census is the re-exported function, not the module
-        monkeypatch.setattr(importlib.import_module("deza.census"),
-                            "generate_regular", never)
+        monkeypatch.setattr(deza.census, "generate_regular", never)
         with pytest.raises(GraphError, match=f"^{cell} outside default"):
             audit_theorem(theorem, vmax=vmax)
 

@@ -1,5 +1,5 @@
 import hashlib
-import importlib
+import inspect
 import io
 import json
 import os
@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import deza
+import deza.census
 from deza import cli, spectra
 from deza.catalog import catalog_names, construct
 from deza.classify import classify
@@ -20,6 +21,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_submodules_are_not_shadowed():
+    # `import deza.census as m` binds the package attribute deza.census,
+    # which must be the module and not a function of the same name
+    import deza.catalog as catalog_module
+    import deza.census as census_module
+    assert inspect.ismodule(census_module)
+    assert inspect.ismodule(catalog_module)
+    assert census_module.generate_regular is deza.generate_regular
 
 
 # SHA-256 of `spectrum <name> --json` over every catalog graph
@@ -262,8 +273,7 @@ class TestExitCodes:
                                                 spec):
         def never(*args, **kwargs):
             raise AssertionError("enumerated before checking the filter")
-        monkeypatch.setattr(importlib.import_module("deza.census"),
-                            "generate_regular", never)
+        monkeypatch.setattr(deza.census, "generate_regular", never)
         code, out, err = run(capsys, "enumerate", "--v", "11", "--k", "4",
                              "--filter", spec)
         assert code == 1
@@ -274,8 +284,7 @@ class TestExitCodes:
             self, capsys, monkeypatch, tmp_path):
         def never(*args, **kwargs):
             raise AssertionError("enumerated before checking --out")
-        monkeypatch.setattr(importlib.import_module("deza.census"),
-                            "generate_regular", never)
+        monkeypatch.setattr(deza.census, "generate_regular", never)
         prefix = tmp_path / "missing" / "x"
         code, out, err = run(capsys, "enumerate", "--v", "6", "--k", "3",
                              "--out", str(prefix))
