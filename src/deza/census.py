@@ -155,8 +155,9 @@ class _Search:
             top = min(spec.max_pair_count, k)
         self.vacuous = spec is None or self.frozen_ok(
             sum(1 << c for c in range(top + 1)))
+        # a negative maxpair allows no count, so no interval is dead
         self.interval = (not self.vacuous and self.gap is not None
-                         and max(self.gap[:top + 1]) > 1)
+                         and max(self.gap[:top + 1], default=0) > 1)
 
     def frozen_ok(self, seen: int) -> bool:
         """Whether the frozen-value rules accept the values in the mask

@@ -55,7 +55,14 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def neighbours(self, i: int) -> Tuple[int, ...]:
-        return tuple(j for j in range(self.v) if self.rows[i] >> j & 1)
+        # ascending, one step per set bit rather than per vertex
+        out = []
+        row = self.rows[i]
+        while row:
+            low = row & -row
+            out.append(low.bit_length() - 1)
+            row ^= low
+        return tuple(out)
 
     def regular_degree(self) -> int | None:
         """Common degree if the graph is regular, else None (v=0: None)."""

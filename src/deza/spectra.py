@@ -1,15 +1,19 @@
 """Exact spectral computations for adjacency matrices.
 
 Everything here runs over Python integers.  Characteristic polynomials come
-from closed-walk counts tr(A^j), summed over packed bit rows in
-O(maxdeg * v^2) big-int additions with a proven field width, and Newton's
-identities (all divisions asserted exact); a dense regular graph is
-handled through its sparse complement.  Factorisation is limited to
-the shapes that matter for walk-regular graph families, namely integer
-roots and quadratic surd pairs (x^2 - d).
+from the power sums tr(A^j) and Newton's identities (all divisions asserted
+exact), by three routes: a dense regular graph is handled through its
+sparse complement; a graph with few distinct eigenvalues gets its power
+sums from a minimal polynomial that Berlekamp-Massey proposes from a short
+walk and an exact check certifies; any other graph counts closed walks
+over packed bit rows in O(maxdeg * v^2) big-int additions with a proven
+field width.  Factorisation is limited to the shapes that matter for
+walk-regular graph families, namely integer roots and quadratic surd pairs
+(x^2 - d).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -19,9 +23,9 @@ from .graphs import Graph, GraphError, InternalInvariantError, complement
 def char_poly(g: Graph) -> Tuple[int, ...]:
     """Coefficients of det(xI - A), index i holding the x^i coefficient.
 
-    Two routes, chosen by the input.  The walk route (_walk_char_poly) costs
-    O(maxdeg * v^2) big-int additions on fields of maxdeg^v's bit length, so
-    a dense graph pays for its degree twice.  A k-regular g with
+    Three routes, chosen by the input.  The walk route (_walk_char_poly)
+    costs O(maxdeg * v^2) big-int additions on fields of maxdeg^v's bit
+    length, so a dense graph pays for its degree twice.  A k-regular g with
     2k > v - 1 therefore goes through its complement H, which is
     (v-1-k)-regular, by Cvetkovic, Doob and Sachs, Spectra of Graphs
     (1980), Thm 2.6:
@@ -31,17 +35,26 @@ def char_poly(g: Graph) -> Tuple[int, ...]:
     The all-ones vector carries k in g and v-1-k in H; every other
     eigenvalue l of g is -1-l in H.  So x + v - k divides the numerator,
     and that division is asserted exact: a remainder means corrupted
-    input, as an inexact Newton step does.  For a regular input the cost
-    is thus O(D * v^2) with D = min(k, v-1-k), on fields of D^v's bit
-    length; the composition and division add O(v^2) operations.
+    input, as an inexact Newton step does.
+
+    The graph the walk runs on, g or H, first tries the minimal-polynomial
+    route (_power_sum_char_poly).  Its power sums obey the recurrence of
+    its minimal polynomial mu, whose degree L is its number of distinct
+    eigenvalues.  From a walk of J steps, J = 8, 16, ... while 4J <= v (so
+    never below 32 vertices), Berlekamp-Massey proposes mu, and mu is used
+    only when 2L <= J, its coefficients lie within the bound that
+    |theta| <= maxdeg gives, and mu(A) = 0 holds exactly on packed rows;
+    that bound keeps the certificate's sums within fields of maxdeg^J's
+    bit length.  A graph with no certified mu falls back to the walk
+    route.
     """
     v = g.v
     k = g.regular_degree()
     if k is None or 2 * k <= v - 1:
-        return _walk_char_poly(g)
+        return _power_sum_char_poly(g)
     # q(x) = chi_H(-x - 1) by Horner: q <- q * (-x - 1) + c
     q: List[int] = []
-    for c in reversed(_walk_char_poly(complement(g))):
+    for c in reversed(_power_sum_char_poly(complement(g))):
         q = [-a - b for a, b in zip(q + [0], [0] + q)]
         q[0] += c
     # times (x - k), then divide synthetically by x - r with r = k - v
@@ -57,6 +70,111 @@ def char_poly(g: Graph) -> Tuple[int, ...]:
     return tuple(out) if v % 2 == 0 else tuple(-c for c in out)
 
 
+def _power_sum_char_poly(g: Graph) -> Tuple[int, ...]:
+    """char_poly by the minimal polynomial of A, or by the walk route.
+
+    The power sums p_j = tr(A^j) = sum m_i theta_i^j obey the recurrence of
+    any mu with mu(A) = 0, whose least degree L is the number of distinct
+    eigenvalues: few for the graphs this system is about (3 for a strongly
+    regular graph, at most 5 for a divisible design graph, d+1 for the
+    d-cube).  So one walk of J_max steps, the largest J = 8, 16, ... with
+    4J <= v, counts p_0..p_J, and at each J Berlekamp-Massey proposes mu
+    from them.  A proposal is accepted only when 2L <= J, every
+    |mu_d| <= C(L, d) * maxdeg^(L-d) (every eigenvalue has
+    |theta| <= maxdeg, so the true mu satisfies this), and mu(A) = 0
+    holds exactly (_annihilates).  The bound makes
+    sum |mu_d| maxdeg^d <= (2 maxdeg)^L <= maxdeg^J for maxdeg >= 2, so the
+    walk's fields, of maxdeg^J_max's bit length, hold every certificate
+    sum without carry.  An accepted mu extends p_j up to j = v; without
+    one, past the last J, below 32 vertices or at maxdeg <= 1, the walk
+    route runs unchanged.  A wrong proposal thus costs time and never
+    correctness.
+    """
+    v = g.v
+    maxdeg = max(g.degrees(), default=0)
+    # top: the largest J = 8, 16, ... with 4J <= v, if there is one
+    top = 8
+    while 8 * top <= v:
+        top *= 2
+    if 4 * top > v or maxdeg <= 1:
+        return _walk_char_poly(g)
+    nbrs = [g.neighbours(i) for i in range(v)]
+    width = (maxdeg ** top).bit_length()
+    mask = (1 << width) - 1
+    rows = [1 << (width * i) for i in range(v)]
+    p = [v]
+    for j in range(1, top + 1):
+        rows = [sum([rows[t] for t in nbrs[i]]) for i in range(v)]
+        p.append(sum((rows[i] >> (width * i)) & mask for i in range(v)))
+        if j < 8 or j & (j - 1):
+            continue
+        mu = _berlekamp_massey(p)
+        deg = len(mu) - 1
+        if (2 * deg <= j
+                and all(abs(c) <= math.comb(deg, d) * maxdeg ** (deg - d)
+                        for d, c in enumerate(mu))
+                and _annihilates(mu, nbrs, width)):
+            for n in range(j + 1 - deg, v + 1 - deg):
+                p.append(-sum(mu[d] * p[n + d] for d in range(deg)))
+            return _newton(p)
+    return _walk_char_poly(g)
+
+
+def _berlekamp_massey(seq: Sequence[int]) -> Tuple[int, ...]:
+    """The monic mu of least degree L with sum_d mu_d seq[n+d] = 0 for
+    every n + L < len(seq), over GF(2^61 - 1), index d holding the x^d
+    coefficient, each lifted to its residue of least absolute value
+    (Massey, "Shift-register synthesis and BCH decoding", 1969)."""
+    # only a proposal: _annihilates decides over the integers
+    prime = (1 << 61) - 1
+    s = [x % prime for x in seq]
+    # connection polynomials, index i holding the x^i coefficient: c is
+    # the current one, b the one before the last length change
+    c, b = [1], [1]
+    length, gap, last = 0, 1, 1
+    for n, x in enumerate(s):
+        d = (x + sum(c[i] * s[n - i] for i in range(1, length + 1))) % prime
+        if not d:
+            gap += 1
+            continue
+        f = d * pow(last, -1, prime) % prime
+        prev = c
+        c = c + [0] * (len(b) + gap - len(c))
+        for i, y in enumerate(b):
+            c[i + gap] = (c[i + gap] - f * y) % prime
+        if 2 * length <= n:
+            length, b, last, gap = n + 1 - length, prev, d, 1
+        else:
+            gap += 1
+    c += [0] * (length + 1 - len(c))
+    half = prime // 2
+    return tuple(y - prime if y > half else y
+                 for y in reversed(c[:length + 1]))
+
+
+def _annihilates(mu: Sequence[int], nbrs: Sequence[Sequence[int]],
+                 width: int) -> bool:
+    """Whether mu(A) = 0, on the packed rows of A^0..A^L.
+
+    Row i of mu(A) vanishes when the terms with mu_d > 0 and those with
+    mu_d < 0 sum to the same packed int.  Both sums have non-negative
+    fields of at most sum |mu_d| maxdeg^d, which the caller keeps below
+    2^width, so no field carries and equal ints mean equal rows.
+    """
+    v = len(nbrs)
+    rows = [1 << (width * i) for i in range(v)]
+    pos = [0] * v
+    neg = [0] * v
+    for d, c in enumerate(mu):
+        if d:
+            rows = [sum([rows[t] for t in nbrs[i]]) for i in range(v)]
+        if c > 0:
+            pos = [a + c * r for a, r in zip(pos, rows)]
+        elif c < 0:
+            neg = [a - c * r for a, r in zip(neg, rows)]
+    return pos == neg
+
+
 def _walk_char_poly(g: Graph) -> Tuple[int, ...]:
     """char_poly by closed-walk counts and Newton's identities.
 
@@ -65,10 +183,7 @@ def _walk_char_poly(g: Graph) -> Tuple[int, ...]:
     number of walks of length j from i to t, so row i of A^(j+1) is the sum
     of the packed rows of A^j over N(i): O(maxdeg * v^2) big-int additions
     in all.  Walk counts are non-negative and at most maxdeg^j <= maxdeg^v,
-    so fields of that bit length never carry into one another.  Newton's
-    identities turn the p_j into the coefficients; their division by the
-    step index is asserted exact, so a failure here means corrupted input
-    rather than rounding.
+    so fields of that bit length never carry into one another.
     """
     v = g.v
     nbrs = [g.neighbours(i) for i in range(v)]
@@ -79,11 +194,20 @@ def _walk_char_poly(g: Graph) -> Tuple[int, ...]:
     for _ in range(v):
         rows = [sum([rows[t] for t in nbrs[i]]) for i in range(v)]
         p.append(sum((rows[i] >> (width * i)) & mask for i in range(v)))
+    return _newton(p)
+
+
+def _newton(p: Sequence[int]) -> Tuple[int, ...]:
+    """det(xI - A) of a v x v matrix A from p[j] = tr(A^j), j = 1..v, with
+    v = len(p) - 1, by Newton's identities.  Their division by the step
+    index is asserted exact, so a failure here means corrupted input
+    rather than rounding."""
+    v = len(p) - 1
     # c[j] is the x^(v-j) coefficient: j c_j = -(c_(j-1) p_1 + ... + c_0 p_j)
     c = [1]
     for step in range(1, v + 1):
         c_step, rem = divmod(
-            -sum(c[step - i] * p[i] for i in range(1, step + 1)), step)
+            -sum(map(operator.mul, reversed(c), p[1:step + 1])), step)
         if rem:
             raise InternalInvariantError(
                 f"inexact power-sum division at step {step}")

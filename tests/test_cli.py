@@ -308,6 +308,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: bad prune term")
 
+    @pytest.mark.parametrize("spec", [
+        "maxpair=-1;sat=0;satdistinct=-1", "maxpair=-1", "sat=-1",
+        "satdistinct=-1", "maxpair=k-9;sat=0"])
+    def test_negative_prune_bounds(self, capsys, spec):
+        # no pair count is negative, so no graph passes: each spec is a
+        # clean run with no output, as maxpair=-1 alone always was
+        code, out, err = run(capsys, "enumerate", "--v", "6", "--k", "3",
+                             "--prune", spec)
+        assert (code, out, err) == (0, "", "")
+
     def test_non_integer_vertex_ceiling(self, capsys, monkeypatch):
         monkeypatch.setenv("DEZA_MAX_VERTICES", "abc")
         code, _, err = run(capsys, "enumerate", "--v", "8", "--k", "3")

@@ -209,6 +209,51 @@ def paley(q):
                           if (y - x) % q in squares])
 
 
+def clique_union(v, rng):
+    # disjoint cliques of two random sizes, the last one cut to fit, on
+    # shuffled labels: at most 4 distinct eigenvalues
+    sizes = rng.sample(range(3, 9), 2)
+    edges, start = [], 0
+    while start < v:
+        n = min(rng.choice(sizes), v - start)
+        edges += itertools.combinations(range(start, start + n), 2)
+        start += n
+    perm = list(range(v))
+    rng.shuffle(perm)
+    return permute_graph(make_graph(v, edges), perm)
+
+
+def random_regular(v, k, rng):
+    # the pairing model, drawn again until the pairing is a simple graph
+    while True:
+        points = [x for x in range(v) for _ in range(k)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b))
+                 for a, b in zip(points[::2], points[1::2]) if a != b}
+        if len(edges) == v * k // 2:
+            return make_graph(v, edges)
+
+
+def hypercube_poly(d):
+    # eigenvalues d - 2i with multiplicity C(d, i)
+    return product(*(power(linear(d - 2 * i), math.comb(d, i))
+                     for i in range(d + 1)))
+
+
+def paley_poly(q):
+    # k = (q-1)/2 once, and the roots of x^2 + x - (q-1)/4, each k times
+    k = (q - 1) // 2
+    return product(linear(k), power((-(q - 1) // 4, 1, 1), k))
+
+
+def cubes_complement_poly(s):
+    # s disjoint 3-cubes: 3 and -3 s times, 1 and -1 3s times; in the
+    # complement 8s-4 once, and -1-l for every other eigenvalue l
+    return product(linear(8 * s - 4), power(linear(-4), s - 1),
+                   power(linear(-2), 3 * s), power(linear(0), 3 * s),
+                   power(linear(2), s))
+
+
 def is_dense_regular(g):
     # the inputs char_poly sends through the complement
     k = g.regular_degree()
@@ -238,16 +283,45 @@ class TestCharPolyCrossCheck:
             assert len(p) == v + 1 and p[v] == 1
             for x in rng.sample(range(-6, 7), 3):
                 assert poly_eval(p, x) == det_x_minus_a(g, x)
-            if kind == "regular-dense":
-                assert p == _walk_char_poly(g)
+            assert p == _walk_char_poly(g)
         if kind == "regular-dense":
             assert parities == {0, 1}
+
+    def test_seeded_large_graphs(self, monkeypatch):
+        # 32 <= v <= 72, where the minimal-polynomial route is tried:
+        # unions of cliques of two sizes, and their complements, have few
+        # distinct eigenvalues, random graphs many
+        rng = random.Random(53)
+        routes = set()
+        for i in range(8):
+            v = rng.randrange(32, 73)
+            if i % 2:
+                g = random_graph(v, rng.randrange(1, 10), rng)
+            else:
+                g = clique_union(v, rng)
+                if i % 4:
+                    g = complement(g)
+            p, seen = walk_route_inputs(monkeypatch, g)
+            routes.add("fall-back" if seen else "certified")
+            assert len(p) == v + 1 and p[v] == 1
+            for x in rng.sample(range(-6, 7), 3):
+                assert poly_eval(p, x) == det_x_minus_a(g, x)
+            assert p == _walk_char_poly(g)
+        assert routes == {"certified", "fall-back"}
 
     def test_hypercube_q6(self):
         # eigenvalues 6 - 2i with multiplicity C(6, i)
         want = product(*(power(linear(6 - 2 * i), math.comb(6, i))
                          for i in range(7)))
         assert char_poly(hypercube(6)) == want
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_hypercube_closed_form(self, d):
+        assert char_poly(hypercube(d)) == hypercube_poly(d)
+
+    @pytest.mark.parametrize("q", [61, 101])
+    def test_paley_closed_form(self, q):
+        assert char_poly(paley(q)) == paley_poly(q)
 
     def test_complement_of_q7(self):
         # Q7 has eigenvalues 7 - 2i with multiplicity C(7, i); its
@@ -337,6 +411,87 @@ class TestCharPolyRoutes:
         monkeypatch.setattr(spectra, "_walk_char_poly", corrupted)
         with pytest.raises(InternalInvariantError):
             char_poly(complement(hypercube(3)))
+
+    @pytest.mark.parametrize("g, want", [
+        (paley(61), paley_poly(61)),
+        (hypercube(6), hypercube_poly(6)),
+        (complement(disjoint_union([hypercube(3)] * 8)),
+         cubes_complement_poly(8)),
+    ], ids=["paley-61", "q6", "cubes-complement-8"])
+    def test_few_eigenvalues_skip_the_walk(self, monkeypatch, g, want):
+        # 3, 7 and 4 (on the complement) distinct eigenvalues: a certified
+        # minimal polynomial gives every power sum
+        p, seen = walk_route_inputs(monkeypatch, g)
+        assert p == want
+        assert seen == []
+
+    def test_rigid_graph_falls_back_once(self, monkeypatch):
+        # a random cubic graph has about as many distinct eigenvalues as
+        # vertices, so the tries at J = 8 and J = 16 both fail
+        g = random_regular(64, 3, random.Random(59))
+        p, seen = walk_route_inputs(monkeypatch, g)
+        assert seen == [g]
+        for x in (-2, 1, 4):
+            assert poly_eval(p, x) == det_x_minus_a(g, x)
+
+    @pytest.mark.parametrize("case", ["in-bound", "huge"])
+    def test_wrong_minimal_polynomial_falls_back(self, monkeypatch, case):
+        # Berlekamp-Massey only proposes mu: a wrong one within the
+        # coefficient bound fails the exact certificate, one outside it
+        # never reaches the certificate, and either way the walk decides
+        mu = product(linear(6), linear(2), linear(-2), linear(-6))
+        if case == "huge":
+            mu = (mu[0] + (1 << 200),) + mu[1:]
+        monkeypatch.setattr(spectra, "_berlekamp_massey", lambda seq: mu)
+        verdicts = []
+        real = spectra._annihilates
+
+        def certify(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(spectra, "_annihilates", certify)
+        g = hypercube(6)
+        p, seen = walk_route_inputs(monkeypatch, g)
+        assert p == hypercube_poly(6)
+        assert seen == [g]
+        # tried at J = 8 and J = 16
+        assert verdicts == ([False, False] if case == "in-bound" else [])
+
+    def test_degree_above_half_the_prefix_waits(self, monkeypatch):
+        # Q6's true mu has degree L = 7: p_0..p_8 cannot pin down a
+        # recurrence that long, and 2L <= J is also what keeps the
+        # certificate sums within the fields, so only J = 16 may certify
+        mu = product(*(linear(6 - 2 * i) for i in range(7)))
+        prefixes, verdicts = [], []
+        real = spectra._annihilates
+
+        def propose(seq):
+            prefixes.append(len(seq))
+            return mu
+
+        def certify(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(spectra, "_berlekamp_massey", propose)
+        monkeypatch.setattr(spectra, "_annihilates", certify)
+        p, seen = walk_route_inputs(monkeypatch, hypercube(6))
+        assert p == hypercube_poly(6)
+        assert (prefixes, verdicts, seen) == ([9, 17], [True], [])
+
+
+def test_berlekamp_massey_recovers_minimal_polynomial():
+    # power sums of m_i copies of distinct integers theta_i obey exactly
+    # the recurrence of prod (x - theta_i), and 2L + 1 of them pin it down
+    rng = random.Random(61)
+    for _ in range(40):
+        thetas = rng.sample(range(-9, 10), rng.randrange(1, 7))
+        mults = [rng.randrange(1, 5) for _ in thetas]
+        seq = [sum(m * t ** j for t, m in zip(thetas, mults))
+               for j in range(2 * len(thetas) + 1)]
+        assert spectra._berlekamp_massey(seq) == product(
+            *(linear(t) for t in thetas))
 
 
 class TestFactorisation:
