@@ -29,6 +29,19 @@ automorphism, with an equal certificate.  So the certificate, the labeling
 (the first minimal leaf in depth-first order) and the last orbit (the
 closure of the visited last vertices under the found automorphisms) are
 those of the full tree; only the list of generators gets shorter.
+
+Two rules keep the work per node small without changing which leaves are
+visited, in the manner of McKay and Piperno (2014):
+
+* `refine` stops as soon as every cell is a singleton.  A discrete
+  partition cannot split, so the splitters still on the stack would change
+  nothing.
+* A leaf's certificate is built as rows: row p is the upper-triangle row of
+  position p, an int of v-1-p bits.  Each row is compared with the best
+  leaf's row p as soon as it is built.  The first greater row rejects the
+  leaf, and the first smaller one makes it the new best.  Every leaf has
+  the same row widths, so this row-wise order is exactly the order of the
+  packed certificate bytes, which are formed once, for the best leaf.
 """
 from __future__ import annotations
 
@@ -81,12 +94,17 @@ def refine(rows: Tuple[int, ...], cells: List[List[int]],
     every cell stays uniform on each other old cell, and on [x] once the
     rest has been used.  So seeding the stack with the rest's mask alone
     gives the same splits in the same order as seeding it with every cell.
+
+    The loop stops once every cell is a singleton, whatever is left on the
+    stack: a discrete partition cannot split, so those splitters would
+    change nothing.
     """
     if splitters is None:
         work = [_mask(c) for c in cells]
     else:
         work = list(splitters)
-    while work:
+    live = sum(1 for c in cells if len(c) > 1)
+    while work and live:
         wmask = work.pop()
         out: List[List[int]] = []
         changed = False
@@ -101,33 +119,16 @@ def refine(rows: Tuple[int, ...], cells: List[List[int]],
                 out.append(c)
             else:
                 changed = True
+                live -= 1
                 for key in sorted(groups):
                     part = groups[key]
                     out.append(part)
                     work.append(_mask(part))
+                    if len(part) > 1:
+                        live += 1
         if changed:
             cells = out
     return cells
-
-
-def _leaf_cert_body(rows: Tuple[int, ...], order: List[int]) -> bytes:
-    """Upper-triangle bits of the relabelled adjacency, packed row-major."""
-    v = len(order)
-    bits = bytearray()
-    acc = 0
-    nb = 0
-    for p in range(v):
-        rp = rows[order[p]]
-        for q in range(p + 1, v):
-            acc = acc << 1 | (rp >> order[q] & 1)
-            nb += 1
-            if nb == 8:
-                bits.append(acc)
-                acc = 0
-                nb = 0
-    if nb:
-        bits.append(acc << (8 - nb))
-    return bytes(bits)
 
 
 def _in_orbit(x: int, done: List[int], gens: List[Tuple[int, ...]]) -> bool:
@@ -153,6 +154,17 @@ def _cert_header(v: int) -> bytes:
     return v.to_bytes(2, "big")
 
 
+def _pack_rows(leaf_rows: List[int], v: int) -> bytes:
+    """Concatenate the v-1-p bit rows of a leaf, row-major, and pad the last
+    byte with zero bits."""
+    n = v * (v - 1) // 2
+    size = (n + 7) // 8
+    acc = 0
+    for p, row in enumerate(leaf_rows):
+        acc = acc << (v - 1 - p) | row
+    return (acc << (8 * size - n)).to_bytes(size, "big")
+
+
 def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData:
     v = g.v
     rows = g.rows
@@ -172,7 +184,8 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
         if ra != rb:
             parent[rb] = ra
 
-    best_cert: bytes | None = None
+    full = (1 << v) - 1
+    best_rows: List[int] | None = None
     best_order: List[int] = []
     best_fixed: List[int] = []
     last_set: set[int] = set()
@@ -185,7 +198,7 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
         """Search below the equitable partition `cells` reached by
         individualizing `fixed`; return the depth of the node to resume at,
         or v to go on as usual."""
-        nonlocal best_cert, best_order, best_fixed
+        nonlocal best_rows, best_order, best_fixed
         ci = -1
         size = v + 1
         for i, c in enumerate(cells):
@@ -194,14 +207,45 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
                 size = len(c)
         if ci < 0:
             order = [c[0] for c in cells]
-            cert = _leaf_cert_body(rows, order)
-            if best_cert is None or cert < best_cert:
-                best_cert = cert
+            bit = [0] * v
+            for p, x in enumerate(order):
+                bit[x] = 1 << (v - 1 - p)
+            # Row p holds the adjacencies of order[p] to the later positions,
+            # position q at bit v-1-q.  A row greater than the best leaf's
+            # ends the leaf; after a smaller one the rest is built unchecked.
+            leaf: List[int] = []
+            tied = best_rows is not None
+            later = full
+            for p in range(v - 1):
+                x = order[p]
+                later ^= 1 << x
+                width = v - 1 - p
+                nbrs = rows[x] & later
+                # walk whichever of neighbours and non-neighbours is fewer
+                if 2 * nbrs.bit_count() > width:
+                    row = (1 << width) - 1
+                    m = later ^ nbrs
+                else:
+                    row = 0
+                    m = nbrs
+                while m:
+                    low = m & -m
+                    row ^= bit[low.bit_length() - 1]
+                    m ^= low
+                if tied:
+                    b = best_rows[p]
+                    if row > b:
+                        return v
+                    if row < b:
+                        tied = False
+                leaf.append(row)
+            if not tied:
+                best_rows = leaf
                 best_order = order
                 best_fixed = fixed
                 last_set.clear()
                 last_set.add(order[-1])
-            elif cert == best_cert:
+            else:
                 sigma = [0] * v
                 bo = best_order
                 for p in range(v):
@@ -239,13 +283,14 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
         return v
 
     dfs(root_cells, [])
-    assert best_cert is not None
+    assert best_rows is not None
     last_roots = {find(x) for x in last_set}
     last_orbit = frozenset(y for y in range(v) if find(y) in last_roots)
     labeling = [0] * v
     for p, x in enumerate(best_order):
         labeling[x] = p
-    return CanonData(tuple(labeling), _cert_header(v) + best_cert,
+    return CanonData(tuple(labeling),
+                     _cert_header(v) + _pack_rows(best_rows, v),
                      last_orbit, tuple(gens))
 
 

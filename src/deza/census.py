@@ -82,12 +82,17 @@ class PruneSpec:
         sat = None
         distinct = None
         anchor = None
+        seen = set()
         for clause in spec.split(";"):
             clause = clause.strip()
             if not clause:
                 continue
             key, _, value = clause.partition("=")
             key = key.strip()
+            if key in seen:
+                raise GraphError(f"bad prune term {clause!r}: the {key} "
+                                 f"clause is repeated")
+            seen.add(key)
             if key == "maxpair":
                 maxpair = _compile_term(value)(k)
             elif key == "sat":
@@ -909,7 +914,8 @@ def _gap_cells(vmax: int, kmax: Optional[int]) -> List[_Cell]:
     cells = []
     for gap in (3, 4):
         for v in range(5, vmax + 1):
-            for k in range(gap + 1, min(kmax or v - 2, v - 2) + 1):
+            top = v - 2 if kmax is None else min(kmax, v - 2)
+            for k in range(gap + 1, top + 1):
                 a = k - gap
                 # b-partner count: elementary double counting, must be a
                 # positive integer at most v-1 for any realization
@@ -1035,15 +1041,15 @@ def audit_theorem(theorem: int, vmax: Optional[int] = None,
     the a=k-3 and a=k-4 (a>0) cases; theorem 3 proper divisible design
     graphs whose larger pair constant equals k-2.  Named expected graphs
     are matched by certificate, families by parameters.  vmax and kmax
-    default to the theorem's window when absent or 0; an expected case is
+    default to the theorem's window when None; an expected case is
     in the window when its v <= vmax and its k <= kmax.  Every cell is
     checked against the desk limits before any is enumerated.
     """
     t = _THEOREMS.get(theorem)
     if t is None:
         raise GraphError(f"no theorem {theorem}; pick 1, 2, or 3")
-    vmax = vmax or t.vmax
-    kmax = kmax or t.kmax
+    vmax = t.vmax if vmax is None else vmax
+    kmax = t.kmax if kmax is None else kmax
     cases = [c for c in t.cases if c.in_window(vmax, kmax)]
     cells = t.cells(vmax, kmax)
     for v, k, _, _ in cells:

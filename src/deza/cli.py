@@ -88,18 +88,30 @@ def _parse_range(text: str) -> List[int]:
     return list(range(lo, hi + 1))
 
 
-def _jobs(text: str) -> int:
-    """Worker count for --jobs: at least 1 and at most the CPU count."""
+def _int_arg(text: str) -> int:
     try:
-        jobs = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
+
+
+def _jobs(text: str) -> int:
+    """Worker count for --jobs: at least 1 and at most the CPU count."""
+    jobs = _int_arg(text)
     limit = os.cpu_count() or 1
     if not 1 <= jobs <= limit:
         raise argparse.ArgumentTypeError(
             f"must be between 1 and {limit}, the CPU count; got {jobs}")
     return jobs
+
+
+def _bound(text: str) -> int:
+    """An audit's --vmax or --kmax: a positive integer."""
+    bound = _int_arg(text)
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1; got {bound}")
+    return bound
 
 
 def _cmd_construct(args) -> int:
@@ -440,8 +452,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="check a classification theorem")
     p.add_argument("--theorem", required=True, type=int, choices=(1, 2, 3))
-    p.add_argument("--vmax", type=int)
-    p.add_argument("--kmax", type=int)
+    p.add_argument("--vmax", type=_bound)
+    p.add_argument("--kmax", type=_bound)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--long", action="store_true")

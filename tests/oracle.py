@@ -103,6 +103,45 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vertices), tuple(rows))
 
 
+def reference_refine(rows: Sequence[int], cells: List[List[int]],
+                     splitters: List[int] | None = None) -> List[List[int]]:
+    """Coarsest equitable refinement, as `deza.canon.refine` computes it but
+    without its stop at a discrete partition: every splitter on the stack
+    is popped and tried against every cell."""
+    def mask(cell: List[int]) -> int:
+        m = 0
+        for x in cell:
+            m |= 1 << x
+        return m
+
+    if splitters is None:
+        work = [mask(c) for c in cells]
+    else:
+        work = list(splitters)
+    while work:
+        wmask = work.pop()
+        out: List[List[int]] = []
+        changed = False
+        for c in cells:
+            if len(c) == 1:
+                out.append(c)
+                continue
+            groups: dict = {}
+            for x in c:
+                groups.setdefault((rows[x] & wmask).bit_count(), []).append(x)
+            if len(groups) == 1:
+                out.append(c)
+            else:
+                changed = True
+                for key in sorted(groups):
+                    part = groups[key]
+                    out.append(part)
+                    work.append(mask(part))
+        if changed:
+            cells = out
+    return cells
+
+
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:
     """Product of two integer polynomials, coefficients lowest first."""
     out = [0] * (len(p) + len(q) - 1)

@@ -674,6 +674,21 @@ class TestAudits:
         with pytest.raises(GraphError, match=f"^{cell} outside default"):
             audit_theorem(theorem, vmax=vmax)
 
+    @pytest.mark.parametrize("theorem,bounds", [
+        (1, {"vmax": 0}), (1, {"kmax": 0}), (2, {"kmax": 0}),
+        (3, {"vmax": 0})])
+    def test_zero_bound_is_an_empty_window(self, monkeypatch, theorem,
+                                           bounds):
+        # 0 is a bound like any other, not a request for the default
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated a cell of an empty window")
+        monkeypatch.setattr(deza.census, "generate_regular", never)
+        report = audit_theorem(theorem, **bounds)
+        assert report.found == ()
+        # a family without a fixed v stays in the window, but is optional
+        assert report.ok
+        assert all(report.bounds[key] == 0 for key in bounds)
+
     def test_report_serializes(self):
         report = audit_theorem(3, vmax=8)
         text = json.dumps(report.as_dict(), separators=(",", ":"))

@@ -300,7 +300,8 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: cannot write {tmp_path}/run.g6")
 
-    @pytest.mark.parametrize("spec", ["satdistinct=x", "maxpair=q"])
+    @pytest.mark.parametrize("spec", ["satdistinct=x", "maxpair=q",
+                                      "maxpair=k-2;maxpair=1"])
     def test_bad_prune_term(self, capsys, spec):
         code, out, err = run(capsys, "enumerate", "--v", "6", "--k", "3",
                              "--prune", spec)
@@ -338,6 +339,19 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv, "--jobs", str(jobs))
         assert code == 1
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("flag", ["--vmax", "--kmax"])
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_audit_bound_below_one(self, capsys, monkeypatch, flag, bound):
+        def never(*args, **kwargs):
+            raise AssertionError("ran with a rejected audit bound")
+        monkeypatch.setattr(cli, "audit_theorem", never)
+        code, out, err = run(capsys, "audit", "--theorem", "3", flag,
+                             str(bound))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert flag in err
 
     def test_internal_invariant_maps_to_three(self, capsys, monkeypatch):
         # the parser is built once per process and holds the handlers, so
