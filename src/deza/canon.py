@@ -194,10 +194,12 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
     if root_cells is None:
         root_cells = refine(rows, [list(range(v))])
 
-    def dfs(cells: List[List[int]], fixed: List[int]) -> int:
+    def dfs(cells: List[List[int]], fixed: List[int],
+            stab: List[Tuple[int, ...]]) -> int:
         """Search below the equitable partition `cells` reached by
         individualizing `fixed`; return the depth of the node to resume at,
-        or v to go on as usual."""
+        or v to go on as usual.  stab lists, in order, the generators found
+        so far that fix every vertex of `fixed`."""
         nonlocal best_rows, best_order, best_fixed
         ci = -1
         size = v + 1
@@ -267,22 +269,25 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
         # Automorphisms fixing every individualized vertex map this node onto
         # itself, so siblings in one orbit under them explore identical
         # subtrees; keep one representative per orbit.  Exactness is kept:
-        # only genuine automorphisms are ever used.
-        stab = [s for s in gens if all(s[x] == x for x in fixed)]
+        # only genuine automorphisms are ever used.  gens only grows, so stab
+        # takes in just the generators found since it last looked.
+        looked = len(gens)
         done: List[int] = []
         for x in cell:
+            stab += [s for s in gens[looked:] if all(s[y] == y for y in fixed)]
+            looked = len(gens)
             if stab and _in_orbit(x, done, stab):
                 continue
             rest = [y for y in cell if y != x]
             back = dfs(refine(rows, prefix + [[x], rest] + suffix,
-                              [_mask(rest)]), fixed + [x])
+                              [_mask(rest)]), fixed + [x],
+                       [s for s in stab if s[x] == x])
             if back < depth:
                 return back
             done.append(x)
-            stab = [s for s in gens if all(s[y] == y for y in fixed)]
         return v
 
-    dfs(root_cells, [])
+    dfs(root_cells, [], [])
     assert best_rows is not None
     last_roots = {find(x) for x in last_set}
     last_orbit = frozenset(y for y in range(v) if find(y) in last_roots)

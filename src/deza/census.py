@@ -766,6 +766,22 @@ def _as_values(values: Union[int, Iterable[int]]) -> List[int]:
     return sorted(set(values))
 
 
+_Cell = Tuple[int, int, Prune, object]
+
+
+def _records(cells: Sequence[_Cell], jobs: int, long: bool,
+             generator: Tuple[Tuple[str, object], ...] = ()
+             ) -> Iterator[Tuple[object, CensusRecord]]:
+    """Check every (v, k, prune, target) cell against the desk limits now,
+    then lazily yield (target, record) for each graph in generation order.
+    """
+    for v, k, _, _ in cells:
+        _check_limits(v, k, long)
+    return ((target, build_record(g, generator))
+            for v, k, prune, target in cells
+            for g in generate_regular(v, k, prune=prune, jobs=jobs))
+
+
 def census(v_values: Union[int, Iterable[int]],
            k_values: Union[int, Iterable[int]],
            filter_spec: str = "all",
@@ -784,29 +800,16 @@ def census(v_values: Union[int, Iterable[int]],
     accept = parse_filter(filter_spec)
     vs = _as_values(v_values)
     ks = _as_values(k_values)
-    for v in vs:
-        for k in ks:
-            if 0 <= k < v and v * k % 2 == 0:
-                _check_limits(v, k, long)
+    prune_note = str(prune) if isinstance(prune, PruneSpec) else prune
+    generator = (("version", __version__), ("bounds", {"v": vs, "k": ks}),
+                 ("prune", prune_note))
+    found = _records([(v, k, prune, None) for v in vs for k in ks
+                      if 0 <= k < v and v * k % 2 == 0], jobs, long, generator)
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise GraphError(f"no directory for the census files {out}.g6 "
                          f"and {out}.meta.jsonl")
-    prune_note = str(prune) if isinstance(prune, PruneSpec) else prune
-    records: List[CensusRecord] = []
-    for v in vs:
-        for k in ks:
-            if not 0 <= k < v or v * k % 2:
-                continue
-            generator = (("version", __version__),
-                         ("bounds", {"v": vs, "k": ks}),
-                         ("prune", prune_note))
-            cell = []
-            for g in generate_regular(v, k, prune=prune, jobs=jobs):
-                rec = build_record(g, generator)
-                if accept(rec):
-                    cell.append(rec)
-            cell.sort(key=lambda r: r.certificate_hash)
-            records.extend(cell)
+    records = sorted((rec for _, rec in found if accept(rec)),
+                     key=lambda r: (r.v, r.k, r.certificate_hash))
     if out is not None:
         _write_census_files(out, records)
     return records
@@ -878,7 +881,6 @@ class _Case:
         return (v is None or v <= vmax) and (kmax is None or k <= kmax)
 
 
-_Cell = Tuple[int, int, str, object]
 _Match = Tuple[Optional[str], Optional[str]]
 
 
@@ -887,17 +889,17 @@ class _Theorem:
     """One classification statement: window, cells, scope and cases.
 
     cells(vmax, kmax) lists (v, k, prune, target) in enumeration order;
-    in_scope(g, target) returns (classification, parameters) for a graph
-    the theorem covers, else None; match(classification) names the case
-    and the problem of a graph that matched no certificate case.
+    in_scope(record, target) returns the parameters of a graph the theorem
+    covers, else None; match(record) names the case and the problem of a
+    graph that matched no certificate case.
     """
     vmax: int
     kmax: Optional[int]
     scope: str
     key: str
     cells: Callable[[int, Optional[int]], List[_Cell]]
-    in_scope: Callable[[Graph, object], Optional[tuple]]
-    match: Callable[[object], _Match]
+    in_scope: Callable[[CensusRecord, object], Optional[tuple]]
+    match: Callable[[CensusRecord], _Match]
     missing: str
     cases: Tuple[_Case, ...]
 
@@ -933,18 +935,16 @@ def _ddg_cells(vmax: int, kmax: int) -> List[_Cell]:
             for v in range(k + 1, vmax + 1) if v * k % 2 == 0]
 
 
-def _deza_scope(g: Graph, target):
-    rep = classify(g)
-    if rep.connected and rep.deza == target:
-        return rep, rep.deza
+def _deza_scope(rec: CensusRecord, target):
+    if rec.diameter is not None and rec.deza == target:
+        return rec.deza
     return None
 
 
-def _ddg_scope(g: Graph, larger: int):
-    res = ddg_detect(g).proper
-    if res is None or max(res.lam1, res.lam2) != larger:
+def _ddg_scope(rec: CensusRecord, larger: int):
+    if rec.ddg is None or max(rec.ddg[:2]) != larger:
         return None
-    return classify(g), res.params
+    return (rec.v, rec.k) + rec.ddg
 
 
 _A0_OTHERS = {
@@ -954,13 +954,13 @@ _A0_OTHERS = {
 }
 
 
-def _match_a0(rep) -> _Match:
-    v, k = rep.deza[:2]
+def _match_a0(rec: CensusRecord) -> _Match:
+    v, k = rec.deza[:2]
     if (v, k) in _A0_OTHERS:
         return None, _A0_OTHERS[v, k]
     if k != 3:
-        return None, f"parameters {rep.deza} outside every listed case"
-    if rep.diameter == 2:
+        return None, f"parameters {rec.deza} outside every listed case"
+    if rec.diameter == 2:
         return None, "a diameter-2 (v,3,1,0) graph other than the " \
                      "Petersen graph"
     if v == 14:
@@ -970,17 +970,17 @@ def _match_a0(rep) -> _Match:
     return "cubic-diameter-exceeds-2", None
 
 
-def _match_gap(rep) -> _Match:
-    v, k, _, a = rep.deza
+def _match_gap(rec: CensusRecord) -> _Match:
+    v, k, _, a = rec.deza
     if k - a == 3:
-        if rep.strictly_deza and (v, k) in ((8, 4), (9, 4)):
+        if rec.strictly_deza and (v, k) in ((8, 4), (9, 4)):
             return f"strict-deza-({v},4,2,1)", None
-        if rep.srg in ((9, 4, 1, 2), (10, 6, 3, 4)):
-            return "srg-({},{},{},{})".format(*rep.srg), None
-    return None, f"parameters {rep.deza} outside every a=k-{k - a} case"
+        if rec.srg in ((9, 4, 1, 2), (10, 6, 3, 4)):
+            return "srg-({},{},{},{})".format(*rec.srg), None
+    return None, f"parameters {rec.deza} outside every a=k-{k - a} case"
 
 
-def _match_unlisted_ddg(rep) -> _Match:
+def _match_unlisted_ddg(rec: CensusRecord) -> _Match:
     return None, ("a proper divisible design graph with larger constant "
                   "k-2 not on the list")
 
@@ -1051,45 +1051,39 @@ def audit_theorem(theorem: int, vmax: Optional[int] = None,
     vmax = t.vmax if vmax is None else vmax
     kmax = t.kmax if kmax is None else kmax
     cases = [c for c in t.cases if c.in_window(vmax, kmax)]
-    cells = t.cells(vmax, kmax)
-    for v, k, _, _ in cells:
-        _check_limits(v, k, long)
+    records = _records(t.cells(vmax, kmax), jobs, long)
     by_cert = {_cert_hash(construct(c.name)): c
                for c in cases if c.match == "certificate"}
     found: List[Dict[str, object]] = []
     matches: List[Dict[str, object]] = []
     discrepancies: List[Dict[str, object]] = []
-    for v, k, prune, target in cells:
-        for g in generate_regular(v, k, prune=prune, jobs=jobs):
-            hit = t.in_scope(g, target)
-            if hit is None:
-                continue
-            rep, params = hit
-            cert = _cert_hash(g)
-            g6 = encode_graph6(g)
-            listed = by_cert.get(cert)
-            case, problem = (listed.name, None) if listed else t.match(rep)
-            entry: Dict[str, object] = {
-                "graph6": g6, "v": v, "k": k,
-                "deza": list(rep.deza) if rep.deza else None,
-                "diameter": rep.diameter, "connected": rep.connected,
-                "certificate_hash": cert, "case": case}
-            if t.key == "ddg":
-                entry["ddg"] = list(params[2:])
-            found.append(entry)
-            if case is not None:
-                matches.append({"case": case, "graph6": g6})
-            if problem is not None:
-                discrepancies.append({"kind": "found-but-unexpected",
-                                      "graph6": g6, t.key: list(params),
-                                      "details": problem})
-            elif listed and listed.params != params:
-                discrepancies.append({
-                    "kind": "parameter-mismatch", "case": case,
-                    "graph6": g6, "listed": list(listed.params),
-                    "computed": list(params),
-                    "details": "the listed parameter tuple does not "
-                               "match the computed one"})
+    for target, rec in records:
+        params = t.in_scope(rec, target)
+        if params is None:
+            continue
+        listed = by_cert.get(rec.certificate_hash)
+        case, problem = (listed.name, None) if listed else t.match(rec)
+        entry: Dict[str, object] = {
+            "graph6": rec.graph6, "v": rec.v, "k": rec.k,
+            "deza": list(rec.deza) if rec.deza else None,
+            "diameter": rec.diameter, "connected": rec.diameter is not None,
+            "certificate_hash": rec.certificate_hash, "case": case}
+        if t.key == "ddg":
+            entry["ddg"] = list(params[2:])
+        found.append(entry)
+        if case is not None:
+            matches.append({"case": case, "graph6": rec.graph6})
+        if problem is not None:
+            discrepancies.append({"kind": "found-but-unexpected",
+                                  "graph6": rec.graph6, t.key: list(params),
+                                  "details": problem})
+        elif listed and listed.params != params:
+            discrepancies.append({
+                "kind": "parameter-mismatch", "case": case,
+                "graph6": rec.graph6, "listed": list(listed.params),
+                "computed": list(params),
+                "details": "the listed parameter tuple does not "
+                           "match the computed one"})
     matched = {m["case"] for m in matches}
     discrepancies.extend({"kind": "expected-but-missing", "case": c.name,
                           "details": t.missing}

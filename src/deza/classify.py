@@ -85,8 +85,8 @@ def classify(g: Graph) -> ClassificationReport:
             and len(adj_values) == 1 and len(non_values) == 1):
         srg = (v, regular, next(iter(adj_values)), next(iter(non_values)))
 
-    connected = g.is_connected()
     diameter = g.diameter()
+    connected = diameter is not None
     strictly = deza is not None and diameter == 2 and srg is None
 
     zero_lambda = None

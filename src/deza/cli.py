@@ -107,7 +107,7 @@ def _jobs(text: str) -> int:
 
 
 def _bound(text: str) -> int:
-    """An audit's --vmax or --kmax: a positive integer."""
+    """A positive integer: audit --vmax or --kmax, or sieve scan --max."""
     bound = _int_arg(text)
     if bound < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1; got {bound}")
@@ -434,7 +434,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_sieve, family="ddg")
     sp = ssub.add_parser("scan")
     sp.add_argument("--family", required=True, choices=("n2", "small-n"))
-    sp.add_argument("--max", required=True, type=int)
+    sp.add_argument("--max", required=True, type=_bound)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_sieve_scan)
 

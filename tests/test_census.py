@@ -620,6 +620,13 @@ class TestLimits:
         monkeypatch.setenv("DEZA_MAX_VERTICES", "8")
         assert census([8], [3])
 
+    def test_every_cell_checked_before_enumerating(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated before checking every cell")
+        monkeypatch.setattr(deza.census, "generate_regular", never)
+        with pytest.raises(GraphError, match="^v=16, k=3 outside default"):
+            census([8, 16], [3])
+
 
 class TestAudits:
     def test_theorem_one_small_window(self):
@@ -713,6 +720,9 @@ AUDIT_GOLDEN = [
      "2bda760ceb1c112f0825f441d1887b93c999fb2e92191df94521ffb8a79fb9f7"),
     (("--theorem", "3", "--vmax", "10"), 2,
      "b68745c35d4baa9b4d865c12f98016dfc2d4bf5a1b7b86acca2ca862197dd6da"),
+    # the default window reaches the (14,3) and (14,4) certificate cases
+    (("--theorem", "3", "--json"), 2,
+     "81269cbf1d97f6bb2a08fd8c20b1927cc8677131af9e387b7d26a5ff4c1ce497"),
 ]
 
 

@@ -197,6 +197,15 @@ class TestSieve:
         assert code == 0
         assert json.loads(out)["feasible"] == 0
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_scan_max_below_one(self, capsys, bound):
+        code, out, err = run(capsys, "sieve", "scan", "--family", "n2",
+                             "--max", str(bound))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert "--max" in err
+
 
 class TestEnumerate:
     def test_stdout_g6_lines(self, capsys):
