@@ -6,10 +6,9 @@ from .graphs import (Graph, GraphError, InternalInvariantError, MAX_VERTICES,
                      cycle_graph, disjoint_union, empty_graph, fano_incidence,
                      fano_lines, fano_non_incidence, hypercube, make_graph,
                      permute_graph, petersen)
-from .canon import CanonicalCertificate, canonical_certificate, are_isomorphic
+from .canon import CanonicalCertificate, canonical_certificate
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .classify import (ClassificationReport, ZeroLambdaAudit, beta_formula,
-                       classify, common_neighbour_count, zero_lambda_audit)
+from .classify import ClassificationReport, beta_formula, classify
 from .spectra import (A2Violation, DdgSpectrum, SpectrumFactors,
                       SpectrumMismatch, adjacency_square_identity, char_poly,
                       ddg_spectrum_check, factor_adjacency_poly,

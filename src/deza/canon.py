@@ -302,9 +302,3 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
 def canonical_certificate(g: Graph) -> CanonicalCertificate:
     data = canon_data(g)
     return CanonicalCertificate(data.labeling, data.cert)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.v != h.v or sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    return canon_data(g).cert == canon_data(h).cert

@@ -12,15 +12,15 @@ leaves its parent as it was, so the search needs no undo, and a node can
 be handed to a pool worker as it is.
 
 Prunes must be monotone: a violating partial graph can only have violating
-completions.  A prune is a PruneSpec.  Its checks read a pair count off
-the packed adjacency rows, as the popcount of the AND of two rows, only
-where a step can change it.  The value of a pair with one saturated
-endpoint can never change again, since a saturated vertex gains no
-neighbour; that is what makes frozen-value constraints monotone.  Those
-constraints read only which values are frozen, so a node keeps them as a
-bitmask of distinct values.  An unfrozen pair can still gain only as many
-common neighbours as both endpoints have free degree and vertices remain,
-which bounds its final value to an interval.
+completions.  A prune is a spec string, read as a PruneSpec at each
+degree.  Its checks read a pair count off the packed adjacency rows, as the
+popcount of the AND of two rows, only where a step can change it.  The value
+of a pair with one saturated endpoint can never change again, since a
+saturated vertex gains no neighbour; that is what makes frozen-value
+constraints monotone.  Those constraints read only which values are frozen,
+so a node keeps them as a bitmask of distinct values.  An unfrozen pair can
+still gain only as many common neighbours as both endpoints have free
+degree and vertices remain, which bounds its final value to an interval.
 """
 
 import hashlib
@@ -109,22 +109,6 @@ class PruneSpec:
             else:
                 raise GraphError(f"unknown prune clause {key!r}")
         return PruneSpec(maxpair, sat, distinct, anchor)
-
-    def __str__(self) -> str:
-        """The spec string with every k-term resolved."""
-        parts = []
-        if self.max_pair_count is not None:
-            parts.append(f"maxpair={self.max_pair_count}")
-        if self.saturated_values is not None:
-            parts.append("sat=" + ",".join(map(str, self.saturated_values)))
-        if self.saturated_distinct_max is not None:
-            parts.append(f"satdistinct={self.saturated_distinct_max}")
-        if self.saturated_anchor is not None:
-            parts.append(f"anchor={self.saturated_anchor}")
-        return ";".join(parts)
-
-
-Prune = Union[None, str, PruneSpec]
 
 
 class _Search:
@@ -316,14 +300,6 @@ class _Partial(NamedTuple):
         return True
 
 
-def _parse_prune(prune: Prune, k: int) -> Optional[PruneSpec]:
-    if prune is None or isinstance(prune, PruneSpec):
-        return prune
-    if isinstance(prune, str):
-        return PruneSpec.from_string(prune, k)
-    raise GraphError(f"unsupported prune argument {prune!r}")
-
-
 def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
     """Neighbour sets for the next vertex, in a fixed deterministic order.
 
@@ -497,12 +473,12 @@ def _orbit_seen(s: Tuple[int, ...], seen: Set[Tuple[int, ...]],
     return False
 
 
-def generate_regular(v: int, k: int, prune: Prune = None,
+def generate_regular(v: int, k: int, prune: Optional[str] = None,
                      jobs: int = 1) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of k-regular graphs.
 
     The output order is deterministic and independent of jobs.  A prune
-    is a PruneSpec or its string form.
+    is a spec string, such as "maxpair=k-2;sat=0,k-2", read at degree k.
     """
     if v < 1:
         raise GraphError("need at least one vertex")
@@ -512,7 +488,10 @@ def generate_regular(v: int, k: int, prune: Prune = None,
         raise GraphError(f"no {k}-regular graph on {v} vertices: v*k is odd")
     if jobs < 1:
         raise GraphError(f"jobs must be at least 1, got {jobs}")
-    search = _Search(v, k, _parse_prune(prune, k))
+    if prune is not None and not isinstance(prune, str):
+        raise GraphError(f"unsupported prune argument {prune!r}")
+    search = _Search(v, k, None if prune is None
+                     else PruneSpec.from_string(prune, k))
     if v == 1:
         yield Graph(1, (0,))
         return
@@ -766,19 +745,23 @@ def _as_values(values: Union[int, Iterable[int]]) -> List[int]:
     return sorted(set(values))
 
 
-_Cell = Tuple[int, int, Prune, object]
+_Cell = Tuple[int, int, Optional[str], object]
 
 
-def _records(cells: Sequence[_Cell], jobs: int, long: bool,
+def _records(cells: Iterable[_Cell], jobs: int, long: bool,
              generator: Tuple[Tuple[str, object], ...] = ()
              ) -> Iterator[Tuple[object, CensusRecord]]:
-    """Check every (v, k, prune, target) cell against the desk limits now,
-    then lazily yield (target, record) for each graph in generation order.
+    """Draw every (v, k, prune, target) cell now, checking each against the
+    desk limits as it comes, so a window past them fails at its first bad
+    cell; then lazily yield (target, record) for each graph in generation
+    order.
     """
-    for v, k, _, _ in cells:
-        _check_limits(v, k, long)
+    checked = []
+    for cell in cells:
+        _check_limits(cell[0], cell[1], long)
+        checked.append(cell)
     return ((target, build_record(g, generator))
-            for v, k, prune, target in cells
+            for v, k, prune, target in checked
             for g in generate_regular(v, k, prune=prune, jobs=jobs))
 
 
@@ -786,7 +769,7 @@ def census(v_values: Union[int, Iterable[int]],
            k_values: Union[int, Iterable[int]],
            filter_spec: str = "all",
            out: Optional[str] = None,
-           prune: Prune = None,
+           prune: Optional[str] = None,
            jobs: int = 1,
            long: bool = False) -> List[CensusRecord]:
     """Enumerate the given (v, k) cells into sorted census records.
@@ -800,9 +783,8 @@ def census(v_values: Union[int, Iterable[int]],
     accept = parse_filter(filter_spec)
     vs = _as_values(v_values)
     ks = _as_values(k_values)
-    prune_note = str(prune) if isinstance(prune, PruneSpec) else prune
     generator = (("version", __version__), ("bounds", {"v": vs, "k": ks}),
-                 ("prune", prune_note))
+                 ("prune", prune))
     found = _records([(v, k, prune, None) for v in vs for k in ks
                       if 0 <= k < v and v * k % 2 == 0], jobs, long, generator)
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
@@ -888,7 +870,7 @@ _Match = Tuple[Optional[str], Optional[str]]
 class _Theorem:
     """One classification statement: window, cells, scope and cases.
 
-    cells(vmax, kmax) lists (v, k, prune, target) in enumeration order;
+    cells(vmax, kmax) yields (v, k, prune, target) in enumeration order;
     in_scope(record, target) returns the parameters of a graph the theorem
     covers, else None; match(record) names the case and the problem of a
     graph that matched no certificate case.
@@ -897,23 +879,22 @@ class _Theorem:
     kmax: Optional[int]
     scope: str
     key: str
-    cells: Callable[[int, Optional[int]], List[_Cell]]
+    cells: Callable[[int, Optional[int]], Iterator[_Cell]]
     in_scope: Callable[[CensusRecord, object], Optional[tuple]]
     match: Callable[[CensusRecord], _Match]
     missing: str
     cases: Tuple[_Case, ...]
 
 
-def _a0_cells(vmax: int, kmax: int) -> List[_Cell]:
-    # the count of b-partners, k(k-1)/(k-2) when a=0, must be an integer,
-    # so the other degrees admit no graph at all
-    return [(v, k, "maxpair=k-2;sat=0,k-2", (v, k, k - 2, 0))
+def _a0_cells(vmax: int, kmax: int) -> Iterator[_Cell]:
+    # the count of b-partners, k(k-1)/(k-2) when a=0, must be an integer;
+    # k-2 divides k(k-1) only if it divides 2, so only k = 3, 4 have graphs
+    return ((v, k, "maxpair=k-2;sat=0,k-2", (v, k, k - 2, 0))
             for k in range(3, kmax + 1) if k * (k - 1) % (k - 2) == 0
-            for v in range(k + 2, vmax + 1) if v * k % 2 == 0]
+            for v in range(k + 2, vmax + 1) if v * k % 2 == 0)
 
 
-def _gap_cells(vmax: int, kmax: Optional[int]) -> List[_Cell]:
-    cells = []
+def _gap_cells(vmax: int, kmax: Optional[int]) -> Iterator[_Cell]:
     for gap in (3, 4):
         for v in range(5, vmax + 1):
             top = v - 2 if kmax is None else min(kmax, v - 2)
@@ -924,15 +905,14 @@ def _gap_cells(vmax: int, kmax: Optional[int]) -> List[_Cell]:
                 num = k * (k - 1) - a * (v - 1)
                 if (v * k % 2 == 0 and num > 0 and num % (gap - 2) == 0
                         and num // (gap - 2) <= v - 1):
-                    cells.append((v, k, f"maxpair=k-2;sat=k-{gap},k-2",
-                                  (v, k, k - 2, a)))
-    return cells
+                    yield (v, k, f"maxpair=k-2;sat=k-{gap},k-2",
+                           (v, k, k - 2, a))
 
 
-def _ddg_cells(vmax: int, kmax: int) -> List[_Cell]:
-    return [(v, k, "maxpair=k-2;satdistinct=2;anchor=k-2", k - 2)
+def _ddg_cells(vmax: int, kmax: int) -> Iterator[_Cell]:
+    return ((v, k, "maxpair=k-2;satdistinct=2;anchor=k-2", k - 2)
             for k in range(3, kmax + 1)
-            for v in range(k + 1, vmax + 1) if v * k % 2 == 0]
+            for v in range(k + 1, vmax + 1) if v * k % 2 == 0)
 
 
 def _deza_scope(rec: CensusRecord, target):
@@ -988,6 +968,9 @@ def _match_unlisted_ddg(rec: CensusRecord) -> _Match:
 _MISSING_CERT = "no enumerated graph matched this certificate"
 
 _THEOREMS = {
+    # b=k-2, a=0 makes a (0,k-2)-graph: at k=4 Mulder's bound ("(0,lambda)-
+    # graphs and n-cubes", Discrete Math. 28, 1979) gives v <= 2^4 = 16, with
+    # equality only for the 4-cube, so the long window v <= 16 closes k=4
     1: _Theorem(
         vmax=14, kmax=4, key="deza",
         scope="connected Deza graphs with b=k-2 and a=0",

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .canon import canon_data
-from .graphs import Graph, InternalInvariantError, hypercube
-
-
-def common_neighbour_count(g: Graph, u: int, w: int) -> int:
-    if u == w:
-        raise ValueError("common neighbour count needs two distinct vertices")
-    return (g.rows[u] & g.rows[w]).bit_count()
+from .graphs import Graph, InternalInvariantError
 
 
 @dataclass(frozen=True)
@@ -121,46 +114,3 @@ def beta_formula(v: int, k: int, b: int, a: int) -> Fraction:
     if b == a:
         raise ValueError("degenerate Deza parameters: b == a")
     return Fraction(k * (k - 1) - a * (v - 1), b - a)
-
-
-@dataclass(frozen=True)
-class ZeroLambdaAudit:
-    lam: int
-    k: int
-    v: int
-    diameter: int
-    mulder_applicable: bool        # bounds proved for lambda >= 2 only
-    v_bound_holds: bool            # v <= 2^k
-    v_bound_equality: bool
-    diameter_bound_holds: bool     # diameter <= k
-    diameter_bound_equality: bool
-    hypercube_confirmed: Optional[bool]  # cert-equal to H(k,2) at equality
-
-
-def zero_lambda_audit(g: Graph) -> ZeroLambdaAudit:
-    """Check the (0,lambda) degree/diameter bounds: a connected k-regular
-    (0,lambda) graph with lambda >= 2 has v <= 2^k and diameter <= k, with
-    equality only for the k-cube."""
-    report = classify(g)
-    if not report.connected:
-        raise ValueError("zero-lambda audit needs a connected graph")
-    if report.zero_lambda is None:
-        raise ValueError("not a (0,lambda) graph: "
-                         f"common values {report.common_values}")
-    if report.regular is None:
-        raise ValueError("zero-lambda audit needs a regular graph")
-    lam = report.zero_lambda
-    k = report.regular
-    assert report.diameter is not None
-    d = report.diameter
-    v_bound = 1 << k
-    v_eq = g.v == v_bound
-    confirmed = None
-    if v_eq:
-        confirmed = canon_data(g).cert == canon_data(hypercube(k)).cert
-    return ZeroLambdaAudit(
-        lam=lam, k=k, v=g.v, diameter=d,
-        mulder_applicable=lam >= 2,
-        v_bound_holds=g.v <= v_bound, v_bound_equality=v_eq,
-        diameter_bound_holds=d <= k, diameter_bound_equality=d == k,
-        hypercube_confirmed=confirmed)

@@ -17,12 +17,12 @@ from .catalog import catalog, catalog_names, construct
 from .census import audit_theorem, census
 from .classify import classify
 from .ddg import class_audits, ddg_detect
-from .graphs import Graph, GraphError, InternalInvariantError
+from .graphs import Graph, GraphError, InternalInvariantError, MAX_VERTICES
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .sieve import (SieveVerdict, ddg_sieve, deza_sieve, scan_n2_tuples,
                     scan_small_n_tuples)
-from .spectra import (_ddg_spectrum, adjacency_square_identity, char_poly,
-                      factor_adjacency_poly)
+from .spectra import (adjacency_square_identity, char_poly,
+                      ddg_spectrum_check, factor_adjacency_poly)
 
 
 class UsageError(Exception):
@@ -85,6 +85,9 @@ def _parse_range(text: str) -> List[int]:
                          f"range") from None
     if lo > hi:
         raise UsageError(f"range {text!r} is reversed; write it low..high")
+    if hi > MAX_VERTICES:
+        raise UsageError(f"{text!r} ends above {MAX_VERTICES}, the most "
+                         f"vertices a graph may have")
     return list(range(lo, hi + 1))
 
 
@@ -241,7 +244,7 @@ def _cmd_spectrum(args) -> int:
     det = ddg_detect(g)
     if det.proper is not None:
         res = det.proper
-        spec = _ddg_spectrum(g, res.params, factors)
+        spec = ddg_spectrum_check(g, *res.params, factors=factors)
         payload["ddg_spectrum"] = {
             "k": spec.k, "d1": spec.d1, "d2": spec.d2,
             "f1": spec.f1, "f2": spec.f2, "g1": spec.g1, "g2": spec.g2,

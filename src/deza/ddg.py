@@ -10,7 +10,6 @@ certification is improper and carries no structure beyond the counts.
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .classify import classify
 from .graphs import Graph, GraphError, InternalInvariantError
 
 Params = Tuple[int, int, int, int, int, int]
@@ -189,33 +188,6 @@ def ddg_detect(g: Graph) -> DdgDetection:
             f"{found[0].params} and {found[1].params}")
     return DdgDetection(True, tuple(values),
                         found[0] if found else None, ())
-
-
-def rho_closure_shortcut(g: Graph) -> DdgResult:
-    """Class partition via the high-value relation, without a full scan.
-
-    For a regular graph with pair values a < b satisfying a < 2b - k the
-    relation 'equal or sharing b common neighbours' is transitive, so its
-    classes can be read off directly.  Raises GraphError when the value
-    structure or the inequality precondition fails; the transitivity
-    itself is an invariant and its failure signals a bug.
-    """
-    rep = classify(g)
-    if rep.deza is None or rep.regular is None:
-        raise GraphError("need a regular graph with exactly two pair values")
-    lo, hi = sorted(rep.common_values)
-    k = rep.regular
-    if not lo < 2 * hi - k:
-        raise GraphError(
-            f"precondition a < 2b - k fails: {lo} >= {2 * hi - k}")
-    classes = _classes_for_value(g, hi)
-    if classes is None:
-        raise InternalInvariantError(
-            "high-value relation failed to be an equivalence despite "
-            "a < 2b - k")
-    m, n = len(classes), len(classes[0])
-    quotient, _ = equitable_check(g, classes)
-    return DdgResult(g.v, k, hi, lo, m, n, classes, quotient)
 
 
 @dataclass(frozen=True)

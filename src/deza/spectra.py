@@ -447,25 +447,19 @@ def _balanced_attributions(k: int, d1: int, d2: int, ftot: int, gtot: int
 
 
 def ddg_spectrum_check(g: Graph, v: int, k: int, lam1: int, lam2: int,
-                       m: int, n: int) -> DdgSpectrum:
+                       m: int, n: int,
+                       factors: Optional[SpectrumFactors] = None
+                       ) -> DdgSpectrum:
     """Verify that g has the eigenvalue layout forced by DDG parameters.
 
-    Factors the characteristic polynomial exactly, then takes the first
-    multiplicity attribution with zero eigenvalue sum, in ascending f1,
-    whose root multiset matches the factorisation.  Raises
-    SpectrumMismatch when no attribution fits.
-    """
-    return _ddg_spectrum(g, (v, k, lam1, lam2, m, n))
-
-
-def _ddg_spectrum(g: Graph, params: Tuple[int, int, int, int, int, int],
-                  factors: Optional[SpectrumFactors] = None) -> DdgSpectrum:
-    """ddg_spectrum_check, reusing the factors of char_poly(g) if given.
-
+    Factors the characteristic polynomial exactly, unless the factors of
+    char_poly(g) are given, then takes the first multiplicity attribution
+    with zero eigenvalue sum, in ascending f1, whose root multiset matches
+    the factorisation.  Raises SpectrumMismatch when no attribution fits.
     Factors split off at any bound >= k are the ones at bound k, because a
     k-regular graph has no eigenvalue outside [-k, k].
     """
-    v, k, lam1, lam2, m, n = params
+    params = (v, k, lam1, lam2, m, n)
     if g.v != v or m * n != v:
         raise GraphError(f"parameter mismatch: graph on {g.v} vertices, "
                          f"parameters {params}")

@@ -1,11 +1,15 @@
-"""Brute-force test oracles for the regular-graph generator and the
-canonical search."""
+"""Test oracles: brute force for the regular-graph generator and the
+canonical search, and independent checks of classification and design
+structure that the package itself does not need."""
 
 import itertools
-from typing import List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
-from deza.canon import canonical_certificate
-from deza.graphs import Graph, GraphError
+from deza.canon import canon_data, canonical_certificate
+from deza.classify import classify
+from deza.ddg import DdgResult, _classes_for_value, equitable_check
+from deza.graphs import Graph, GraphError, InternalInvariantError, hypercube
 
 
 def count_regular_classes_naive(v: int, k: int) -> int:
@@ -150,3 +154,74 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:
             for j, qj in enumerate(q):
                 out[i + j] += pi * qj
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class ZeroLambdaAudit:
+    lam: int
+    k: int
+    v: int
+    diameter: int
+    mulder_applicable: bool        # bounds proved for lambda >= 2 only
+    v_bound_holds: bool            # v <= 2^k
+    v_bound_equality: bool
+    diameter_bound_holds: bool     # diameter <= k
+    diameter_bound_equality: bool
+    hypercube_confirmed: Optional[bool]  # cert-equal to H(k,2) at equality
+
+
+def zero_lambda_audit(g: Graph) -> ZeroLambdaAudit:
+    """Check the (0,lambda) degree/diameter bounds: a connected k-regular
+    (0,lambda) graph with lambda >= 2 has v <= 2^k and diameter <= k, with
+    equality only for the k-cube (Mulder, "(0,lambda)-graphs and n-cubes",
+    Discrete Math. 28, 1979)."""
+    report = classify(g)
+    if not report.connected:
+        raise ValueError("zero-lambda audit needs a connected graph")
+    if report.zero_lambda is None:
+        raise ValueError("not a (0,lambda) graph: "
+                         f"common values {report.common_values}")
+    if report.regular is None:
+        raise ValueError("zero-lambda audit needs a regular graph")
+    lam = report.zero_lambda
+    k = report.regular
+    assert report.diameter is not None
+    d = report.diameter
+    v_bound = 1 << k
+    v_eq = g.v == v_bound
+    confirmed = None
+    if v_eq:
+        confirmed = canon_data(g).cert == canon_data(hypercube(k)).cert
+    return ZeroLambdaAudit(
+        lam=lam, k=k, v=g.v, diameter=d,
+        mulder_applicable=lam >= 2,
+        v_bound_holds=g.v <= v_bound, v_bound_equality=v_eq,
+        diameter_bound_holds=d <= k, diameter_bound_equality=d == k,
+        hypercube_confirmed=confirmed)
+
+
+def rho_closure_shortcut(g: Graph) -> DdgResult:
+    """Class partition via the high-value relation, without a full scan.
+
+    For a regular graph with pair values a < b satisfying a < 2b - k the
+    relation 'equal or sharing b common neighbours' is transitive, so its
+    classes can be read off directly.  Raises GraphError when the value
+    structure or the inequality precondition fails; the transitivity
+    itself is an invariant and its failure signals a bug.
+    """
+    rep = classify(g)
+    if rep.deza is None or rep.regular is None:
+        raise GraphError("need a regular graph with exactly two pair values")
+    lo, hi = sorted(rep.common_values)
+    k = rep.regular
+    if not lo < 2 * hi - k:
+        raise GraphError(
+            f"precondition a < 2b - k fails: {lo} >= {2 * hi - k}")
+    classes = _classes_for_value(g, hi)
+    if classes is None:
+        raise InternalInvariantError(
+            "high-value relation failed to be an equivalence despite "
+            "a < 2b - k")
+    m, n = len(classes), len(classes[0])
+    quotient, _ = equitable_check(g, classes)
+    return DdgResult(g.v, k, hi, lo, m, n, classes, quotient)

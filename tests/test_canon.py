@@ -1,8 +1,7 @@
 import hashlib
 import random
 
-from deza.canon import (are_isomorphic, canon_data, canonical_certificate,
-                        refine)
+from deza.canon import canon_data, canonical_certificate, refine
 from deza.catalog import _cubes_complement, catalog_names, construct
 from deza.graphs import (cartesian_product, complement, complete_graph,
                          cycle_graph, disjoint_union, fano_incidence,
@@ -42,7 +41,8 @@ def test_certificate_separates_nonisomorphic():
 
 
 def test_complement_of_cube_is_grid_4x2():
-    assert are_isomorphic(complement(hypercube(3)), _grid_4x2())
+    assert (canon_data(complement(hypercube(3))).cert
+            == canon_data(_grid_4x2()).cert)
 
 
 def test_labeling_realizes_certificate():
@@ -75,8 +75,8 @@ def test_last_orbit_on_vertex_transitive_graph():
 def test_small_handmade_cases():
     path3 = make_graph(3, [(0, 1), (1, 2)])
     relabel = make_graph(3, [(2, 1), (0, 2)])
-    assert are_isomorphic(path3, relabel)
-    assert not are_isomorphic(path3, complete_graph(3))
+    assert canon_data(path3).cert == canon_data(relabel).cert
+    assert canon_data(path3).cert != canon_data(complete_graph(3)).cert
     assert canonical_certificate(complete_graph(1)).certificate_bytes
 
 

@@ -101,8 +101,12 @@ class TestGenerateRegular:
         for jobs in (0, -3):
             with pytest.raises(GraphError, match="jobs"):
                 list(generate_regular(8, 3, jobs=jobs))
-        with pytest.raises(GraphError, match="unsupported prune argument"):
-            list(generate_regular(8, 3, prune=lambda g: True))
+        # a prune is a spec string: a callable or a PruneSpec, which is
+        # resolved for one degree only, is refused
+        for prune in (lambda g: True, PruneSpec.from_string(SAT_PRUNE, 3)):
+            with pytest.raises(GraphError,
+                               match="unsupported prune argument"):
+                list(generate_regular(8, 3, prune=prune))
         with pytest.raises(GraphError, match="bad prune term 'x'"):
             list(generate_regular(8, 3, prune="satdistinct=x"))
 
@@ -124,10 +128,13 @@ class TestPrunes:
             PruneSpec.from_string("frobnicate=3", 4)
 
     def test_spec_string_in_provenance(self):
-        spec = PruneSpec.from_string(ANCHOR_PRUNE + ";sat=0,k-2", 4)
-        assert str(spec) == "maxpair=2;sat=0,2;satdistinct=2;anchor=2"
-        records = census([8], [4], prune=PruneSpec.from_string(SAT_PRUNE, 4))
-        assert dict(records[0].generator)["prune"] == "maxpair=2;sat=0,2"
+        # each cell reads the k-terms at its own degree: (8,3) runs under
+        # maxpair=1 and has no graph, where maxpair=2, the (8,4) reading,
+        # would keep five; the records carry the string as given
+        records = census([8], [3, 4], prune="maxpair=k-2")
+        assert [r.k for r in records] == [4, 4]
+        assert {dict(r.generator)["prune"] for r in records} == {
+            "maxpair=k-2"}
 
     @pytest.mark.parametrize("v,k,prune", [
         pytest.param(8, 3, SAT_PRUNE, id="8-3"),
@@ -473,7 +480,7 @@ class TestDeterminism:
         # the serial run drops when its root has lost them
         spec = PruneSpec.from_string(prune, k) if prune else None
         search = _Search(v, k, spec)
-        serial = [g.rows for g in generate_regular(v, k, spec)]
+        serial = [g.rows for g in generate_regular(v, k, prune)]
         for min_nodes in (1, 8, 32, 10**6):
             level = _frontier(search, min_nodes)
             assert (len(level) >= min_nodes or not level
@@ -489,7 +496,7 @@ class TestDeterminism:
         # the cut that two workers get must join into the serial run
         spec = PruneSpec.from_string(ANCHOR_PRUNE, 4)
         search = _Search(9, 4, spec)
-        serial = [g.rows for g in generate_regular(9, 4, spec)]
+        serial = [g.rows for g in generate_regular(9, 4, ANCHOR_PRUNE)]
         level = _frontier(search, min_nodes=_SUBTREES_PER_JOB * 2)
         joined = []
         for task in level:
@@ -672,12 +679,26 @@ class TestAudits:
         assert report.expected == ()
 
     @pytest.mark.parametrize("theorem,vmax,cell", [
-        (1, 16, "v=16, k=3"), (2, 12, "v=11, k=8"), (3, 16, "v=16, k=3")])
+        (1, 16, "v=16, k=3"), (2, 12, "v=11, k=8"), (3, 16, "v=16, k=3"),
+        # a window far past the limits fails at the same first cell
+        (2, 10**6, "v=11, k=8")])
     def test_limits_checked_before_enumerating(self, monkeypatch, theorem,
                                                vmax, cell):
         def never(*args, **kwargs):
             raise AssertionError("enumerated before checking every cell")
         monkeypatch.setattr(deza.census, "generate_regular", never)
+        # the cell builders draw their cells from ranges; counting those
+        # draws shows that a bad cell stops the window where it lies,
+        # instead of after every cell of it is built
+        draws = []
+
+        def counted_range(*args):
+            for x in range(*args):
+                draws.append(x)
+                assert len(draws) <= 1000, "built cells past the bad one"
+                yield x
+        monkeypatch.setattr(deza.census, "range", counted_range,
+                            raising=False)
         with pytest.raises(GraphError, match=f"^{cell} outside default"):
             audit_theorem(theorem, vmax=vmax)
 

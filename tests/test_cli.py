@@ -141,16 +141,24 @@ class TestDdgAndSpectrum:
     def test_spectrum_polynomial_computed_once(self, capsys, monkeypatch):
         # a proper DDG: the design check reuses the command's factors
         calls = []
+        checks = []
         real = spectra.char_poly
+        real_check = spectra.ddg_spectrum_check
 
         def counted(g):
             calls.append(g.v)
             return real(g)
+
+        def counted_check(g, *params, **kwargs):
+            checks.append(params)
+            return real_check(g, *params, **kwargs)
         monkeypatch.setattr(cli, "char_poly", counted)
         monkeypatch.setattr(spectra, "char_poly", counted)
+        monkeypatch.setattr(cli, "ddg_spectrum_check", counted_check)
         code, out, _ = run(capsys, "spectrum", "grid-4x2", "--json")
         assert code == 0
         assert calls == [8]
+        assert checks == [(8, 4, 0, 2, 4, 2)]
         s = spectra.ddg_spectrum_check(construct("grid-4x2"),
                                        8, 4, 0, 2, 4, 2)
         assert json.loads(out)["ddg_spectrum"] == {
@@ -263,18 +271,24 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("usage error: 'abc'")
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(("--v", "10..8", "--k", "3"), id="v"),
-        pytest.param(("--v", "10", "--k", "4..3"), id="k"),
+    @pytest.mark.parametrize("argv,problem", [
+        pytest.param(("--v", "10..8", "--k", "3"), "range '10..8' is reversed",
+                     id="v"),
+        pytest.param(("--v", "10", "--k", "4..3"), "range '4..3' is reversed",
+                     id="k"),
+        # no graph has more vertices than the cap, so a range past it is
+        # refused before a list of its values is built
+        pytest.param(("--v", "1..513", "--k", "3"),
+                     "'1..513' ends above 512", id="v-past-cap"),
     ])
-    def test_reversed_range(self, capsys, monkeypatch, argv):
+    def test_reversed_range(self, capsys, monkeypatch, argv, problem):
         def never(*args, **kwargs):
-            raise AssertionError("enumerated a reversed range")
+            raise AssertionError("enumerated a bad range")
         monkeypatch.setattr(cli, "census", never)
         code, out, err = run(capsys, "enumerate", *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("usage error: range") and "reversed" in err
+        assert err.startswith(f"usage error: {problem}")
 
     @pytest.mark.parametrize("spec", ["deza(*,q,*,*)", "ddg(k-x,*,*,*)",
                                       "deza(*,v,*,*)"])

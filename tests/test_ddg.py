@@ -7,7 +7,6 @@ from deza.ddg import (
     class_audits,
     ddg_detect,
     equitable_check,
-    rho_closure_shortcut,
 )
 from deza.graphs import (
     GraphError,
@@ -23,6 +22,8 @@ from deza.graphs import (
     permute_graph,
     petersen,
 )
+
+from oracle import rho_closure_shortcut
 
 
 def octahedron():
