@@ -19,7 +19,7 @@ from .sieve import (RuleResult, SieveVerdict, ddg_sieve, deza_sieve,
                     quadratic_residue, scan_n2_tuples, scan_small_n_tuples)
 # the functions census() and catalog() are not re-exported: the package
 # attributes deza.census and deza.catalog are their modules
-from .census import (AuditReport, CensusRecord, PruneSpec, audit_theorem,
-                     build_record, generate_regular, parse_filter)
+from .census import (AuditReport, CensusRecord, audit_theorem, build_record,
+                     generate_regular, parse_filter)
 from .catalog import (CatalogEntry, catalog_names, construct, verify_catalog,
                       verify_entry)

@@ -171,19 +171,6 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
     if v == 0:
         return CanonData((), _cert_header(0), frozenset(), ())
 
-    parent = list(range(v))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
     full = (1 << v) - 1
     best_rows: List[int] | None = None
     best_order: List[int] = []
@@ -253,8 +240,6 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
                 for p in range(v):
                     sigma[order[p]] = bo[p]
                 gens.append(tuple(sigma))
-                for x in range(v):
-                    union(x, sigma[x])
                 last_set.add(order[-1])
                 # backjump to where this path left the best leaf's path
                 depth = 0
@@ -289,14 +274,22 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
 
     dfs(root_cells, [], [])
     assert best_rows is not None
-    last_roots = {find(x) for x in last_set}
-    last_orbit = frozenset(y for y in range(v) if find(y) in last_roots)
+    # the last orbit is the closure of the visited last vertices under gens
+    last_orbit = set(last_set)
+    stack = list(last_set)
+    while stack:
+        x = stack.pop()
+        for s in gens:
+            y = s[x]
+            if y not in last_orbit:
+                last_orbit.add(y)
+                stack.append(y)
     labeling = [0] * v
     for p, x in enumerate(best_order):
         labeling[x] = p
     return CanonData(tuple(labeling),
                      _cert_header(v) + _pack_rows(best_rows, v),
-                     last_orbit, tuple(gens))
+                     frozenset(last_orbit), tuple(gens))
 
 
 def canonical_certificate(g: Graph) -> CanonicalCertificate:

@@ -139,9 +139,7 @@ def verify_entry(entry: CatalogEntry) -> List[str]:
     if rep.diameter != entry.diameter:
         problems.append(f"diameter {rep.diameter} != {entry.diameter}")
     det = ddg_detect(g)
-    got = None
-    if det.proper is not None:
-        got = (det.proper.lam1, det.proper.lam2, det.proper.m, det.proper.n)
+    got = None if det.proper is None else det.proper.params[2:]
     if got != entry.ddg:
         problems.append(f"ddg {got} != {entry.ddg}")
     return problems

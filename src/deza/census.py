@@ -9,18 +9,21 @@ proportional to the search depth.
 
 A search node is immutable: adding a vertex returns a new child node and
 leaves its parent as it was, so the search needs no undo, and a node can
-be handed to a pool worker as it is.
+be handed to a pool worker as it is.  A node carries the automorphisms
+found when it was accepted, and its children's search skips every
+neighbour set that they map onto one already tried.
 
 Prunes must be monotone: a violating partial graph can only have violating
-completions.  A prune is a spec string, read as a PruneSpec at each
-degree.  Its checks read a pair count off the packed adjacency rows, as the
-popcount of the AND of two rows, only where a step can change it.  The value
-of a pair with one saturated endpoint can never change again, since a
-saturated vertex gains no neighbour; that is what makes frozen-value
-constraints monotone.  Those constraints read only which values are frozen,
-so a node keeps them as a bitmask of distinct values.  An unfrozen pair can
-still gain only as many common neighbours as both endpoints have free
-degree and vertices remain, which bounds its final value to an interval.
+completions.  A prune is a spec string, which each search reads at its
+own degree.  Its checks read a pair count off the packed adjacency rows,
+as the popcount of the AND of two rows, only where a step can change it.
+The value of a pair with one saturated endpoint can never change again,
+since a saturated vertex gains no neighbour; that is what makes
+frozen-value constraints monotone.  Those constraints read only which
+values are frozen, so a node keeps them as a bitmask of distinct values.
+An unfrozen pair can still gain only as many common neighbours as both
+endpoints have free degree and vertices remain, which bounds its final
+value to an interval.
 """
 
 import hashlib
@@ -58,62 +61,18 @@ def _compile_term(term: str, kind: str = "prune") -> Callable[[int], int]:
     raise GraphError(f"bad {kind} term {term!r}; use an integer or k-<int>")
 
 
-@dataclass(frozen=True)
-class PruneSpec:
-    """Declarative monotone prune on partial graphs.
-
-    max_pair_count bounds every common-neighbour count.  For pairs with a
-    saturated endpoint (degree k, value frozen): the value must lie in
-    saturated_values when given; the number of distinct frozen values
-    must not exceed saturated_distinct_max; and once that many are
-    present, saturated_anchor must be among them.  Since a regular graph
-    freezes every pair, saturated_values also rejects an unfrozen pair
-    whose reachable interval holds none of its values.
-    """
-    max_pair_count: Optional[int] = None
-    saturated_values: Optional[Tuple[int, ...]] = None
-    saturated_distinct_max: Optional[int] = None
-    saturated_anchor: Optional[int] = None
-
-    @staticmethod
-    def from_string(spec: str, k: int) -> "PruneSpec":
-        """Parse 'maxpair=k-2;sat=0,k-2;satdistinct=2;anchor=k-2'."""
-        maxpair = None
-        sat = None
-        distinct = None
-        anchor = None
-        seen = set()
-        for clause in spec.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            key, _, value = clause.partition("=")
-            key = key.strip()
-            if key in seen:
-                raise GraphError(f"bad prune term {clause!r}: the {key} "
-                                 f"clause is repeated")
-            seen.add(key)
-            if key == "maxpair":
-                maxpair = _compile_term(value)(k)
-            elif key == "sat":
-                sat = tuple(sorted({_compile_term(t)(k)
-                                    for t in value.split(",")}))
-            elif key == "satdistinct":
-                try:
-                    distinct = int(value)
-                except ValueError:
-                    raise GraphError(f"bad prune term {value.strip()!r}; "
-                                     f"use an integer") from None
-            elif key == "anchor":
-                anchor = _compile_term(value)(k)
-            else:
-                raise GraphError(f"unknown prune clause {key!r}")
-        return PruneSpec(maxpair, sat, distinct, anchor)
-
-
 class _Search:
-    """What every node of one search shares: v, k, the prune spec and the
-    tables derived from it, computed once.
+    """What every node of one search shares: v, k, the prune spec read at
+    degree k, and the tables derived from it, computed once.
+
+    A spec such as 'maxpair=k-2;sat=0,k-2;satdistinct=2;anchor=k-2' holds
+    each clause at most once; an absent prune is a spec with no clauses.
+    maxpair bounds every common-neighbour count.  For pairs with a
+    saturated endpoint (degree k, value frozen): the value must lie in sat
+    when given; the number of distinct frozen values must not exceed
+    distinct; and once that many are present, anchor must be among them.
+    Since a regular graph freezes every pair, sat also rejects an unfrozen
+    pair whose reachable interval holds none of its values.
 
     gap[c] is how far a count c lies below the nearest sat value at or
     above it (k+1 when there is none), so a pair with c common neighbours
@@ -127,23 +86,50 @@ class _Search:
     value is computed at all and every node's mask stays 0.
     """
 
-    __slots__ = ("v", "k", "spec", "gap", "bad", "interval", "vacuous")
+    __slots__ = ("v", "k", "maxpair", "sat", "distinct", "anchor", "gap",
+                 "bad", "interval", "vacuous")
 
-    def __init__(self, v: int, k: int, spec: Optional[PruneSpec]):
+    def __init__(self, v: int, k: int, prune: Optional[str]):
         self.v = v
         self.k = k
-        self.spec = spec
+        self.maxpair: Optional[int] = None
+        self.sat: Optional[Tuple[int, ...]] = None
+        self.distinct: Optional[int] = None
+        self.anchor: Optional[int] = None
+        given = set()
+        for clause in (prune or "").split(";"):
+            clause = clause.strip()
+            if not clause:
+                continue
+            key, _, value = clause.partition("=")
+            key = key.strip()
+            if key in given:
+                raise GraphError(f"bad prune term {clause!r}: the {key} "
+                                 f"clause is repeated")
+            given.add(key)
+            if key == "maxpair":
+                self.maxpair = _compile_term(value)(k)
+            elif key == "sat":
+                self.sat = tuple(sorted({_compile_term(t)(k)
+                                         for t in value.split(",")}))
+            elif key == "satdistinct":
+                try:
+                    self.distinct = int(value)
+                except ValueError:
+                    raise GraphError(f"bad prune term {value.strip()!r}; "
+                                     f"use an integer") from None
+            elif key == "anchor":
+                self.anchor = _compile_term(value)(k)
+            else:
+                raise GraphError(f"unknown prune clause {key!r}")
         self.gap: Optional[List[int]] = None
         self.bad = 0
-        if spec is not None and spec.saturated_values is not None:
-            self.gap = [min((t - c for t in spec.saturated_values if t >= c),
+        if self.sat is not None:
+            self.gap = [min((t - c for t in self.sat if t >= c),
                             default=k + 1) for c in range(k + 1)]
             self.bad = sum(1 << c for c, g in enumerate(self.gap) if g)
-        top = k
-        if spec is not None and spec.max_pair_count is not None:
-            top = min(spec.max_pair_count, k)
-        self.vacuous = spec is None or self.frozen_ok(
-            sum(1 << c for c in range(top + 1)))
+        top = k if self.maxpair is None else min(self.maxpair, k)
+        self.vacuous = self.frozen_ok(sum(1 << c for c in range(top + 1)))
         # a negative maxpair allows no count, so no interval is dead
         self.interval = (not self.vacuous and self.gap is not None
                          and max(self.gap[:top + 1], default=0) > 1)
@@ -153,13 +139,12 @@ class _Search:
         seen (bit c set when some frozen pair has c common neighbours)."""
         if seen & self.bad:
             return False
-        spec = self.spec
-        most = spec.saturated_distinct_max
+        most = self.distinct
         if most is not None:
             distinct = seen.bit_count()
             if distinct > most:
                 return False
-            anchor = spec.saturated_anchor
+            anchor = self.anchor
             if (anchor is not None and distinct == most
                     and (anchor < 0 or not seen >> anchor & 1)):
                 return False
@@ -172,7 +157,9 @@ class _Search:
 
 class _Partial(NamedTuple):
     """An immutable search node: adjacency rows and degrees of a partial
-    graph, and seen, the mask of its distinct frozen pair values.
+    graph, seen, the mask of its distinct frozen pair values, and gens,
+    the automorphisms canon_data found when the node was accepted, which
+    its children's search uses to skip symmetric candidate sets.
 
     A pair is frozen once one of its endpoints is saturated: a saturated
     vertex gets no new neighbour, so no later vertex adds to the pair's
@@ -186,6 +173,7 @@ class _Partial(NamedTuple):
     rows: Tuple[int, ...]
     deg: Tuple[int, ...]
     seen: int
+    gens: Tuple[Tuple[int, ...], ...] = ()
 
     def graph(self) -> Graph:
         return Graph(len(self.rows), self.rows)
@@ -353,8 +341,7 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
     hi = min(hi, num // 2)
     if lo > hi:
         return
-    spec = search.spec
-    maxp = spec.max_pair_count if spec else None
+    maxp = search.maxpair
     # conflict[x]: the candidates y that cannot join x, because x and y
     # already have maxpair common neighbours; a vertex z with maxpair
     # neighbours in the set blocks every further neighbour of z
@@ -490,23 +477,18 @@ def generate_regular(v: int, k: int, prune: Optional[str] = None,
         raise GraphError(f"jobs must be at least 1, got {jobs}")
     if prune is not None and not isinstance(prune, str):
         raise GraphError(f"unsupported prune argument {prune!r}")
-    search = _Search(v, k, None if prune is None
-                     else PruneSpec.from_string(prune, k))
+    search = _Search(v, k, prune)
     if v == 1:
         yield Graph(1, (0,))
         return
     if jobs > 1:
         yield from _generate_parallel(search, jobs)
         return
-    yield from _extend(search.root(), ())
+    yield from _extend(search.root())
 
 
-_Gens = Tuple[Tuple[int, ...], ...]
-_Node = Tuple[_Partial, _Gens]
-
-
-def _accepted_children(node: _Partial, parent_gens: _Gens) -> Iterator[_Node]:
-    """Yield each accepted child of node with its automorphisms.
+def _accepted_children(node: _Partial) -> Iterator[_Partial]:
+    """Yield each accepted child of node, carrying its automorphisms.
 
     A child is accepted when it passes the prunes, its new vertex r lies
     in the canonical last orbit, and its certificate is new among its
@@ -519,10 +501,11 @@ def _accepted_children(node: _Partial, parent_gens: _Gens) -> Iterator[_Node]:
     representatives.
     """
     r = len(node.rows)
+    gens = node.gens
     seen_sets: Set[Tuple[int, ...]] = set()
     seen_certs: Set[bytes] = set()
     for s in _candidate_sets(node):
-        if parent_gens and _orbit_seen(s, seen_sets, parent_gens):
+        if gens and _orbit_seen(s, seen_sets, gens):
             continue
         child = node.add_vertex(s)
         if child is None or not _last_cell_possible(child.rows, child.deg):
@@ -532,26 +515,25 @@ def _accepted_children(node: _Partial, parent_gens: _Gens) -> Iterator[_Node]:
             data = canon_data(child.graph(), cells)
             if r in data.last_orbit and data.cert not in seen_certs:
                 seen_certs.add(data.cert)
-                yield child, data.aut_gens
+                yield child._replace(gens=data.aut_gens)
 
 
-def _extend(node: _Partial, parent_gens: _Gens) -> Iterator[Graph]:
+def _extend(node: _Partial) -> Iterator[Graph]:
     leaf = len(node.rows) + 1 == node.search.v
-    for child, gens in _accepted_children(node, parent_gens):
+    for child in _accepted_children(node):
         if leaf:
             yield child.graph()
         else:
-            yield from _extend(child, gens)
+            yield from _extend(child)
 
 
-def _frontier(search: _Search, min_nodes: int) -> List[_Node]:
-    """Accepted nodes with their automorphisms at one depth below v, in
-    DFS order."""
+def _frontier(search: _Search, min_nodes: int) -> List[_Partial]:
+    """Accepted nodes at one depth below v, in DFS order."""
     depth = 1
-    level: List[_Node] = [(search.root(), ())]
+    level = [search.root()]
     while depth < search.v - 1 and 0 < len(level) < min_nodes:
-        level = [child for node, gens in level
-                 for child in _accepted_children(node, gens)]
+        level = [child for node in level
+                 for child in _accepted_children(node)]
         depth += 1
     return level
 
@@ -563,9 +545,8 @@ def _frontier(search: _Search, min_nodes: int) -> List[_Node]:
 _SUBTREES_PER_JOB = 16
 
 
-def _subtree_task(task: _Node) -> List[Tuple[int, ...]]:
-    node, gens = task
-    return [g.rows for g in _extend(node, gens)]
+def _subtree_task(node: _Partial) -> List[Tuple[int, ...]]:
+    return [g.rows for g in _extend(node)]
 
 
 def _generate_parallel(search: _Search, jobs: int) -> Iterator[Graph]:
@@ -574,12 +555,12 @@ def _generate_parallel(search: _Search, jobs: int) -> Iterator[Graph]:
     The tree is cut at the first whole level, in DFS order, that holds at
     least _SUBTREES_PER_JOB * jobs nodes, or at depth v-1; each node's
     subtree is one task.  A node is immutable, so it goes to its worker
-    as it is, frozen-value mask included, and the worker searches on from
-    it exactly as the serial run would.  Work per subtree is very uneven,
-    so many small tasks per worker are what keep every worker busy to the
-    end.  The ordered imap returns the subtrees in frontier order, and
-    every frontier level is itself in DFS order, so the output is the
-    serial DFS order whatever depth the cut lands at.
+    as it is, frozen-value mask and automorphisms included, and the
+    worker searches on from it exactly as the serial run would.  Work per
+    subtree is very uneven, so many small tasks per worker are what keep
+    every worker busy to the end.  The ordered imap returns the subtrees
+    in frontier order, and every frontier level is itself in DFS order, so
+    the output is the serial DFS order whatever depth the cut lands at.
     """
     level = _frontier(search, min_nodes=_SUBTREES_PER_JOB * jobs)
     if not level:
@@ -637,9 +618,7 @@ def build_record(g: Graph, generator: Tuple[Tuple[str, object], ...]
                  ) -> CensusRecord:
     rep = classify(g)
     det = ddg_detect(g)
-    ddg = None
-    if det.proper is not None:
-        ddg = (det.proper.lam1, det.proper.lam2, det.proper.m, det.proper.n)
+    ddg = None if det.proper is None else det.proper.params[2:]
     k = g.regular_degree()
     if k is None:
         raise GraphError("census records cover regular graphs only")
@@ -890,7 +869,7 @@ def _a0_cells(vmax: int, kmax: int) -> Iterator[_Cell]:
     # the count of b-partners, k(k-1)/(k-2) when a=0, must be an integer;
     # k-2 divides k(k-1) only if it divides 2, so only k = 3, 4 have graphs
     return ((v, k, "maxpair=k-2;sat=0,k-2", (v, k, k - 2, 0))
-            for k in range(3, kmax + 1) if k * (k - 1) % (k - 2) == 0
+            for k in (3, 4) if k <= kmax
             for v in range(k + 2, vmax + 1) if v * k % 2 == 0)
 
 
@@ -910,8 +889,9 @@ def _gap_cells(vmax: int, kmax: Optional[int]) -> Iterator[_Cell]:
 
 
 def _ddg_cells(vmax: int, kmax: int) -> Iterator[_Cell]:
+    # K_vmax is the last cell: no k-regular graph has k >= v
     return ((v, k, "maxpair=k-2;satdistinct=2;anchor=k-2", k - 2)
-            for k in range(3, kmax + 1)
+            for k in range(3, min(kmax, vmax - 1) + 1)
             for v in range(k + 1, vmax + 1) if v * k % 2 == 0)
 
 

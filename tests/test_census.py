@@ -13,7 +13,6 @@ from deza import cli
 from deza.canon import canonical_certificate, refine
 from deza.catalog import construct
 from deza.census import (
-    PruneSpec,
     _accepted_children,
     _candidate_sets,
     _frontier,
@@ -101,9 +100,9 @@ class TestGenerateRegular:
         for jobs in (0, -3):
             with pytest.raises(GraphError, match="jobs"):
                 list(generate_regular(8, 3, jobs=jobs))
-        # a prune is a spec string: a callable or a PruneSpec, which is
-        # resolved for one degree only, is refused
-        for prune in (lambda g: True, PruneSpec.from_string(SAT_PRUNE, 3)):
+        # a prune is a spec string: a callable, or the bytes of a spec,
+        # is refused
+        for prune in (lambda g: True, SAT_PRUNE.encode()):
             with pytest.raises(GraphError,
                                match="unsupported prune argument"):
                 list(generate_regular(8, 3, prune=prune))
@@ -116,16 +115,19 @@ class TestGenerateRegular:
 
 class TestPrunes:
     def test_spec_parsing(self):
-        spec = PruneSpec.from_string("maxpair=k-2;sat=0,k-2", 4)
-        assert spec.max_pair_count == 2
-        assert spec.saturated_values == (0, 2)
-        spec = PruneSpec.from_string("satdistinct=2;anchor=k-2", 5)
-        assert spec.saturated_distinct_max == 2
-        assert spec.saturated_anchor == 3
+        search = _Search(5, 4, "maxpair=k-2;sat=0,k-2")
+        assert search.maxpair == 2
+        assert search.sat == (0, 2)
+        search = _Search(6, 5, "satdistinct=2;anchor=k-2")
+        assert search.distinct == 2
+        assert search.anchor == 3
 
     def test_unknown_clause(self):
-        with pytest.raises(GraphError):
-            PruneSpec.from_string("frobnicate=3", 4)
+        with pytest.raises(GraphError, match="unknown prune clause"):
+            _Search(5, 4, "frobnicate=3")
+        # a clause given twice is refused, not read as the last one
+        with pytest.raises(GraphError, match="the sat clause is repeated"):
+            _Search(5, 4, "sat=0;maxpair=2;sat=k-2")
 
     def test_spec_string_in_provenance(self):
         # each cell reads the k-terms at its own degree: (8,3) runs under
@@ -156,18 +158,18 @@ class TestPrunes:
     def test_prune_equals_post_filter(self, v, k, prune):
         # a pruned run must produce exactly the unpruned graphs whose pair
         # counts, all frozen in a regular graph, satisfy the spec
-        spec = PruneSpec.from_string(prune, k)
+        spec = _Search(v, k, prune)
 
         def obeys(g):
             values = {(g.rows[u] & g.rows[w]).bit_count()
                       for u in range(g.v) for w in range(u + 1, g.v)}
-            if max(values) > spec.max_pair_count:
+            if max(values) > spec.maxpair:
                 return False
-            if spec.saturated_values is not None:
-                return values <= set(spec.saturated_values)
-            distinct = spec.saturated_distinct_max
+            if spec.sat is not None:
+                return values <= set(spec.sat)
+            distinct = spec.distinct
             return distinct is None or len(values) < distinct or (
-                len(values) == distinct and spec.saturated_anchor in values)
+                len(values) == distinct and spec.anchor in values)
 
         pruned = _g6_set(generate_regular(v, k, prune=prune))
         plain = _g6_set(g for g in generate_regular(v, k) if obeys(g))
@@ -205,8 +207,8 @@ class TestPrunes:
         # must pass the degree rule and maxpair and come in reference
         # order, and a child skipped by the degree rule or the last-cell
         # test must have its new vertex outside the last root cell
-        spec = None if prune is None else PruneSpec.from_string(prune, k)
-        maxpair = spec and spec.max_pair_count
+        search = _Search(v, k, prune)
+        maxpair = search.maxpair
         dropped = skipped = 0
 
         def outside_last_cell(rows):
@@ -222,7 +224,7 @@ class TestPrunes:
             child.append(sum(1 << x for x in s))
             return max(_pair_counts(child).values()) > maxpair
 
-        def walk(node, gens):
+        def walk(node):
             nonlocal dropped, skipped
             every = _reference_sets(node)
             kept = list(_candidate_sets(node))
@@ -253,10 +255,10 @@ class TestPrunes:
                 if child is not None:
                     assert outside_last_cell(child.rows)
             if r + 1 < v:
-                for child, child_gens in _accepted_children(node, gens):
-                    walk(child, child_gens)
+                for child in _accepted_children(node):
+                    walk(child)
 
-        walk(_Search(v, k, spec).root(), ())
+        walk(search.root())
         assert dropped > 0 and skipped > 0
 
     def test_anchor_prune_subset(self):
@@ -316,15 +318,13 @@ def _seen_from_rows(rows, k, search):
 
 def _values_allowed(values, spec):
     """The verdict of the spec's frozen-value rules on a set of values."""
-    if spec.saturated_values is not None and \
-            not values <= set(spec.saturated_values):
+    if spec.sat is not None and not values <= set(spec.sat):
         return False
-    distinct = spec.saturated_distinct_max
-    if distinct is not None:
-        if len(values) > distinct:
+    if spec.distinct is not None:
+        if len(values) > spec.distinct:
             return False
-        if spec.saturated_anchor is not None and len(values) == distinct \
-                and spec.saturated_anchor not in values:
+        if spec.anchor is not None and len(values) == spec.distinct \
+                and spec.anchor not in values:
             return False
     return True
 
@@ -341,20 +341,20 @@ def _intervals_allow(rows, v, k, spec, moved):
     by min(k - deg x, k - deg y, v - n) must be able to reach a sat
     value; with no vertex left to place the rule is not applied."""
     n = len(rows)
-    if spec.saturated_values is None or n == v:
+    if spec.sat is None or n == v:
         return True
     deg = [row.bit_count() for row in rows]
     for (x, y), c in _pair_counts(rows).items():
         if (x in moved or y in moved) and deg[x] < k and deg[y] < k:
             slack = min(k - deg[x], k - deg[y], v - n)
-            if not any(c <= t <= c + slack for t in spec.saturated_values):
+            if not any(c <= t <= c + slack for t in spec.sat):
                 return False
     return True
 
 
 def _reachable(spec, k):
     """The pair counts a partial k-regular graph can hold under maxpair."""
-    top = k if spec.max_pair_count is None else min(spec.max_pair_count, k)
+    top = k if spec.maxpair is None else min(spec.maxpair, k)
     return range(top + 1)
 
 
@@ -383,14 +383,12 @@ def test_partial_matches_recomputation(v, k, prune):
     # frozen-value mask must equal the recomputation (the mask 0 under a
     # vacuous spec); and no step, accepted or rejected, may change the
     # node it was taken from, nor any of its ancestors
-    spec = PruneSpec.from_string(prune, k)
-    vacuous = _vacuous(spec, k)
+    search = _Search(v, k, prune)
+    vacuous = _vacuous(search, k)
     # a dead count at slack 1 among the reachable ones: only then can the
     # interval rule reject a step that the frozen-value rules pass
-    interval = spec.saturated_values is not None and any(
-        not {c, c + 1} & set(spec.saturated_values)
-        for c in _reachable(spec, k))
-    search = _Search(v, k, spec)
+    interval = search.sat is not None and any(
+        not {c, c + 1} & set(search.sat) for c in _reachable(search, k))
     assert search.vacuous == vacuous
     rng = random.Random(f"{v}-{k}-{prune}")
     outcomes = Counter()
@@ -410,17 +408,17 @@ def test_partial_matches_recomputation(v, k, prune):
             smask = sum(1 << x for x in s)
             child_rows = [row | (1 << r if row_id in s else 0)
                           for row_id, row in enumerate(node.rows)] + [smask]
-            if spec.max_pair_count is not None and max(
+            if search.maxpair is not None and max(
                     _pair_counts(child_rows).values(), default=0) > \
-                    spec.max_pair_count:
+                    search.maxpair:
                 continue
             before = (list(node.rows), list(node.deg), node.seen)
             child = node.add_vertex(s)
             assert (list(node.rows), list(node.deg), node.seen) == before
             ok = child is not None
             outcomes[ok] += 1
-            frozen_ok = _frozen_rules_allow(child_rows, k, spec)
-            intervals_ok = _intervals_allow(child_rows, v, k, spec,
+            frozen_ok = _frozen_rules_allow(child_rows, k, search)
+            intervals_ok = _intervals_allow(child_rows, v, k, search,
                                             set(s) | {r})
             outcomes["interval"] += frozen_ok and not intervals_ok
             assert ok == (frozen_ok and intervals_ok)
@@ -455,10 +453,9 @@ def test_partial_matches_recomputation(v, k, prune):
 def test_vacuity_verdict(prune, k, vacuous):
     # a spec is vacuous exactly when its frozen-value rules accept every
     # set of reachable values, by brute force over those sets
-    spec = None if prune is None else PruneSpec.from_string(prune, k)
-    assert _Search(12, k, spec).vacuous == vacuous
-    if spec is not None:
-        assert _vacuous(spec, k) == vacuous
+    search = _Search(12, k, prune)
+    assert search.vacuous == vacuous
+    assert _vacuous(search, k) == vacuous
 
 
 class TestDeterminism:
@@ -478,33 +475,32 @@ class TestDeterminism:
         # node must carry the frozen values of its rows; under
         # satdistinct=3 one subtree of the depth v-1 cut keeps a graph
         # the serial run drops when its root has lost them
-        spec = PruneSpec.from_string(prune, k) if prune else None
-        search = _Search(v, k, spec)
+        search = _Search(v, k, prune)
         serial = [g.rows for g in generate_regular(v, k, prune)]
         for min_nodes in (1, 8, 32, 10**6):
             level = _frontier(search, min_nodes)
             assert (len(level) >= min_nodes or not level
-                    or all(len(node.rows) == v - 1 for node, _ in level))
-            for node, _ in level:
+                    or all(len(node.rows) == v - 1 for node in level))
+            for node in level:
                 assert node.seen == _seen_from_rows(node.rows, k, search)
-            joined = [rows for task in level for rows in _subtree_task(task)]
+            joined = [rows for node in level for rows in _subtree_task(node)]
             assert joined == serial
 
     def test_frontier_nodes_survive_pickling(self):
         # pool workers get their frontier node as a pickle: the subtree of
         # the copy must be the subtree of the node, and the subtrees of
         # the cut that two workers get must join into the serial run
-        spec = PruneSpec.from_string(ANCHOR_PRUNE, 4)
-        search = _Search(9, 4, spec)
+        search = _Search(9, 4, ANCHOR_PRUNE)
         serial = [g.rows for g in generate_regular(9, 4, ANCHOR_PRUNE)]
         level = _frontier(search, min_nodes=_SUBTREES_PER_JOB * 2)
+        assert any(node.gens for node in level)
         joined = []
-        for task in level:
-            node, gens = copy = pickle.loads(pickle.dumps(task))
-            assert (node.rows, node.deg, node.seen, gens) == (
-                task[0].rows, task[0].deg, task[0].seen, task[1])
+        for node in level:
+            copy = pickle.loads(pickle.dumps(node))
+            assert (copy.rows, copy.deg, copy.seen, copy.gens) == (
+                node.rows, node.deg, node.seen, node.gens)
             subtree = _subtree_task(copy)
-            assert subtree == _subtree_task(task)
+            assert subtree == _subtree_task(node)
             joined += subtree
         assert serial and joined == serial
 
@@ -701,6 +697,33 @@ class TestAudits:
                             raising=False)
         with pytest.raises(GraphError, match=f"^{cell} outside default"):
             audit_theorem(theorem, vmax=vmax)
+
+    @pytest.mark.parametrize("theorem", [1, 3])
+    def test_huge_kmax_builds_no_empty_cells(self, monkeypatch, theorem):
+        # no k-regular graph has k >= v, and theorem 1 has graphs only at
+        # k = 3, 4, so a kmax far past vmax must enumerate the cells of
+        # kmax = vmax - 1 without drawing a k for each empty cell
+        cells = []
+
+        def record(v, k, prune=None, jobs=1):
+            cells.append((v, k, prune))
+            return iter(())
+        monkeypatch.setattr(deza.census, "generate_regular", record)
+        draws = []
+
+        def counted_range(*args):
+            for x in range(*args):
+                draws.append(x)
+                assert len(draws) <= 1000, "drew k past the last cell"
+                yield x
+        monkeypatch.setattr(deza.census, "range", counted_range,
+                            raising=False)
+        report = audit_theorem(theorem, vmax=8, kmax=10**7)
+        huge = cells[:]
+        cells.clear()
+        assert audit_theorem(theorem, vmax=8, kmax=7).expected == \
+            report.expected
+        assert huge and huge == cells
 
     @pytest.mark.parametrize("theorem,bounds", [
         (1, {"vmax": 0}), (1, {"kmax": 0}), (2, {"kmax": 0}),
