@@ -29,22 +29,6 @@ class ClassificationReport:
     alpha: Optional[int]              # per-vertex count of a-partners
     beta: Optional[int]               # per-vertex count of b-partners
 
-    def as_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "connected": self.connected,
-            "regular": self.regular,
-            "common_values": list(self.common_values),
-            "deza": list(self.deza) if self.deza else None,
-            "srg": list(self.srg) if self.srg else None,
-            "degenerate": self.degenerate,
-            "strictly_deza": self.strictly_deza,
-            "zero_lambda": self.zero_lambda,
-            "diameter": self.diameter,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
-
 
 def classify(g: Graph) -> ClassificationReport:
     v = g.v

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 usage or domain error, 2 an audit reported
 discrepancies, 3 an internal invariant was violated.  All JSON output is
-canonical: fixed field order, compact separators, integers and strings
-only, so parse/re-serialize round-trips byte-identically.
+canonical: fixed field order, compact separators, no floats, so
+parse/re-serialize round-trips byte-identically.  A result dataclass
+renders as its fields in declaration order.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -35,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(obj, separators=(",", ":"), default=dataclasses.asdict)
 
 
 def _read_graph(text: str) -> Graph:
@@ -132,10 +134,10 @@ def _cmd_classify(args) -> int:
     g = _graph_from_flags(args)
     rep = classify(g)
     if args.json:
-        print(_dump(rep.as_dict()))
+        print(_dump(rep))
         return 0
-    for key, value in rep.as_dict().items():
-        print(f"{key}: {_render(value)}")
+    for field in dataclasses.fields(rep):
+        print(f"{field.name}: {_render(getattr(rep, field.name))}")
     return 0
 
 
@@ -152,20 +154,16 @@ def _render(value) -> str:
 def _cmd_ddg(args) -> int:
     g = _read_graph(args.input)
     det = ddg_detect(g)
-    payload = {**det.as_dict(), "class_audits": None, "a2_identity": None}
+    payload = {**dataclasses.asdict(det), "class_audits": None,
+               "a2_identity": None}
     if det.proper is not None:
         res = det.proper
         audits = class_audits(g, res)
         violation = adjacency_square_identity(
             g, res.classes, res.lam1, res.lam2, res.k)
-        payload["class_audits"] = [
-            {"index": a.index, "coclique": a.coclique,
-             "witness_size": a.witness_size, "divisible": a.divisible}
-            for a in audits]
-        payload["a2_identity"] = ("ok" if violation is None else
-                                  {"u": violation.u, "w": violation.w,
-                                   "got": violation.got,
-                                   "expected": violation.expected})
+        payload["class_audits"] = audits
+        payload["a2_identity"] = ("ok" if violation is None
+                                  else dataclasses.asdict(violation))
     if args.json:
         print(_dump(payload))
         return 0
@@ -239,7 +237,7 @@ def _cmd_spectrum(args) -> int:
     k = g.regular_degree()
     bound = k if k is not None else g.v
     factors = factor_adjacency_poly(coeffs, max(bound, 1))
-    payload = {"coeffs": list(coeffs), **factors.as_dict(),
+    payload = {"coeffs": coeffs, **dataclasses.asdict(factors),
                "ddg_spectrum": None}
     det = ddg_detect(g)
     if det.proper is not None:
@@ -289,7 +287,7 @@ def _cmd_sieve(args) -> int:
     else:
         verdict = ddg_sieve(*args.params)
     if args.json:
-        print(_dump(verdict.as_dict()))
+        print(_dump(verdict))
         return 0
     for line in _verdict_lines(verdict):
         print(line)
@@ -298,29 +296,22 @@ def _cmd_sieve(args) -> int:
 
 def _cmd_sieve_scan(args) -> int:
     if args.family == "n2":
-        results = scan_n2_tuples(args.max)
-    elif args.family == "small-n":
-        results = scan_small_n_tuples(args.max, max(args.max // 3, 4))
+        scan = scan_n2_tuples(args.max)
     else:
-        raise UsageError(f"unknown scan family {args.family!r}; "
-                         f"pick n2 or small-n")
-    feasible = 0
+        scan = scan_small_n_tuples(args.max, max(args.max // 3, 4))
+    # a row keeps what is printed, so each verdict is dropped once read
+    rows = [{"params": params, "feasible": verdict.feasible,
+             "failures": verdict.failures()} for params, verdict in scan]
+    feasible = sum(row["feasible"] for row in rows)
     if args.json:
-        out = []
-        for params, verdict in results:
-            out.append({"params": list(params),
-                        "feasible": verdict.feasible,
-                        "failures": list(verdict.failures())})
-            feasible += verdict.feasible
-        print(_dump({"family": args.family, "count": len(out),
-                     "feasible": feasible, "results": out}))
+        print(_dump({"family": args.family, "count": len(rows),
+                     "feasible": feasible, "results": rows}))
         return 0
-    for params, verdict in results:
-        status = "feasible" if verdict.feasible else \
-            "infeasible (" + ", ".join(verdict.failures()) + ")"
-        print(f"{_render(params)}: {status}")
-        feasible += verdict.feasible
-    print(f"{len(results)} tuples scanned, {feasible} feasible")
+    for row in rows:
+        status = "feasible" if row["feasible"] else \
+            "infeasible (" + ", ".join(row["failures"]) + ")"
+        print(f"{_render(row['params'])}: {status}")
+    print(f"{len(rows)} tuples scanned, {feasible} feasible")
     return 0
 
 
@@ -367,16 +358,9 @@ def _cmd_audit(args) -> int:
 def _cmd_catalog(args) -> int:
     entries = catalog()
     if args.json:
-        out = []
-        for e in entries.values():
-            out.append({"name": e.name, "summary": e.summary,
-                        "deza": list(e.deza) if e.deza else None,
-                        "srg": list(e.srg) if e.srg else None,
-                        "strictly_deza": e.strictly_deza,
-                        "diameter": e.diameter,
-                        "ddg": list(e.ddg) if e.ddg else None,
-                        "note": e.note})
-        print(_dump(out))
+        print(_dump([{f.name: getattr(e, f.name)
+                      for f in dataclasses.fields(e) if f.name != "build"}
+                     for e in entries.values()]))
         return 0
     for e in entries.values():
         tags = []
@@ -403,9 +387,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("construct", help="emit a catalog graph")
     p.add_argument("name")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--g6", action="store_true", default=True)
-    fmt.add_argument("--adj", action="store_true", default=False)
+    p.add_argument("--adj", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("classify", help="classify a graph")

@@ -31,16 +31,6 @@ class DdgResult:
     def params(self) -> Params:
         return (self.v, self.k, self.lam1, self.lam2, self.m, self.n)
 
-    def as_dict(self) -> dict:
-        return {
-            "v": self.v, "k": self.k,
-            "lam1": self.lam1, "lam2": self.lam2,
-            "m": self.m, "n": self.n,
-            "classes": [list(c) for c in self.classes],
-            "quotient": None if self.quotient is None
-            else [list(r) for r in self.quotient],
-        }
-
 
 @dataclass(frozen=True)
 class DdgDetection:
@@ -55,14 +45,6 @@ class DdgDetection:
     values: Tuple[int, ...]
     proper: Optional[DdgResult]
     improper: Tuple[Params, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "regular": self.regular,
-            "values": list(self.values),
-            "proper": None if self.proper is None else self.proper.as_dict(),
-            "improper": [list(p) for p in self.improper],
-        }
 
 
 def _pair_value(g: Graph, u: int, w: int) -> int:

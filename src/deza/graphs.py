@@ -71,21 +71,6 @@ class Graph:
         degs = self.degrees()
         return degs[0] if all(d == degs[0] for d in degs) else None
 
-    def is_connected(self) -> bool:
-        if self.v == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                i = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nxt |= self.rows[i]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.v) - 1
-
     def diameter(self) -> int | None:
         """Exact diameter by BFS from every vertex; None when disconnected."""
         if self.v <= 1:

@@ -8,7 +8,7 @@ verdict's trace can be read as a proof sketch.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .classify import beta_formula
 from .graphs import GraphError
@@ -22,10 +22,6 @@ class RuleResult:
     rule: str
     status: str                      # "pass" / "fail" / "skip" / "warn"
     witness: Optional[dict] = None
-
-    def as_dict(self) -> dict:
-        return {"rule": self.rule, "status": self.status,
-                "witness": self.witness}
 
 
 @dataclass(frozen=True)
@@ -42,11 +38,6 @@ class SieveVerdict:
             if r.rule == name:
                 return r
         raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return {"feasible": self.feasible,
-                "trace": [r.as_dict() for r in self.trace],
-                "warnings": list(self.warnings)}
 
 
 def _verdict(trace: List[RuleResult]) -> SieveVerdict:
@@ -203,15 +194,15 @@ def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
     return _verdict(trace)
 
 
-def scan_n2_tuples(kmax: int) -> List[Tuple[DdgParams, SieveVerdict]]:
-    """Verdicts for every (2m, k, k-2, a, m, 2) tuple surviving D2, k <= kmax.
+def scan_n2_tuples(kmax: int) -> Iterator[Tuple[DdgParams, SieveVerdict]]:
+    """Yield (params, verdict) for every (2m, k, k-2, a, m, 2) tuple that
+    survives D2, with k <= kmax.
 
     For fixed k and a >= 1 the counting identity pins m: it reduces to
     a(m-1) = (k^2 - 2k + 2)/2, which is integral only for even k and
     then has at most one m per divisor a.  All other m fail D2 outright,
-    so this list is the interesting slice of the infinite family.
+    so these are the interesting slice of the infinite family.
     """
-    out = []
     for k in range(2, kmax + 1):
         target = k * k - 2 * k + 2
         if target % 2:
@@ -225,14 +216,13 @@ def scan_n2_tuples(kmax: int) -> List[Tuple[DdgParams, SieveVerdict]]:
             if k >= v:
                 continue
             params: DdgParams = (v, k, k - 2, a, m, 2)
-            out.append((params, ddg_sieve(*params)))
-    return out
+            yield params, ddg_sieve(*params)
 
 
 def scan_small_n_tuples(kmax: int, mmax: int
-                        ) -> List[Tuple[DdgParams, SieveVerdict]]:
-    """Verdicts for tuples with lam1 = k-2 and class size n in 3..6."""
-    out = []
+                        ) -> Iterator[Tuple[DdgParams, SieveVerdict]]:
+    """Yield (params, verdict) for the tuples with lam1 = k-2, class size
+    n in 3..6, k <= kmax and m <= mmax."""
     for n in (3, 4, 5, 6):
         for k in range(2, kmax + 1):
             for m in range(2, mmax + 1):
@@ -241,5 +231,4 @@ def scan_small_n_tuples(kmax: int, mmax: int
                     continue
                 for lam2 in range(0, k + 1):
                     params: DdgParams = (v, k, k - 2, lam2, m, n)
-                    out.append((params, ddg_sieve(*params)))
-    return out
+                    yield params, ddg_sieve(*params)

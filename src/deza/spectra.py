@@ -288,13 +288,6 @@ class SpectrumFactors:
     surd_pairs: Tuple[Tuple[int, int], ...]
     residual: Tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "int_roots": [list(t) for t in self.int_roots],
-            "surd_pairs": [list(t) for t in self.surd_pairs],
-            "residual": list(self.residual),
-        }
-
 
 def factor_adjacency_poly(coeffs: Sequence[int], bound: int) -> SpectrumFactors:
     """Split off integer roots in [-bound, bound] and surd pairs (x^2 - d).

@@ -145,10 +145,10 @@ def test_criterion_4_sieve(capsys):
             assert not verdict.feasible
             assert verdict.rule("R2").witness == {"beta": "3/2"}
 
-        n2 = scan_n2_tuples(40)
+        n2 = list(scan_n2_tuples(40))
         assert n2 and all(not v.feasible for _, v in n2)
 
-        small = scan_small_n_tuples(40, 13)
+        small = list(scan_small_n_tuples(40, 13))
         assert small and all(not v.feasible for _, v in small)
         assert all(p[5] in (3, 4, 5, 6) and p[2] == p[1] - 2
                    for p, _ in small)
@@ -173,7 +173,7 @@ def test_criterion_5_enumeration_oracle(capsys):
                 assert len(generated) == \
                     count_regular_classes_naive(v, k), (v, k)
         cubic8 = list(generate_regular(8, 3))
-        assert sum(g.is_connected() for g in cubic8) == 5
+        assert sum(g.diameter() is not None for g in cubic8) == 5
         assert len(list(generate_regular(7, 4))) == 2
 
 

@@ -75,7 +75,7 @@ class TestGenerateRegular:
     def test_cubic_at_ten(self):
         graphs = list(generate_regular(10, 3))
         assert len(graphs) == 21
-        assert sum(g.is_connected() for g in graphs) == 19
+        assert sum(g.diameter() is not None for g in graphs) == 19
 
     @pytest.mark.parametrize("v,k", sorted(LARGER_COUNTS))
     def test_frozen_unpruned_counts(self, v, k):
@@ -84,7 +84,7 @@ class TestGenerateRegular:
     def test_quartic_at_nine(self):
         graphs = list(generate_regular(9, 4))
         assert len(graphs) == 16
-        assert all(g.is_connected() for g in graphs)
+        assert all(g.diameter() is not None for g in graphs)
 
     def test_no_duplicates_in_output(self):
         g6 = _g6_set(generate_regular(8, 3))

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import deza
 import deza.census
 from deza import cli, spectra
-from deza.catalog import catalog_names, construct
+from deza.catalog import catalog, catalog_names, construct
 from deza.classify import classify
 from deza.graph6 import decode_graph6
 from deza.graphs import InternalInvariantError
@@ -36,6 +37,67 @@ def test_submodules_are_not_shadowed():
 # SHA-256 of `spectrum <name> --json` over every catalog graph
 SPECTRUM_GOLDEN = (
     "d75b667dbd0a7fe4995f6d3704b72808e2da7f026e49534231837200fa4258de")
+
+# SHA-256 of stdout for each command, frozen before the result types lost
+# their hand-written as_dict and the scans began to yield
+OUTPUT_GOLDEN = [
+    (("sieve", "scan", "--family", "n2", "--max", "40"),
+     "56056ff95525dd59175d979850c4a1d0c1f76a33ee873c56cfdd38e4055fab53"),
+    (("sieve", "scan", "--family", "n2", "--max", "40", "--json"),
+     "af89df3c38fcc36252ce236037122e0d01e45ac6b2f4ef155df4e20e437929bf"),
+    (("sieve", "scan", "--family", "small-n", "--max", "40"),
+     "6321aa075a78d0908516657f790b0faaeeff4f281d3b0581cbc4eb2c24933e18"),
+    (("sieve", "scan", "--family", "small-n", "--max", "40", "--json"),
+     "1465cbe939ae62f114f725077ed43f5cc00adbe3e2e3cd4538ab477ea16d3354"),
+    (("catalog", "--json"),
+     "2ee1586cab15cc6952f7e1991daa5faea4880e33922090e1e6a3c52e8b675fae"),
+]
+
+# SHA-256 of `classify`, `ddg`, `spectrum` and `sieve deza` output, text
+# and JSON, over the catalog graphs, then `ddg` on K4 (improper designs
+# only), the 3-vertex path (irregular) and the 5-cycle (no design),
+# frozen with OUTPUT_GOLDEN
+REPORT_GOLDEN = (
+    "56a596429a33fa0f8b756cc5fea58145e926443c67ed2f0b1142773cb303a624")
+
+
+def test_report_golden(capsys):
+    commands = []
+    for entry in catalog().values():
+        commands += [("classify", "--name", entry.name), ("ddg", entry.name),
+                     ("spectrum", entry.name),
+                     ("sieve", "deza", *map(str, entry.deza))]
+    commands += [("ddg", text) for text in ("C~", "Bg", "Dhc")]
+    digest = hashlib.sha256()
+    for argv in commands:
+        for flags in ((), ("--json",)):
+            code, out, _ = run(capsys, *argv, *flags)
+            assert code == 0
+            digest.update(f"{argv + flags}\n{out}".encode())
+    assert digest.hexdigest() == REPORT_GOLDEN
+
+
+@pytest.mark.parametrize("argv,digest", OUTPUT_GOLDEN,
+                         ids=[" ".join(a) for a, _ in OUTPUT_GOLDEN])
+def test_output_golden(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_small_n_scan_memory(capsys):
+    # the scan prints three facts per tuple, so it need not hold the
+    # 24,072 verdicts with their rule traces until the last one is built
+    tracemalloc.start()
+    try:
+        code = cli.main(["sieve", "scan", "--family", "small-n",
+                         "--max", "40", "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 32 * 2**20
 
 
 class TestConstruct:

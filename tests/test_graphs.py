@@ -39,7 +39,6 @@ def test_disjoint_union_degrees_and_connectivity():
     g = disjoint_union([complete_graph(4), complete_graph(4)])
     assert g.v == 8
     assert g.degrees() == (3,) * 8
-    assert not g.is_connected()
     assert g.diameter() is None
     with pytest.raises(GraphError):
         disjoint_union([])
@@ -70,7 +69,6 @@ def test_petersen_structure():
     g = petersen()
     assert g.degrees() == (3,) * 10
     assert g.diameter() == 2
-    assert g.is_connected()
     # girth 5: no triangles, no 4-cycles
     for i in range(10):
         for j in range(i + 1, 10):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -199,7 +200,7 @@ class TestDdgSieve:
 
 class TestScans:
     def test_n2_family_all_rejected(self):
-        rows = scan_n2_tuples(40)
+        rows = list(scan_n2_tuples(40))
         assert rows, "scan should produce candidate tuples"
         for params, verdict in rows:
             v, k, lam1, a, m, n = params
@@ -221,7 +222,7 @@ class TestScans:
             assert verdict.rule("D2").status == "fail", m
 
     def test_small_class_sizes_all_rejected(self):
-        rows = scan_small_n_tuples(12, 6)
+        rows = list(scan_small_n_tuples(12, 6))
         assert rows
         for params, verdict in rows:
             assert not verdict.feasible, params
@@ -253,10 +254,10 @@ DDG_SIEVE_GOLDEN = [
 def test_ddg_sieve_golden(family, count, digest):
     if family == "scans":
         params = [p for p, _ in
-                  scan_small_n_tuples(12, 6) + scan_n2_tuples(40)]
+                  [*scan_small_n_tuples(12, 6), *scan_n2_tuples(40)]]
     else:
         params = _small_ddg_tuples()
-    blob = json.dumps([[list(p), ddg_sieve(*p).as_dict()] for p in params],
-                      separators=(",", ":"))
+    blob = json.dumps([[p, ddg_sieve(*p)] for p in params],
+                      separators=(",", ":"), default=dataclasses.asdict)
     assert len(params) == count
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
