@@ -24,6 +24,14 @@ values are frozen, so a node keeps them as a bitmask of distinct values.
 An unfrozen pair can still gain only as many common neighbours as both
 endpoints have free degree and vertices remain, which bounds its final
 value to an interval.
+
+Two counting rules drop children that no later vertices can complete,
+so they change no output.  Birth degrees, for every spec: the maximum
+degree never falls, so each of the m later vertices is born with at
+least as many neighbours as the new one and gains at most k minus that
+many later; the child's deficiency must cover the rest.  Capacity, under
+maxpair: a later vertex shares at most maxpair neighbours with a placed
+one, and two later vertices share at most maxpair placed neighbours.
 """
 
 import hashlib
@@ -287,6 +295,34 @@ class _Partial(NamedTuple):
                     return False
         return True
 
+    def capacity_ok(self) -> bool:
+        """Whether the m = v - n later vertices can fill every deficiency
+        d_y = k - deg y within maxpair; True when the spec has none.
+
+        A later vertex has at most maxpair neighbours among those of a
+        placed z, so the d_u of the placed neighbours u of z sum to at
+        most m*maxpair; and two later vertices share at most maxpair
+        placed neighbours, so the C(d_y, 2) sum to at most
+        maxpair*C(m, 2).
+        """
+        search = self.search
+        most = search.maxpair
+        if most is None:
+            return True
+        k = search.k
+        m = search.v - len(self.rows)
+        # masks[d]: the placed vertices with deficiency d
+        masks = [0] * (k + 1)
+        for y, d in enumerate(self.deg):
+            masks[k - d] |= 1 << y
+        weights = [(d, mask) for d, mask in enumerate(masks) if d and mask]
+        if sum(d * (d - 1) * mask.bit_count()
+               for d, mask in weights) > most * m * (m - 1):
+            return False
+        cap = m * most
+        return all(sum(d * (row & mask).bit_count() for d, mask in weights)
+                   <= cap for row in self.rows)
+
 
 def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
     """Neighbour sets for the next vertex, in a fixed deterministic order.
@@ -294,8 +330,14 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
     Sets come by size, then in lexicographic order of their optional
     members.  The forced-vertex rule (a vertex whose deficiency equals
     the number of vertices still to come after this one must be picked
-    now) and two counting bounds on the total remaining deficiency shape
-    them, and two filters drop sets that could only be rejected later:
+    now) and three counting bounds on the total remaining deficiency
+    shape them, and two filters drop sets that could only be rejected
+    later.  The third bound is on birth degrees: with m vertices after
+    this one, each is born with at least size neighbours (the maximum
+    degree never falls) and gains at most k - size later ones, so the
+    child's deficiency total_def + k - 2*size must be at least
+    m*(2*size - k), the most the later vertices lack after their edges
+    among themselves.  The filters:
 
     - degree: the new vertex r must get the child's maximum degree, since
       refine splits by degree first and orders the fragments ascending,
@@ -339,6 +381,9 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
     lo = max(lo, (num + 1) // 2)
     num = rem_after * (rem_after - 1) - rem_after * k + total_def + k
     hi = min(hi, num // 2)
+    # the birth-degree bound: total_def + k - 2*size >= m*(2*size - k)
+    # with m = rem_after
+    hi = min(hi, (total_def + k * (rem_after + 1)) // (2 * (rem_after + 1)))
     if lo > hi:
         return
     maxp = search.maxpair
@@ -495,7 +540,7 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
     siblings.  Cheap necessary conditions run first: _candidate_sets
     yields only sets that give r the maximum degree and pass maxpair,
     add_vertex checks the frozen values and the intervals, and
-    _last_cell_possible runs before the root refine.
+    _last_cell_possible and capacity_ok run before the root refine.
     Every test is invariant under the parent's automorphisms, so skipping
     orbits with _orbit_seen after the first ones keeps the same
     representatives.
@@ -508,7 +553,8 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
         if gens and _orbit_seen(s, seen_sets, gens):
             continue
         child = node.add_vertex(s)
-        if child is None or not _last_cell_possible(child.rows, child.deg):
+        if (child is None or not _last_cell_possible(child.rows, child.deg)
+                or not child.capacity_ok()):
             continue
         cells = refine(child.rows, [list(range(r + 1))])
         if r in cells[-1]:

@@ -282,10 +282,8 @@ def _verdict_lines(verdict: SieveVerdict) -> List[str]:
 
 
 def _cmd_sieve(args) -> int:
-    if args.family == "deza":
-        verdict = deza_sieve(*args.params)
-    else:
-        verdict = ddg_sieve(*args.params)
+    sieve = deza_sieve if args.family == "deza" else ddg_sieve
+    verdict = sieve(*(getattr(args, name) for name in args.params))
     if args.json:
         print(_dump(verdict))
         return 0
@@ -409,14 +407,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sieve", help="parameter feasibility rules")
     ssub = p.add_subparsers(dest="sieve_command", required=True)
-    sp = ssub.add_parser("deza")
-    sp.add_argument("params", nargs=4, type=int, metavar=("V"))
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_sieve, family="deza")
-    sp = ssub.add_parser("ddg")
-    sp.add_argument("params", nargs=6, type=int, metavar=("V"))
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_sieve, family="ddg")
+    for family, names in (("deza", "V K B A"), ("ddg", "V K L1 L2 M N")):
+        # one positional per parameter, so help and errors name each one
+        sp = ssub.add_parser(family)
+        for name in names.split():
+            sp.add_argument(name.lower(), type=int, metavar=name)
+        sp.add_argument("--json", action="store_true")
+        sp.set_defaults(func=_cmd_sieve, family=family,
+                        params=names.lower().split())
     sp = ssub.add_parser("scan")
     sp.add_argument("--family", required=True, choices=("n2", "small-n"))
     sp.add_argument("--max", required=True, type=_bound)

@@ -58,6 +58,64 @@ def count_regular_classes_naive(v: int, k: int) -> int:
     return len(certs)
 
 
+def reference_sets(node) -> List[Tuple[int, ...]]:
+    """Every neighbour set the forced-vertex rule and the deficiency
+    bounds allow for the next vertex of a generator search node, by size
+    and then in lexicographic order, before the degree and maxpair
+    filters."""
+    v, k, deg = node.search.v, node.search.k, node.deg
+    rem = v - len(deg) - 1
+    open_ = [x for x, d in enumerate(deg) if d < k]
+    if any(k - deg[x] > rem + 1 for x in open_):
+        return []
+    forced = [x for x in open_ if k - deg[x] == rem + 1]
+    optional = [x for x in open_ if x not in forced]
+    sets = []
+    for size in range(len(forced), k + 1):
+        # the deficiency left after the step must fit in the rem later
+        # vertices, and what they lack must be edges among themselves
+        left = sum(k - d for d in deg) - size + (k - size)
+        if (k - size > rem or left > rem * k
+                or rem * k - left > rem * (rem - 1)):
+            continue
+        sets += [tuple(sorted(forced + list(extra)))
+                 for extra in itertools.combinations(optional,
+                                                     size - len(forced))]
+    return sets
+
+
+def has_completion(node) -> bool:
+    """Whether a generator search node extends to a k-regular graph on v
+    vertices by steps that each give the new vertex the child's maximum
+    degree, keep maxpair and pass add_vertex.
+
+    A plain depth-first search over reference_sets, with no canonical
+    form and no candidate filter beyond those three rules; it expects a
+    node whose pairs keep maxpair, as every generator node does.
+    """
+    search = node.search
+    deg, rows = node.deg, node.rows
+    if len(rows) == search.v:
+        return all(d == search.k for d in deg)
+    top = max(deg)
+    for s in reference_sets(node):
+        if len(s) < top or (len(s) == top
+                            and any(deg[x] == top for x in s)):
+            continue
+        if search.maxpair is not None:
+            # only the pairs inside s and the pairs of the new vertex
+            # change their counts
+            smask = sum(1 << x for x in s)
+            if any((rows[x] & rows[y]).bit_count() >= search.maxpair
+                   for x, y in itertools.combinations(s, 2)) or any(
+                       (row & smask).bit_count() > search.maxpair
+                       for row in rows):
+                continue
+        child = node.add_vertex(s)
+        if child is not None and has_completion(child):
+            return True
+    return False
+
 
 def automorphisms(g: Graph) -> List[Tuple[int, ...]]:
     """Every automorphism of g, by backtracking over vertex images.

@@ -29,7 +29,7 @@ from deza.census import (
 from deza.classify import classify
 from deza.graph6 import decode_graph6, encode_graph6
 from deza.graphs import GraphError
-from oracle import count_regular_classes_naive
+from oracle import count_regular_classes_naive, has_completion, reference_sets
 
 # isomorphism-class counts of k-regular graphs, any connectivity; the
 # published cubic counts (6 at v=8, 21 at v=10) pin the generator to the
@@ -146,7 +146,7 @@ class TestPrunes:
         pytest.param(9, 4, GAP3_PRUNE, id="9-4-theorem2"),
         pytest.param(9, 4, ANCHOR_PRUNE, id="9-4-anchor"),
         pytest.param(12, 3, ANCHOR_PRUNE, id="12-3-anchor"),
-        # the one-endpoint freeze rejects steps and leaves output here
+        # two graphs remain, the 4x2 grid among them
         pytest.param(8, 4, ANCHOR_PRUNE, id="8-4-anchor"),
         # the interval rule rejects steps at slack >= 1 and srg(10,6,3,4)
         # survives
@@ -176,8 +176,10 @@ class TestPrunes:
         assert pruned == plain
 
     @pytest.mark.parametrize("v,k,prune,rule", [
-        # a both-endpoints freeze rejects no step of this cell
-        (8, 4, ANCHOR_PRUNE, "add_vertex"),
+        # the frozen values reject steps of this cell that candidate
+        # choice and the counting bounds let through, and three graphs
+        # remain; at (8,4) no step is left for add_vertex to reject
+        (9, 4, ANCHOR_PRUNE, "add_vertex"),
         (10, 6, GAP3_PRUNE, "_intervals_ok"),
     ])
     def test_post_filter_cells_fire(self, monkeypatch, v, k, prune, rule):
@@ -199,17 +201,20 @@ class TestPrunes:
     @pytest.mark.parametrize("v,k,prune", [(10, 4, SAT_PRUNE),
                                            (9, 4, ANCHOR_PRUNE),
                                            (10, 4, None),
-                                           (11, 4, "maxpair=k-2")])
+                                           (11, 4, "maxpair=k-2"),
+                                           (12, 3, SAT_PRUNE)])
     def test_candidate_filters_drop_only_rejected_sets(self, v, k, prune):
         # walk the whole pruned search; at every node the sets dropped
         # from the reference list must fail the degree rule, break maxpair
-        # on the child's rows or be sets add_vertex rejects, the kept ones
-        # must pass the degree rule and maxpair and come in reference
-        # order, and a child skipped by the degree rule or the last-cell
-        # test must have its new vertex outside the last root cell
+        # on the child's rows, be sets add_vertex rejects, or, dropped by
+        # the birth-degree bound, give a child with no completion; the
+        # kept ones must pass the degree rule and maxpair and come in
+        # reference order; a child skipped by the degree rule or the
+        # last-cell test must have its new vertex outside the last root
+        # cell, and one the capacity counts refuse must have no completion
         search = _Search(v, k, prune)
         maxpair = search.maxpair
-        dropped = skipped = 0
+        dropped = skipped = bounded = refused = 0
 
         def outside_last_cell(rows):
             r = len(rows) - 1
@@ -225,8 +230,8 @@ class TestPrunes:
             return max(_pair_counts(child).values()) > maxpair
 
         def walk(node):
-            nonlocal dropped, skipped
-            every = _reference_sets(node)
+            nonlocal dropped, skipped, bounded, refused
+            every = reference_sets(node)
             kept = list(_candidate_sets(node))
             kept_set = set(kept)
             assert kept == [s for s in every if s in kept_set]
@@ -240,16 +245,23 @@ class TestPrunes:
                     assert not lower
                     assert not breaks_maxpair(node, s)
                     child = node.add_vertex(s)
-                    if child is not None and not _last_cell_possible(
-                            child.rows, child.deg):
+                    if child is None:
+                        continue
+                    if not _last_cell_possible(child.rows, child.deg):
                         skipped += 1
                         assert outside_last_cell(child.rows)
+                    if not child.capacity_ok():
+                        refused += 1
+                        assert not has_completion(child)
                     continue
                 dropped += 1
                 if not lower:
-                    assert (breaks_maxpair(node, s)
-                            or node.add_vertex(s) is None)
+                    child = (None if breaks_maxpair(node, s)
+                             else node.add_vertex(s))
                     assert list(node.rows) == rows
+                    if child is not None:
+                        bounded += 1
+                        assert not has_completion(child)
                     continue
                 child = node.add_vertex(s)
                 if child is not None:
@@ -259,7 +271,11 @@ class TestPrunes:
                     walk(child)
 
         walk(search.root())
-        assert dropped > 0 and skipped > 0
+        assert dropped > 0 and skipped > 0 and bounded > 0
+        # the oracle finds a completion where the generator finds a graph
+        if any(True for _ in generate_regular(v, k, prune)):
+            assert has_completion(search.root())
+        assert (refused > 0) == (maxpair is not None)
 
     def test_anchor_prune_subset(self):
         # anchored runs keep only graphs where some saturated pair hits k-2
@@ -268,31 +284,6 @@ class TestPrunes:
         everything = _g6_set(generate_regular(8, 4))
         assert set(anchored) <= set(everything)
         assert "GQzTrg" in anchored      # the 4x2 grid survives
-
-
-def _reference_sets(node):
-    """Every neighbour set the forced-vertex rule and the deficiency
-    bounds allow, by size and then in lexicographic order, before the
-    degree and maxpair filters."""
-    v, k, deg = node.search.v, node.search.k, node.deg
-    rem = v - len(deg) - 1
-    open_ = [x for x, d in enumerate(deg) if d < k]
-    if any(k - deg[x] > rem + 1 for x in open_):
-        return []
-    forced = [x for x in open_ if k - deg[x] == rem + 1]
-    optional = [x for x in open_ if x not in forced]
-    sets = []
-    for size in range(len(forced), k + 1):
-        # the deficiency left after the step must fit in the rem later
-        # vertices, and what they lack must be edges among themselves
-        left = sum(k - d for d in deg) - size + (k - size)
-        if (k - size > rem or left > rem * k
-                or rem * k - left > rem * (rem - 1)):
-            continue
-        sets += [tuple(sorted(forced + list(extra)))
-                 for extra in itertools.combinations(optional,
-                                                     size - len(forced))]
-    return sets
 
 
 def _pair_counts(rows):

@@ -255,6 +255,21 @@ class TestSieve:
         assert code == 0
         assert out.strip().splitlines()[-1] == "feasible"
 
+    @pytest.mark.parametrize("family,names", [
+        ("deza", "V K B A"), ("ddg", "V K L1 L2 M N")])
+    def test_parameter_names(self, capsys, family, names):
+        # the usage line and a short tuple name each parameter
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["sieve", family, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == (
+            f"usage: deza sieve {family} [-h] [--json] {names}")
+        code, out, err = run(capsys, "sieve", family, "10", "3", "1")
+        assert code == 1 and out == ""
+        assert err == ("usage error: the following arguments are "
+                       f"required: {', '.join(names.split()[3:])}\n")
+
     def test_scan(self, capsys):
         code, out, _ = run(capsys, "sieve", "scan", "--family", "n2",
                            "--max", "8")
