@@ -39,7 +39,7 @@ import json
 import multiprocessing
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Set, Tuple, Union)
 
@@ -187,27 +187,68 @@ class _Partial(NamedTuple):
         return Graph(len(self.rows), self.rows)
 
     def add_vertex(self, s: Sequence[int]) -> Optional["_Partial"]:
-        """The child with a new vertex adjacent to s; None when the step
+        """The child with a new vertex r adjacent to s; None when the step
         breaks the frozen-value rules or the interval rule of the spec.
 
         Callers pass sets of unsaturated vertices that already satisfy
-        maxpair (_candidate_sets drops every other one), so only the pairs
-        that become frozen now are checked against the frozen-value rules,
-        and only the unfrozen pairs whose interval this step moves (those
-        with an endpoint in s, and those with the new vertex) against the
-        interval rule.
+        maxpair (_candidate_sets drops every other one), so one pass over
+        the pairs the step touches checks the rest, and stops at the first
+        rule broken: (r, y) for every placed y, and (x, y) for every x in
+        s and every other placed y not saturated before.  Pairs frozen
+        before the step are in neither list.  A pair with an endpoint
+        saturated after the step is frozen now, and its count goes into
+        seen, which is checked after the (r, y) pairs and after each x.
+
+        An unfrozen pair with c common neighbours after the step ends in
+        [c, c + slack], slack = min(k - deg x, k - deg y, v - n) with n
+        vertices placed: each later common neighbour is a later vertex
+        and uses one unit of each endpoint's deficiency.  Pairs where only
+        v - n shrank are not rechecked; that is weaker, never wrong.  Nor
+        is the last step, where an unfrozen pair means an unsaturated
+        vertex with no vertex left, which candidate choice never yields.
         """
         search = self.search
         smask = 0
         for x in s:
             smask |= 1 << x
         seen = self.seen
+        rows = self.rows
         if not search.vacuous:
-            seen |= self._frozen_now(s, smask)
-            if not search.frozen_ok(seen) or (
-                    search.interval and not self._intervals_ok(s, smask)):
+            deg = self.deg
+            k = search.k
+            left = search.v - len(rows) - 1
+            gap = search.gap if search.interval and left > 0 else None
+            dr = k - len(s)
+            after = [k - d - (smask >> y & 1) for y, d in enumerate(deg)]
+            for y, dy in enumerate(after):
+                c = (rows[y] & smask).bit_count()
+                if dr and dy:
+                    if gap and gap[c] > min(dr, dy, left):
+                        return None
+                else:
+                    seen |= 1 << c
+            if not search.frozen_ok(seen):
                 return None
-        rows = list(self.rows)
+            for x in s:
+                dx = after[x]
+                # without the interval rule, an x that stays open has
+                # nothing to check: its frozen pairs are read from their
+                # other endpoint
+                if dx and not gap:
+                    continue
+                row = rows[x]
+                for y, dy in enumerate(after):
+                    if y == x or deg[y] == k:
+                        continue
+                    c = (row & rows[y]).bit_count() + (smask >> y & 1)
+                    if dx and dy:
+                        if gap[c] > min(dx, dy, left):
+                            return None
+                    else:
+                        seen |= 1 << c
+                if not search.frozen_ok(seen):
+                    return None
+        rows = list(rows)
         deg = list(self.deg)
         bit = 1 << len(rows)
         for x in s:
@@ -216,84 +257,6 @@ class _Partial(NamedTuple):
         rows.append(smask)
         deg.append(len(s))
         return _Partial(search, tuple(rows), tuple(deg), seen)
-
-    def _frozen_now(self, s: Sequence[int], smask: int) -> int:
-        """The mask of the counts of the pairs that become frozen when a
-        vertex r adjacent to s is appended.
-
-        Each pair is frozen exactly once, at the first step where one of
-        its endpoints is saturated: (r, y) for every y saturated before
-        the step; (x, y) for every x that s saturates and every other
-        placed y not saturated before, r included; and, when s saturates
-        r itself, (r, y) for every placed y left.
-        """
-        rows = self.rows
-        deg = self.deg
-        k = self.search.k
-        adds = 0
-        # placed vertices that are unsaturated both before and after
-        rest = []
-        for y in range(len(rows)):
-            if deg[y] == k:
-                adds |= 1 << (rows[y] & smask).bit_count()
-            elif deg[y] + 1 < k or not smask >> y & 1:
-                rest.append(y)
-        newly = [x for x in s if deg[x] + 1 == k]
-        for i, x in enumerate(newly):
-            row = rows[x]
-            adds |= 1 << (row & smask).bit_count()
-            for y in newly[i + 1:]:
-                adds |= 1 << ((row & rows[y]).bit_count() + 1)
-            for y in rest:
-                adds |= 1 << ((row & rows[y]).bit_count()
-                              + (smask >> y & 1))
-        if len(s) == k:
-            for y in rest:
-                adds |= 1 << (rows[y] & smask).bit_count()
-        return adds
-
-    def _intervals_ok(self, s: Sequence[int], smask: int) -> bool:
-        """Whether every unfrozen pair whose interval this step moves can
-        still reach a sat value.
-
-        With c common neighbours after the step, a pair's final count lies
-        in [c, c + slack], slack = min(k - deg x, k - deg y, v - n) with n
-        vertices placed: each later common neighbour is a later vertex and
-        uses one unit of each endpoint's deficiency.  Pairs where only
-        v - n shrank are not rechecked; that is weaker, never wrong.  Nor
-        is the last step, where an unfrozen pair means an unsaturated
-        vertex with no vertex left, which candidate choice never yields.
-        """
-        rows = self.rows
-        deg = self.deg
-        search = self.search
-        k = search.k
-        gap = search.gap
-        left = search.v - len(rows) - 1
-        if not left:
-            return True
-        # (vertex, deficiency after the step) of every placed vertex that
-        # stays unsaturated
-        open_ = []
-        for y in range(len(rows)):
-            d = k - deg[y] - (smask >> y & 1)
-            if d:
-                open_.append((y, d))
-        if len(s) < k:
-            dr = min(k - len(s), left)
-            for y, d in open_:
-                if gap[(rows[y] & smask).bit_count()] > min(dr, d):
-                    return False
-        for x in s:
-            if deg[x] + 1 == k:
-                continue
-            dx = min(k - deg[x] - 1, left)
-            row = rows[x]
-            for y, d in open_:
-                if y != x and gap[(row & rows[y]).bit_count()
-                                  + (smask >> y & 1)] > min(dx, d):
-                    return False
-        return True
 
     def capacity_ok(self) -> bool:
         """Whether the m = v - n later vertices can fill every deficiency
@@ -856,15 +819,7 @@ class AuditReport:
         return not self.discrepancies
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "theorem": self.theorem,
-            "bounds": self.bounds,
-            "expected": list(self.expected),
-            "found": list(self.found),
-            "matches": list(self.matches),
-            "discrepancies": list(self.discrepancies),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass(frozen=True)

@@ -180,23 +180,32 @@ class TestPrunes:
         # choice and the counting bounds let through, and three graphs
         # remain; at (8,4) no step is left for add_vertex to reject
         (9, 4, ANCHOR_PRUNE, "add_vertex"),
-        (10, 6, GAP3_PRUNE, "_intervals_ok"),
+        # the interval rule refuses steps whose child rows the frozen-value
+        # rules accept, and srg(10,6,3,4) remains
+        (10, 6, GAP3_PRUNE, "interval"),
     ])
     def test_post_filter_cells_fire(self, monkeypatch, v, k, prune, rule):
         # the post-filter cases above stand for a rule only where it
-        # rejects a step and output remains
-        real = getattr(_Partial, rule)
-        verdicts = Counter()
+        # rejects a step and output remains; an add_vertex refusal is an
+        # interval refusal when the frozen-value rules pass the child rows
+        real = _Partial.add_vertex
+        refused = 0
 
-        def counted(self, *args):
-            verdict = real(self, *args)
-            # add_vertex rejects with None, _intervals_ok with False
-            verdicts[verdict is not None and verdict is not False] += 1
-            return verdict
+        def counted(self, s):
+            nonlocal refused
+            child = real(self, s)
+            if child is None:
+                r = len(self.rows)
+                rows = [row | (1 << r if x in s else 0)
+                        for x, row in enumerate(self.rows)]
+                rows.append(sum(1 << x for x in s))
+                refused += (rule == "add_vertex"
+                            or _frozen_rules_allow(rows, k, self.search))
+            return child
 
-        monkeypatch.setattr(_Partial, rule, counted)
+        monkeypatch.setattr(_Partial, "add_vertex", counted)
         assert list(generate_regular(v, k, prune))
-        assert verdicts[False] > 0
+        assert refused > 0
 
     @pytest.mark.parametrize("v,k,prune", [(10, 4, SAT_PRUNE),
                                            (9, 4, ANCHOR_PRUNE),
