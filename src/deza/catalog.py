@@ -1,10 +1,11 @@
 """Named reference graphs with their expected classifications.
 
 Every entry records what the classifier and the divisible-design detector
-should say about it; verify_catalog recomputes everything and reports any
-drift.  The 4x2 rook's graph keeps a note about its divisible design
-parameters because the orientation that actually verifies has the small
-within-class constant, not the large one.
+should say about it.  graph_facts computes those facts for any graph, and
+census records carry the same ones; verify_catalog recomputes them and
+reports any drift.  The 4x2 rook's graph keeps a note about its divisible
+design parameters because the orientation that actually verifies has the
+small within-class constant, not the large one.
 """
 
 from dataclasses import dataclass
@@ -124,25 +125,22 @@ def construct(name: str) -> Graph:
     return entries[key].graph()
 
 
+def graph_facts(g: Graph) -> Dict[str, object]:
+    """The facts a catalog entry freezes and a census record carries, in
+    CatalogEntry field order: deza, srg, strictly_deza, diameter, and ddg,
+    the (lambda1, lambda2, m, n) of the proper design or None."""
+    rep = classify(g)
+    det = ddg_detect(g)
+    return {"deza": rep.deza, "srg": rep.srg,
+            "strictly_deza": rep.strictly_deza, "diameter": rep.diameter,
+            "ddg": None if det.proper is None else det.proper.params[2:]}
+
+
 def verify_entry(entry: CatalogEntry) -> List[str]:
     """Recompute an entry's classification; returns mismatch descriptions."""
-    g = entry.graph()
-    rep = classify(g)
-    problems: List[str] = []
-    if rep.deza != entry.deza:
-        problems.append(f"deza {rep.deza} != {entry.deza}")
-    if rep.srg != entry.srg:
-        problems.append(f"srg {rep.srg} != {entry.srg}")
-    if rep.strictly_deza != entry.strictly_deza:
-        problems.append(f"strictly_deza {rep.strictly_deza} != "
-                        f"{entry.strictly_deza}")
-    if rep.diameter != entry.diameter:
-        problems.append(f"diameter {rep.diameter} != {entry.diameter}")
-    det = ddg_detect(g)
-    got = None if det.proper is None else det.proper.params[2:]
-    if got != entry.ddg:
-        problems.append(f"ddg {got} != {entry.ddg}")
-    return problems
+    facts = graph_facts(entry.graph())
+    return [f"{name} {got} != {getattr(entry, name)}"
+            for name, got in facts.items() if got != getattr(entry, name)]
 
 
 def verify_catalog() -> Dict[str, List[str]]:

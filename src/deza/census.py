@@ -45,9 +45,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
 
 from . import __version__
 from .canon import canon_data, canonical_certificate, refine
-from .catalog import construct
-from .classify import classify
-from .ddg import ddg_detect
+from .catalog import construct, graph_facts
 from .graphs import Graph, GraphError
 from .graph6 import encode_graph6
 
@@ -62,7 +60,7 @@ def _compile_term(term: str, kind: str = "prune") -> Callable[[int], int]:
     m = re.fullmatch(r"k-(\d+)", term)
     if m:
         offset = int(m.group(1))
-        return lambda k: max(k - offset, 0)
+        return lambda k: k - offset
     if re.fullmatch(r"-?\d+", term):
         value = int(term)
         return lambda k: value
@@ -79,6 +77,8 @@ class _Search:
     saturated endpoint (degree k, value frozen): the value must lie in sat
     when given; the number of distinct frozen values must not exceed
     distinct; and once that many are present, anchor must be among them.
+    Without satdistinct, anchor would prune nothing, so it is refused.  A
+    k-<int> term below zero stays negative, and no count can equal it.
     Since a regular graph freezes every pair, sat also rejects an unfrozen
     pair whose reachable interval holds none of its values.
 
@@ -130,6 +130,9 @@ class _Search:
                 self.anchor = _compile_term(value)(k)
             else:
                 raise GraphError(f"unknown prune clause {key!r}")
+        if self.anchor is not None and self.distinct is None:
+            raise GraphError("bad prune spec: the anchor clause needs a "
+                             "satdistinct clause")
         self.gap: Optional[List[int]] = None
         self.bad = 0
         if self.sat is not None:
@@ -430,12 +433,11 @@ def _last_cell_possible(rows: Sequence[int], deg: Sequence[int]) -> bool:
     refine splits the unit partition by degree and then, popping the
     last-pushed splitter first, by neighbours in the maximum-degree cell
     D, ordering fragments ascending each time.  So its last cell holds
-    only members of D with the most neighbours in D, and r must be one.
+    only members of D with the most neighbours in D, and r must be one;
+    candidate choice already put r in D.
     """
     r = len(rows) - 1
     top = max(deg)
-    if deg[r] != top:
-        return False
     members = [x for x in range(r + 1) if deg[x] == top]
     dmask = 0
     for x in members:
@@ -486,9 +488,6 @@ def generate_regular(v: int, k: int, prune: Optional[str] = None,
     if prune is not None and not isinstance(prune, str):
         raise GraphError(f"unsupported prune argument {prune!r}")
     search = _Search(v, k, prune)
-    if v == 1:
-        yield Graph(1, (0,))
-        return
     if jobs > 1:
         yield from _generate_parallel(search, jobs)
         return
@@ -528,12 +527,11 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
 
 
 def _extend(node: _Partial) -> Iterator[Graph]:
-    leaf = len(node.rows) + 1 == node.search.v
+    if len(node.rows) == node.search.v:
+        yield node.graph()
+        return
     for child in _accepted_children(node):
-        if leaf:
-            yield child.graph()
-        else:
-            yield from _extend(child)
+        yield from _extend(child)
 
 
 def _frontier(search: _Search, min_nodes: int) -> List[_Partial]:
@@ -625,35 +623,26 @@ def _cert_hash(g: Graph) -> str:
 
 def build_record(g: Graph, generator: Tuple[Tuple[str, object], ...]
                  ) -> CensusRecord:
-    rep = classify(g)
-    det = ddg_detect(g)
-    ddg = None if det.proper is None else det.proper.params[2:]
     k = g.regular_degree()
     if k is None:
         raise GraphError("census records cover regular graphs only")
-    return CensusRecord(
-        graph6=encode_graph6(g),
-        v=g.v,
-        k=k,
-        deza=rep.deza,
-        strictly_deza=rep.strictly_deza,
-        srg=rep.srg,
-        ddg=ddg,
-        diameter=rep.diameter,
-        certificate_hash=_cert_hash(g),
-        generator=generator,
-    )
+    return CensusRecord(graph6=encode_graph6(g), v=g.v, k=k,
+                        **graph_facts(g), certificate_hash=_cert_hash(g),
+                        generator=generator)
 
+
+_FILTER_FLAGS: Dict[str, Callable[[CensusRecord], bool]] = {
+    "all": lambda rec: True,
+    "connected": lambda rec: rec.diameter is not None,
+    "deza": lambda rec: rec.deza is not None,
+    "strictly-deza": lambda rec: rec.strictly_deza,
+    "srg": lambda rec: rec.srg is not None,
+    "ddg-proper": lambda rec: rec.ddg is not None,
+}
 
 _FILTER_ALIASES = {
-    "all": "all",
-    "deza": "deza",
     "strictly deza": "strictly-deza",
-    "strictly-deza": "strictly-deza",
-    "srg": "srg",
     "ddg proper": "ddg-proper",
-    "ddg-proper": "ddg-proper",
-    "connected": "connected",
     "deza with b=k-2": "deza(*,*,k-2,*)",
 }
 
@@ -690,18 +679,8 @@ def parse_filter(spec: str) -> Callable[[CensusRecord], bool]:
                            for b, p in zip(bounds, params))
 
             checks.append(check)
-        elif atom == "all":
-            checks.append(lambda rec: True)
-        elif atom == "connected":
-            checks.append(lambda rec: rec.diameter is not None)
-        elif atom == "deza":
-            checks.append(lambda rec: rec.deza is not None)
-        elif atom == "strictly-deza":
-            checks.append(lambda rec: rec.strictly_deza)
-        elif atom == "srg":
-            checks.append(lambda rec: rec.srg is not None)
-        elif atom == "ddg-proper":
-            checks.append(lambda rec: rec.ddg is not None)
+        elif atom in _FILTER_FLAGS:
+            checks.append(_FILTER_FLAGS[atom])
         else:
             raise GraphError(f"unknown filter atom {raw!r}")
     return lambda rec: all(c(rec) for c in checks)

@@ -237,27 +237,19 @@ def _cmd_spectrum(args) -> int:
     k = g.regular_degree()
     bound = k if k is not None else g.v
     factors = factor_adjacency_poly(coeffs, max(bound, 1))
-    payload = {"coeffs": coeffs, **dataclasses.asdict(factors),
-               "ddg_spectrum": None}
     det = ddg_detect(g)
-    if det.proper is not None:
-        res = det.proper
-        spec = ddg_spectrum_check(g, *res.params, factors=factors)
-        payload["ddg_spectrum"] = {
-            "k": spec.k, "d1": spec.d1, "d2": spec.d2,
-            "f1": spec.f1, "f2": spec.f2, "g1": spec.g1, "g2": spec.g2,
-        }
+    spec = (None if det.proper is None else
+            ddg_spectrum_check(g, *det.proper.params, factors=factors))
     if args.json:
-        print(_dump(payload))
+        print(_dump({"coeffs": coeffs, **dataclasses.asdict(factors),
+                     "ddg_spectrum": spec}))
         return 0
     print(f"charpoly: {_poly_text(coeffs)}")
     print(f"factored: {_factored_text(factors)}")
-    if payload["ddg_spectrum"] is not None:
-        s = payload["ddg_spectrum"]
-        print("design spectrum: k=%d, sqrt(%d) with (f1,f2)=(%d,%d), "
-              "sqrt(%d) with (g1,g2)=(%d,%d)"
-              % (s["k"], s["d1"], s["f1"], s["f2"],
-                 s["d2"], s["g1"], s["g2"]))
+    if spec is not None:
+        print(f"design spectrum: k={spec.k}, sqrt({spec.d1}) with "
+              f"(f1,f2)=({spec.f1},{spec.f2}), sqrt({spec.d2}) with "
+              f"(g1,g2)=({spec.g1},{spec.g2})")
     return 0
 
 

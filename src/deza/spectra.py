@@ -350,7 +350,7 @@ class DdgSpectrum:
     summing to v - m, and +/-sqrt(d2) with multiplicities g1, g2 summing
     to m - 1.  When a discriminant is zero the sign pair collapses to the
     eigenvalue 0; the merged multiplicity is then reported in the first
-    slot and the matching degenerate flag is set.
+    slot.
     """
     k: int
     d1: int
@@ -359,9 +359,6 @@ class DdgSpectrum:
     f2: int
     g1: int
     g2: int
-    degenerate_d1_zero: bool
-    degenerate_d2_zero: bool
-    factors: SpectrumFactors
 
 
 def _expected_multiset(k: int, d1: int, d2: int, f1: int, f2: int,
@@ -475,8 +472,7 @@ def ddg_spectrum_check(g: Graph, v: int, k: int, lam1: int, lam2: int,
 
     for f1, f2, g1, g2 in _balanced_attributions(k, d1, d2, v - m, m - 1):
         if _expected_multiset(k, d1, d2, f1, f2, g1, g2) == actual:
-            return DdgSpectrum(k, d1, d2, f1, f2, g1, g2,
-                               d1 == 0, d2 == 0, factors)
+            return DdgSpectrum(k, d1, d2, f1, f2, g1, g2)
     raise SpectrumMismatch(params, factors,
                            "no multiplicity attribution matches the "
                            "factored spectrum with zero eigenvalue sum")

@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
-from deza.catalog import catalog, catalog_names, construct, verify_catalog
+from deza.catalog import (CatalogEntry, catalog, catalog_names, construct,
+                          graph_facts, verify_catalog, verify_entry)
 from deza.canon import canonical_certificate
+from deza.census import CensusRecord
 from deza.classify import classify
 from deza.graphs import GraphError, cartesian_product, complete_graph
 
@@ -16,6 +20,25 @@ class TestVerification:
         problems = verify_catalog()
         assert all(not issues for issues in problems.values()), problems
         assert set(problems) == set(catalog_names())
+
+    def test_drift_is_named_field_by_field(self):
+        # a grid-4x2 entry listed with the (2, 0, 2, 4) orientation, an
+        # srg and the wrong diameter: each drifted fact is one line, in
+        # field order, computed value first
+        entry = dataclasses.replace(catalog()["grid-4x2"], srg=(8, 4, 2, 0),
+                                    diameter=3, ddg=(2, 0, 2, 4))
+        assert verify_entry(entry) == [
+            "srg None != (8, 4, 2, 0)", "diameter 2 != 3",
+            "ddg (0, 2, 4, 2) != (2, 0, 2, 4)"]
+
+    def test_facts_are_entry_and_record_fields(self):
+        # the facts a catalog entry freezes are the ones a census record
+        # carries, in the entry's field order
+        facts = list(graph_facts(construct("grid-4x2")))
+        entry = [f.name for f in dataclasses.fields(CatalogEntry)]
+        record = {f.name for f in dataclasses.fields(CensusRecord)}
+        assert facts == [name for name in entry if name in facts]
+        assert set(facts) <= record
 
     def test_names_are_stable(self):
         assert catalog_names() == (

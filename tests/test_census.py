@@ -64,9 +64,14 @@ class TestGenerateRegular:
             for k in range(v):
                 if v * k % 2:
                     continue
-                got = len(list(generate_regular(v, k)))
-                assert got == count_regular_classes_naive(v, k) == \
+                graphs = [g.rows for g in generate_regular(v, k)]
+                assert len(graphs) == count_regular_classes_naive(v, k) == \
                     COUNTS[(v, k)], (v, k)
+                # the pool gets the frontier as it is, down to the
+                # one-vertex root, which is already a graph when v = 1
+                if v <= 4:
+                    assert [g.rows for g in generate_regular(
+                        v, k, jobs=2)] == graphs, (v, k)
 
     def test_frozen_counts_at_eight(self):
         for k in (2, 3, 4):
@@ -121,6 +126,28 @@ class TestPrunes:
         search = _Search(6, 5, "satdistinct=2;anchor=k-2")
         assert search.distinct == 2
         assert search.anchor == 3
+
+    def test_negative_terms_match_nothing(self):
+        # a k-<int> term below zero stays negative: no pair count, record
+        # parameter or maxpair bound can meet it
+        assert _Search(8, 4, "maxpair=k-2;sat=k-5,k-2").sat == (-1, 2)
+        assert _Search(6, 1, "maxpair=k-2").maxpair == -1
+        assert list(generate_regular(8, 4, "maxpair=k-2;sat=k-5,k-2")) == []
+        assert census(range(2, 7), [1], prune="maxpair=k-2") == []
+        for spec in ("ddg(k-5,*,*,*)", "deza(*,*,*,k-5)"):
+            assert census([8], [4], filter_spec=spec) == []
+
+    def test_anchor_needs_satdistinct(self, capsys):
+        # the anchor rule reads the satdistinct bound, so alone it would
+        # prune nothing
+        with pytest.raises(GraphError, match="anchor clause needs a "
+                                             "satdistinct clause"):
+            _Search(8, 4, "anchor=1")
+        assert cli.main(["enumerate", "--v", "8", "--k", "4",
+                         "--prune", "anchor=1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad prune spec")
 
     def test_unknown_clause(self):
         with pytest.raises(GraphError, match="unknown prune clause"):
@@ -285,6 +312,30 @@ class TestPrunes:
         if any(True for _ in generate_regular(v, k, prune)):
             assert has_completion(search.root())
         assert (refused > 0) == (maxpair is not None)
+
+    @pytest.mark.parametrize("v,k,prune", [(8, 3, "maxpair=0"),
+                                           (6, 2, "maxpair=0"),
+                                           (8, 4, "maxpair=-1")])
+    def test_candidate_sets_keep_maxpair_at_most_zero(self, v, k, prune):
+        # under maxpair <= 0 candidate choice must block neighbours, or
+        # stop, before any member is picked, which only the scan of every
+        # row against the forced base does (at maxpair=-1 the root must
+        # yield nothing); at every node reached, no set candidate choice
+        # yields may break maxpair on the child's rows
+        search = _Search(v, k, prune)
+
+        def walk(node):
+            r = len(node.rows)
+            for s in _candidate_sets(node):
+                child = [row | (1 << r if x in s else 0)
+                         for x, row in enumerate(node.rows)]
+                child.append(sum(1 << x for x in s))
+                assert max(_pair_counts(child).values()) <= search.maxpair
+            if r + 1 < v:
+                for child in _accepted_children(node):
+                    walk(child)
+
+        walk(search.root())
 
     def test_anchor_prune_subset(self):
         # anchored runs keep only graphs where some saturated pair hits k-2
@@ -572,6 +623,12 @@ class TestFilters:
         assert any(r.graph6 == "GQzTrg" for r in picked)
         assert all(r.deza is not None and r.deza[2] == r.k - 2
                    for r in picked)
+        # the flag aliases, read after case and spaces are folded
+        for alias, flag in (("strictly deza", "strictly-deza"),
+                            ("DDG   Proper", "ddg-proper")):
+            picked = [r for r in records if parse_filter(alias)(r)]
+            assert picked
+            assert picked == [r for r in records if parse_filter(flag)(r)]
 
     def test_exact_parameter_filter(self):
         records = census([8], [4], filter_spec="deza(8,4,2,0)")

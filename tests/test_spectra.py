@@ -556,7 +556,7 @@ class TestDdgSpectrum:
         s = ddg_spectrum_check(fano_incidence(), 14, 3, 1, 0, 2, 7)
         assert (s.d1, s.d2) == (2, 9)
         assert (s.f1, s.f2, s.g1, s.g2) == (6, 6, 0, 1)
-        assert not s.degenerate_d1_zero and not s.degenerate_d2_zero
+        assert s.d1 != 0 and s.d2 != 0
 
     def test_fano_non_incidence(self):
         s = ddg_spectrum_check(fano_non_incidence(), 14, 4, 2, 0, 2, 7)
@@ -569,7 +569,7 @@ class TestDdgSpectrum:
         assert (s.d1, s.d2) == (4, 0)
         assert (s.f1, s.f2) == (1, 3)
         assert (s.g1, s.g2) == (3, 0)
-        assert s.degenerate_d2_zero and not s.degenerate_d1_zero
+        assert s.d2 == 0 and s.d1 != 0
 
     def test_cube_bipartition(self):
         s = ddg_spectrum_check(hypercube(3), 8, 3, 2, 0, 2, 4)
