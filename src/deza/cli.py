@@ -381,9 +381,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("classify", help="classify a graph")
-    p.add_argument("--g6", metavar="FILE",
-                   help="file with one graph6 line, or - for stdin")
-    p.add_argument("--name", help="catalog graph name")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--g6", metavar="FILE",
+                        help="file with one graph6 line, or - for stdin")
+    source.add_argument("--name", help="catalog graph name")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 

@@ -47,50 +47,25 @@ class DdgDetection:
     improper: Tuple[Params, ...]
 
 
-def _pair_value(g: Graph, u: int, w: int) -> int:
-    return (g.rows[u] & g.rows[w]).bit_count()
-
-
 def _classes_for_value(g: Graph, lam1: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """Group vertices by the relation 'shares lam1 common neighbours'.
 
-    The candidate class of u is forced: u itself plus every w whose pair
-    count with u equals lam1.  Returns the classes when those masks form
-    an honest partition into equal-size cells, else None.
+    The candidate class of u is forced: mask(u) is u itself plus every w
+    whose pair count with u equals lam1.  As u lies in mask(u), the
+    distinct masks cover V, and they partition it exactly when their
+    sizes sum to v; every member of a class then has that class's mask.
+    Returns the classes, in least-member order (the order masks are
+    first seen), when they partition V into equal-size cells, else None.
     """
-    v = g.v
-    masks: List[int] = []
-    for u in range(v):
-        mk = 1 << u
-        for w in range(v):
-            if w != u and _pair_value(g, u, w) == lam1:
-                mk |= 1 << w
-        masks.append(mk)
-    for u in range(v):
-        mu = masks[u]
-        rest = mu & ~(1 << u)
-        while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if masks[w] != mu:
-                return None
-    seen: List[int] = []
-    for mk in masks:
-        if mk not in seen:
-            seen.append(mk)
-    sizes = {mk.bit_count() for mk in seen}
-    if len(sizes) != 1:
+    rows = g.rows
+    masks = dict.fromkeys(
+        sum(1 << w for w, rw in enumerate(rows)
+            if w == u or (ru & rw).bit_count() == lam1)
+        for u, ru in enumerate(rows))
+    sizes = [mk.bit_count() for mk in masks]
+    if sum(sizes) != g.v or len(set(sizes)) != 1:
         return None
-    classes = []
-    for mk in seen:
-        cls = []
-        while mk:
-            x = (mk & -mk).bit_length() - 1
-            mk &= mk - 1
-            cls.append(x)
-        classes.append(tuple(cls))
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+    return tuple(tuple(x for x in range(g.v) if mk >> x & 1) for mk in masks)
 
 
 def equitable_check(g: Graph, classes: Sequence[Sequence[int]]):
@@ -137,7 +112,8 @@ def ddg_detect(g: Graph) -> DdgDetection:
     k = g.regular_degree()
     if k is None:
         return DdgDetection(False, (), None, ())
-    values = sorted({_pair_value(g, u, w)
+    rows = g.rows
+    values = sorted({(rows[u] & rows[w]).bit_count()
                      for u in range(g.v) for w in range(u + 1, g.v)})
     if len(values) == 1:
         lam = values[0]
@@ -159,7 +135,7 @@ def ddg_detect(g: Graph) -> DdgDetection:
         for cls in classes:
             for i, u in enumerate(cls):
                 for w in cls[i + 1:]:
-                    if _pair_value(g, u, w) != lam1:
+                    if (rows[u] & rows[w]).bit_count() != lam1:
                         raise InternalInvariantError(
                             "partition violates its defining pair value")
         quotient, _ = equitable_check(g, classes)

@@ -88,21 +88,14 @@ def deza_sieve(v: int, k: int, b: int, a: int) -> SieveVerdict:
     else:
         trace.append(RuleResult("R4", "skip", {"note": "complete graph"}))
 
-    if b == k - 2 and a == k - 3 and k - 3 > 0:
-        # v < k + 3 + 6/(k-3), kept in integers
-        ok = (v - k - 3) * (k - 3) < 6
-        trace.append(RuleResult("R5", "pass" if ok else "fail",
-                                {"lhs": (v - k - 3) * (k - 3)}))
-    else:
-        trace.append(RuleResult("R5", "skip", None))
-
-    if b == k - 2 and a == k - 4 and k - 4 > 0:
-        # v < k + 4 + 12/(k-4)
-        ok = (v - k - 4) * (k - 4) < 12
-        trace.append(RuleResult("R6", "pass" if ok else "fail",
-                                {"lhs": (v - k - 4) * (k - 4)}))
-    else:
-        trace.append(RuleResult("R6", "skip", None))
+    for rule, gap, top in (("R5", 3, 6), ("R6", 4, 12)):
+        # v < k + gap + top/(k-gap), kept in integers
+        if b == k - 2 and a == k - gap and k - gap > 0:
+            lhs = (v - k - gap) * (k - gap)
+            trace.append(RuleResult(rule, "pass" if lhs < top else "fail",
+                                    {"lhs": lhs}))
+        else:
+            trace.append(RuleResult(rule, "skip", None))
 
     return _verdict(trace)
 
@@ -117,10 +110,10 @@ def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
     the larger of the two constants; D6/D7/D8 the divisibility, quadratic
     residue and n=2 consequences of lam1 = k-2.
     """
-    if not (v >= 1 and m >= 1 and n >= 1
+    if not (1 <= m <= v and 1 <= n <= v
             and 0 <= lam1 <= k and 0 <= lam2 <= k and k < v):
         raise GraphError(
-            f"need 0 <= lam1, lam2 <= k < v and m, n >= 1, "
+            f"need 0 <= lam1, lam2 <= k < v and 1 <= m, n <= v, "
             f"got {(v, k, lam1, lam2, m, n)}")
     trace: List[RuleResult] = []
 

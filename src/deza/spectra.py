@@ -361,31 +361,29 @@ class DdgSpectrum:
     g2: int
 
 
-def _expected_multiset(k: int, d1: int, d2: int, f1: int, f2: int,
-                       g1: int, g2: int) -> Dict[Tuple, int]:
-    out: Dict[Tuple, int] = {("int", k): 1}
-
-    def add(d: int, plus: int, minus: int) -> None:
+def _expected_factors(k: int, d1: int, d2: int, f1: int, f2: int,
+                      g1: int, g2: int) -> Optional[SpectrumFactors]:
+    """The complete factorisation of the spectrum k, +/-sqrt(d1) with
+    multiplicities f1, f2, and +/-sqrt(d2) with g1, g2, in the order
+    factor_adjacency_poly produces; None when an irrational pair has
+    unequal conjugate multiplicities, which no integer polynomial has.
+    Zero multiplicities are dropped."""
+    roots = {k: 1}
+    surds: Dict[int, int] = {}
+    for d, plus, minus in ((d1, f1, f2), (d2, g1, g2)):
         s = _isqrt_exact(d)
-        if s is not None:
-            if s == 0:
-                out[("int", 0)] = out.get(("int", 0), 0) + plus + minus
-            else:
-                if plus:
-                    out[("int", s)] = out.get(("int", s), 0) + plus
-                if minus:
-                    out[("int", -s)] = out.get(("int", -s), 0) + minus
-        else:
+        if s is None:
             if plus != minus:
-                # irrational roots with unequal conjugate multiplicities
-                # cannot occur in an integer polynomial
-                out[("impossible",)] = 1
-            elif plus:
-                out[("surd", d)] = out.get(("surd", d), 0) + plus
-
-    add(d1, f1, f2)
-    add(d2, g1, g2)
-    return out
+                return None
+            surds[d] = surds.get(d, 0) + plus
+        elif s == 0:
+            roots[0] = roots.get(0, 0) + plus + minus
+        else:
+            roots[s] = roots.get(s, 0) + plus
+            roots[-s] = roots.get(-s, 0) + minus
+    return SpectrumFactors(
+        tuple((r, e) for r, e in sorted(roots.items(), reverse=True) if e),
+        tuple((d, e) for d, e in sorted(surds.items()) if e), (1,))
 
 
 def _balanced_attributions(k: int, d1: int, d2: int, ftot: int, gtot: int
@@ -464,14 +462,8 @@ def ddg_spectrum_check(g: Graph, v: int, k: int, lam1: int, lam2: int,
         raise SpectrumMismatch(params, factors,
                                "characteristic polynomial has a factor "
                                "outside the integer/surd-pair shape")
-    actual: Dict[Tuple, int] = {}
-    for r, mult in factors.int_roots:
-        actual[("int", r)] = mult
-    for d, mult in factors.surd_pairs:
-        actual[("surd", d)] = mult
-
     for f1, f2, g1, g2 in _balanced_attributions(k, d1, d2, v - m, m - 1):
-        if _expected_multiset(k, d1, d2, f1, f2, g1, g2) == actual:
+        if _expected_factors(k, d1, d2, f1, f2, g1, g2) == factors:
             return DdgSpectrum(k, d1, d2, f1, f2, g1, g2)
     raise SpectrumMismatch(params, factors,
                            "no multiplicity attribution matches the "

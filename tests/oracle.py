@@ -3,8 +3,9 @@ canonical search, and independent checks of classification and design
 structure that the package itself does not need."""
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from deza.canon import canon_data, canonical_certificate
 from deza.classify import classify
@@ -283,3 +284,71 @@ def rho_closure_shortcut(g: Graph) -> DdgResult:
     m, n = len(classes), len(classes[0])
     quotient, _ = equitable_check(g, classes)
     return DdgResult(g.v, k, hi, lo, m, n, classes, quotient)
+
+
+def reference_classes_for_value(g: Graph, lam1: int
+                                ) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """Classes of the relation 'equal or sharing lam1 common neighbours',
+    found by checking that every member of each candidate class carries
+    the same mask; None unless they form an equal-size partition."""
+    v = g.v
+    masks: List[int] = []
+    for u in range(v):
+        mk = 1 << u
+        for w in range(v):
+            if w != u and (g.rows[u] & g.rows[w]).bit_count() == lam1:
+                mk |= 1 << w
+        masks.append(mk)
+    for u in range(v):
+        mu = masks[u]
+        rest = mu & ~(1 << u)
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if masks[w] != mu:
+                return None
+    seen: List[int] = []
+    for mk in masks:
+        if mk not in seen:
+            seen.append(mk)
+    sizes = {mk.bit_count() for mk in seen}
+    if len(sizes) != 1:
+        return None
+    classes = []
+    for mk in seen:
+        cls = []
+        while mk:
+            x = (mk & -mk).bit_length() - 1
+            mk &= mk - 1
+            cls.append(x)
+        classes.append(tuple(cls))
+    classes.sort(key=lambda c: c[0])
+    return tuple(classes)
+
+
+def reference_expected_multiset(k: int, d1: int, d2: int, f1: int, f2: int,
+                                g1: int, g2: int) -> Dict[Tuple, int]:
+    """The spectrum k, +/-sqrt(d1) with multiplicities f1, f2 and
+    +/-sqrt(d2) with g1, g2, keyed ("int", r) and ("surd", d); an
+    irrational pair with unequal multiplicities adds ("impossible",).
+    A zero discriminant keeps its merged multiplicity even when it is 0."""
+    out: Dict[Tuple, int] = {("int", k): 1}
+
+    def add(d: int, plus: int, minus: int) -> None:
+        s = math.isqrt(d)
+        if s * s == d:
+            if s == 0:
+                out[("int", 0)] = out.get(("int", 0), 0) + plus + minus
+            else:
+                if plus:
+                    out[("int", s)] = out.get(("int", s), 0) + plus
+                if minus:
+                    out[("int", -s)] = out.get(("int", -s), 0) + minus
+        elif plus != minus:
+            out[("impossible",)] = 1
+        elif plus:
+            out[("surd", d)] = out.get(("surd", d), 0) + plus
+
+    add(d1, f1, f2)
+    add(d2, g1, g2)
+    return out

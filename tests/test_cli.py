@@ -171,7 +171,18 @@ class TestClassify:
     def test_requires_a_source(self, capsys):
         code, _, err = run(capsys, "classify")
         assert code == 1
-        assert "usage" in err
+        assert err == ("usage error: provide --g6 <file> or --name "
+                       "<name>\n")
+
+    def test_one_source_only(self, capsys, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text("Bw\n")
+        code, out, err = run(capsys, "classify", "--name", "petersen",
+                             "--g6", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: argument --g6: not allowed "
+                              "with argument --name")
 
 
 class TestDdgAndSpectrum:
@@ -337,6 +348,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("sieve", "deza", "5", "10", "3", "1"),
         ("sieve", "ddg", "8", "4", "0", "2", "0", "2"),
+        # a class size far above v ends at once, before any residue scan
+        ("sieve", "ddg", "5", "3", "1", "0", "1", str(10**12)),
     ])
     def test_out_of_range_sieve_tuple(self, capsys, argv):
         code, _, err = run(capsys, *argv)

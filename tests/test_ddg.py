@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from deza.catalog import catalog_names, construct
+from deza.census import generate_regular
 from deza.ddg import (
     ClassAudit,
+    _classes_for_value,
     class_audits,
     ddg_detect,
     equitable_check,
@@ -23,7 +26,7 @@ from deza.graphs import (
     petersen,
 )
 
-from oracle import rho_closure_shortcut
+from oracle import reference_classes_for_value, rho_closure_shortcut
 
 
 def octahedron():
@@ -134,6 +137,38 @@ class TestDetection:
             expected = sorted(tuple(sorted(perm[x] for x in cls))
                               for cls in base.classes)
             assert list(r.classes) == expected
+
+
+def _proper_partitions(graphs):
+    """Check _classes_for_value against the reference at every value on
+    every graph; returns how many partitions had 1 < n < v."""
+    proper = 0
+    for g in graphs:
+        for lam in range(g.v):
+            got = _classes_for_value(g, lam)
+            assert got == reference_classes_for_value(g, lam), (g.rows, lam)
+            proper += got is not None and 1 < len(got) < g.v
+    return proper
+
+
+class TestClassesForValue:
+    def test_random_graphs_match_reference(self):
+        rng = random.Random(25)
+        graphs = [make_graph(v, [(a, b) for a in range(v)
+                                 for b in range(a + 1, v)
+                                 if rng.randrange(10) < density])
+                  for v in range(1, 13) for density in range(11)
+                  for _ in range(4)]
+        assert _proper_partitions(graphs) > 0
+
+    def test_catalog_matches_reference(self):
+        assert _proper_partitions(construct(name)
+                                  for name in catalog_names()) > 0
+
+    def test_regular_graphs_match_reference(self):
+        graphs = [g for v in range(1, 9) for k in range(v) if v * k % 2 == 0
+                  for g in generate_regular(v, k)]
+        assert _proper_partitions(graphs) > 0
 
 
 class TestEquitable:

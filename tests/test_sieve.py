@@ -189,6 +189,14 @@ class TestDdgSieve:
         with pytest.raises(ValueError):
             ddg_sieve(8, 4, 2, 0, 0, 4)
 
+    def test_class_size_above_v_is_refused(self):
+        # a split of v vertices has m, n <= v; a larger n would otherwise
+        # reach D7's residue scan, which takes time linear in n
+        with pytest.raises(ValueError, match=r"1 <= m, n <= v"):
+            ddg_sieve(5, 3, 1, 0, 1, 10**7)
+        with pytest.raises(ValueError, match=r"1 <= m, n <= v"):
+            ddg_sieve(5, 3, 1, 0, 6, 1)
+
     def test_size_split_rule(self):
         verdict = ddg_sieve(10, 3, 1, 0, 3, 3)
         assert verdict.rule("D1").status == "fail"

@@ -25,6 +25,7 @@ from deza.spectra import (
     A2Violation,
     SpectrumMismatch,
     _balanced_attributions,
+    _expected_factors,
     _walk_char_poly,
     adjacency_square_identity,
     char_poly,
@@ -34,7 +35,7 @@ from deza.spectra import (
     poly_eval,
     squarefree_part,
 )
-from oracle import poly_mul
+from oracle import poly_mul, reference_expected_multiset
 
 
 def linear(r):
@@ -600,6 +601,42 @@ class TestDdgSpectrum:
     def test_size_mismatch(self):
         with pytest.raises(GraphError):
             ddg_spectrum_check(petersen(), 10, 3, 1, 0, 3, 3)
+
+    @pytest.mark.parametrize("lam1,d1", [(4, 0), (3, 1)])
+    def test_singleton_classes(self, lam1, d1):
+        # n = 1 leaves no eigenvalue +/-sqrt(d1); a zero d1 must not ask
+        # the factorisation for a root 0 of multiplicity 0
+        s = ddg_spectrum_check(complete_graph(5), 5, 4, lam1, 3, 5, 1)
+        assert (s.k, s.d1, s.d2) == (4, d1, 1)
+        assert (s.f1, s.f2, s.g1, s.g2) == (0, 0, 0, 4)
+
+
+def test_expected_factors_match_reference():
+    # every k <= 6, d1, d2 <= 12 and split f1 + f2, g1 + g2 <= 4; the
+    # reference keeps a zero discriminant's merged multiplicity even when
+    # it is 0, which no factorisation can hold, and that is the only
+    # difference allowed
+    splits = [(a, t - a) for t in range(5) for a in range(t + 1)]
+    refused = zero_root_dropped = 0
+    for k, d1, d2 in itertools.product(range(7), range(13), range(13)):
+        for (f1, f2), (g1, g2) in itertools.product(splits, splits):
+            got = _expected_factors(k, d1, d2, f1, f2, g1, g2)
+            want = reference_expected_multiset(k, d1, d2, f1, f2, g1, g2)
+            if ("impossible",) in want:
+                assert got is None
+                refused += 1
+                continue
+            if want.get(("int", 0)) == 0:
+                del want[("int", 0)]
+                zero_root_dropped += 1
+            roots = [r for r, _ in got.int_roots]
+            surds = [d for d, _ in got.surd_pairs]
+            assert roots == sorted(set(roots), reverse=True)
+            assert surds == sorted(set(surds))
+            assert got.residual == (1,)
+            assert want == {**{("int", r): e for r, e in got.int_roots},
+                            **{("surd", d): e for d, e in got.surd_pairs}}
+    assert refused > 0 and zero_root_dropped > 0
 
 
 def _brute_attributions(d1, d2, ftot, gtot, zero):
