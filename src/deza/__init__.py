@@ -16,7 +16,7 @@ from .spectra import (A2Violation, DdgSpectrum, SpectrumFactors,
 from .ddg import (ClassAudit, DdgDetection, DdgResult, class_audits,
                   ddg_detect, equitable_check)
 from .sieve import (RuleResult, SieveVerdict, ddg_sieve, deza_sieve,
-                    quadratic_residue, scan_n2_tuples, scan_small_n_tuples)
+                    scan_n2_tuples, scan_small_n_tuples)
 # the functions census() and catalog() are not re-exported: the package
 # attributes deza.census and deza.catalog are their modules
 from .census import (AuditReport, CensusRecord, audit_theorem, build_record,

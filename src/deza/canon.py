@@ -95,19 +95,16 @@ def refine(rows: Tuple[int, ...], cells: List[List[int]],
     rest has been used.  So seeding the stack with the rest's mask alone
     gives the same splits in the same order as seeding it with every cell.
 
-    The loop stops once every cell is a singleton, whatever is left on the
-    stack: a discrete partition cannot split, so those splitters would
-    change nothing.
+    Every caller passes a partition of all len(rows) vertices, so at
+    len(rows) cells it is discrete and the splitters left can split nothing.
     """
     if splitters is None:
         work = [_mask(c) for c in cells]
     else:
         work = list(splitters)
-    live = sum(1 for c in cells if len(c) > 1)
-    while work and live:
+    while work and len(cells) < len(rows):
         wmask = work.pop()
         out: List[List[int]] = []
-        changed = False
         for c in cells:
             if len(c) == 1:
                 out.append(c)
@@ -118,31 +115,23 @@ def refine(rows: Tuple[int, ...], cells: List[List[int]],
             if len(groups) == 1:
                 out.append(c)
             else:
-                changed = True
-                live -= 1
                 for key in sorted(groups):
                     part = groups[key]
                     out.append(part)
                     work.append(_mask(part))
-                    if len(part) > 1:
-                        live += 1
-        if changed:
-            cells = out
+        cells = out
     return cells
 
 
-def _in_orbit(x: int, done: List[int], gens: List[Tuple[int, ...]]) -> bool:
+def _in_orbit(x: int, done: set[int], gens: List[Tuple[int, ...]]) -> bool:
     """True when some product of ``gens`` maps x into ``done``."""
-    if not done:
-        return False
-    dset = set(done)
     seen = {x}
     stack = [x]
     while stack:
         y = stack.pop()
         for s in gens:
             z = s[y]
-            if z in dset:
+            if z in done:
                 return True
             if z not in seen:
                 seen.add(z)
@@ -257,11 +246,11 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
         # only genuine automorphisms are ever used.  gens only grows, so stab
         # takes in just the generators found since it last looked.
         looked = len(gens)
-        done: List[int] = []
+        done: set[int] = set()
         for x in cell:
             stab += [s for s in gens[looked:] if all(s[y] == y for y in fixed)]
             looked = len(gens)
-            if stab and _in_orbit(x, done, stab):
+            if stab and done and _in_orbit(x, done, stab):
                 continue
             rest = [y for y in cell if y != x]
             back = dfs(refine(rows, prefix + [[x], rest] + suffix,
@@ -269,7 +258,7 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
                        [s for s in stab if s[x] == x])
             if back < depth:
                 return back
-            done.append(x)
+            done.add(x)
         return v
 
     dfs(root_cells, [], [])

@@ -309,7 +309,8 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
       refine splits by degree first and orders the fragments ascending,
       so only then can r lie in the last root cell; smaller sizes are
       skipped, and at the parent's maximum degree a vertex already there
-      is left out;
+      is left out.  No vertex gains a neighbour before the next one is
+      placed, so the maximum degree of a node is its last vertex's;
     - maxpair: a set is dropped as soon as a pair inside it already has
       maxpair common neighbours, or an existing vertex has more than
       maxpair neighbours in it.  Both counts only grow with the set, so
@@ -329,17 +330,13 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
     for j in range(r):
         d = k - deg[j]
         total_def += d
-        if d == 0:
-            continue
-        if d > rem_after + 1:
-            return
         if d == rem_after + 1:
             forced.append(j)
-        else:
+        elif d:
             optional.append(j)
-    top = max(deg)
-    lo = max(len(forced), k - rem_after, top)
-    hi = min(k, len(forced) + len(optional))
+    top = deg[-1]
+    lo = max(len(forced), top)
+    hi = len(forced) + len(optional)
     # after the step the remaining deficiency must fit in the leftover
     # vertices: sum <= rem_after*k and the excess of rem_after*k over the
     # sum must be coverable by edges among the leftovers
@@ -347,9 +344,15 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
     lo = max(lo, (num + 1) // 2)
     num = rem_after * (rem_after - 1) - rem_after * k + total_def + k
     hi = min(hi, num // 2)
-    # the birth-degree bound: total_def + k - 2*size >= m*(2*size - k)
-    # with m = rem_after
     hi = min(hi, (total_def + k * (rem_after + 1)) // (2 * (rem_after + 1)))
+    # With m = rem_after, lo needs no k - m term: top >= k - m - 1 (at the
+    # root as k < v, then as the last vertex's size), and if equal every
+    # open vertex is forced, so len(forced) = r >= k - m.  So by induction
+    # every d <= m + 1, with no guard: forced vertices join every set, and
+    # the new vertex gets k - size <= m.  hi needs no k term: the birth
+    # bound tops k only if total_def >= (m+1)(k+2); then for m >= 1 the
+    # lower sum bound lies above it by m(total_def - k(m+1))/(2(m+1)) > 0,
+    # and for m = 0 every open vertex is forced, so lo >= total_def > it.
     if lo > hi:
         return
     maxp = search.maxpair
@@ -434,10 +437,10 @@ def _last_cell_possible(rows: Sequence[int], deg: Sequence[int]) -> bool:
     last-pushed splitter first, by neighbours in the maximum-degree cell
     D, ordering fragments ascending each time.  So its last cell holds
     only members of D with the most neighbours in D, and r must be one;
-    candidate choice already put r in D.
+    candidate choice already put r in D, so the maximum degree is r's.
     """
     r = len(rows) - 1
-    top = max(deg)
+    top = deg[r]
     members = [x for x in range(r + 1) if deg[x] == top]
     dmask = 0
     for x in members:

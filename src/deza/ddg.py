@@ -68,6 +68,22 @@ def _classes_for_value(g: Graph, lam1: int) -> Optional[Tuple[Tuple[int, ...], .
     return tuple(tuple(x for x in range(g.v) if mk >> x & 1) for mk in masks)
 
 
+def _class_labels(v: int, classes: Sequence[Sequence[int]]) -> List[int]:
+    """label[x] = the index of the class holding x; GraphError unless the
+    classes partition 0..v-1."""
+    label = [-1] * v
+    for idx, cls in enumerate(classes):
+        for x in cls:
+            if not 0 <= x < v:
+                raise GraphError(f"partition names vertex {x} outside range")
+            if label[x] != -1:
+                raise GraphError(f"partition repeats vertex {x}")
+            label[x] = idx
+    if -1 in label:
+        raise GraphError(f"partition misses vertex {label.index(-1)}")
+    return label
+
+
 def equitable_check(g: Graph, classes: Sequence[Sequence[int]]):
     """Neighbour counts into each class, when constant per source class.
 
@@ -75,19 +91,8 @@ def equitable_check(g: Graph, classes: Sequence[Sequence[int]]):
     class i has in class j, or (None, witness) naming the first pair of
     same-class vertices whose counts into some class disagree.
     """
-    cmasks = []
-    for cls in classes:
-        mk = 0
-        for x in cls:
-            if not 0 <= x < g.v:
-                raise GraphError(f"partition names vertex {x} outside range")
-            mk |= 1 << x
-        cmasks.append(mk)
-    combined = 0
-    for mk in cmasks:
-        combined |= mk
-    if combined != (1 << g.v) - 1 or sum(mk.bit_count() for mk in cmasks) != g.v:
-        raise GraphError("classes must partition the vertex set")
+    _class_labels(g.v, classes)
+    cmasks = [sum(1 << x for x in cls) for cls in classes]
     quotient = []
     for i, cls in enumerate(classes):
         base = [(g.rows[cls[0]] & cmasks[j]).bit_count()

@@ -47,10 +47,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((i, j) for i in range(self.v) for j in range(i + 1, self.v)
-                     if self.rows[i] >> j & 1)
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 

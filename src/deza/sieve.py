@@ -47,12 +47,21 @@ def _verdict(trace: List[RuleResult]) -> SieveVerdict:
                         tuple(trace), warnings)
 
 
-def quadratic_residue(c: int, n: int) -> bool:
-    """True when x^2 = c (mod n) has a solution; brute force scan."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    c %= n
-    return any(x * x % n == c for x in range(n))
+def _two_is_square(n: int) -> bool:
+    """Whether x^2 = 2 (mod n) is solvable, in O(sqrt n): exactly when 4 does
+    not divide n and every odd prime factor of n is 1 or 7 mod 8 (Hensel)."""
+    if n % 4 == 0:
+        return False
+    n //= 2 - n % 2  # drop a factor 2
+    p = 3
+    while p * p <= n:
+        if n % p:
+            p += 2
+        elif p % 8 in (1, 7):
+            n //= p
+        else:
+            return False
+    return n % 8 in (1, 7)
 
 
 def deza_sieve(v: int, k: int, b: int, a: int) -> SieveVerdict:
@@ -108,7 +117,8 @@ def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
     eigenvalue discriminants; D4 an exact multiplicity attribution with
     f1+f2 = v-m and g1+g2 = m-1; D5 the orientation forcing when k-2 is
     the larger of the two constants; D6/D7/D8 the divisibility, quadratic
-    residue and n=2 consequences of lam1 = k-2.
+    residue and n=2 consequences of lam1 = k-2.  D7 (2 is a square mod n)
+    passes whenever D6 does, with witness x = k.
     """
     if not (1 <= m <= v and 1 <= n <= v
             and 0 <= lam1 <= k and 0 <= lam2 <= k and k < v):
@@ -172,7 +182,7 @@ def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
             "D6", "pass" if (k * k - 2) % n == 0 else "fail",
             {"k2_minus_2": k * k - 2, "n": n}))
         trace.append(RuleResult(
-            "D7", "pass" if quadratic_residue(2, n) else "fail", {"n": n}))
+            "D7", "pass" if _two_is_square(n) else "fail", {"n": n}))
         if n == 2 and lam2 > 0:
             trace.append(RuleResult("D8", "fail",
                                     {"lam2": lam2, "n": n}))

@@ -17,6 +17,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .ddg import _class_labels
 from .graphs import Graph, GraphError, InternalInvariantError, complement
 
 
@@ -488,25 +489,11 @@ def adjacency_square_identity(g: Graph, classes: Sequence[Sequence[int]],
     first violating entry in row-major order, or None when the identity
     holds everywhere.
     """
-    label = [-1] * g.v
-    for idx, cls in enumerate(classes):
-        for x in cls:
-            if not 0 <= x < g.v:
-                raise GraphError(f"partition names vertex {x} outside range")
-            if label[x] != -1:
-                raise GraphError(f"partition repeats vertex {x}")
-            label[x] = idx
-    if any(t == -1 for t in label):
-        missing = label.index(-1)
-        raise GraphError(f"partition misses vertex {missing}")
+    label = _class_labels(g.v, classes)
     for u in range(g.v):
         for w in range(g.v):
-            if u == w:
-                got = g.degree(u)
-                expected = k
-            else:
-                got = (g.rows[u] & g.rows[w]).bit_count()
-                expected = lam1 if label[u] == label[w] else lam2
+            got = (g.rows[u] & g.rows[w]).bit_count()
+            expected = k if u == w else lam1 if label[u] == label[w] else lam2
             if got != expected:
                 return A2Violation(u, w, got, expected)
     return None

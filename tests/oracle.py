@@ -205,6 +205,15 @@ def reference_refine(rows: Sequence[int], cells: List[List[int]],
     return cells
 
 
+def quadratic_residue(c: int, n: int) -> bool:
+    """True when x^2 = c (mod n) has a solution; brute force scan, the
+    reference for the sieve's rule D7."""
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    c %= n
+    return any(x * x % n == c for x in range(n))
+
+
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:
     """Product of two integer polynomials, coefficients lowest first."""
     out = [0] * (len(p) + len(q) - 1)

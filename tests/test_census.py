@@ -52,6 +52,9 @@ SAT_PRUNE = "maxpair=k-2;sat=0,k-2"
 ANCHOR_PRUNE = "maxpair=k-2;satdistinct=2;anchor=k-2"
 GAP3_PRUNE = "maxpair=k-2;sat=k-3,k-2"
 GAP4_PRUNE = "maxpair=k-2;sat=k-4,k-2"
+# cells whose whole pruned search the candidate-choice tests walk
+FILTER_CELLS = [(10, 4, SAT_PRUNE), (9, 4, ANCHOR_PRUNE), (10, 4, None),
+                (11, 4, "maxpair=k-2"), (12, 3, SAT_PRUNE)]
 
 
 def _g6_set(graphs):
@@ -234,11 +237,7 @@ class TestPrunes:
         assert list(generate_regular(v, k, prune))
         assert refused > 0
 
-    @pytest.mark.parametrize("v,k,prune", [(10, 4, SAT_PRUNE),
-                                           (9, 4, ANCHOR_PRUNE),
-                                           (10, 4, None),
-                                           (11, 4, "maxpair=k-2"),
-                                           (12, 3, SAT_PRUNE)])
+    @pytest.mark.parametrize("v,k,prune", FILTER_CELLS)
     def test_candidate_filters_drop_only_rejected_sets(self, v, k, prune):
         # walk the whole pruned search; at every node the sets dropped
         # from the reference list must fail the degree rule, break maxpair
@@ -312,6 +311,33 @@ class TestPrunes:
         if any(True for _ in generate_regular(v, k, prune)):
             assert has_completion(search.root())
         assert (refused > 0) == (maxpair is not None)
+
+    @pytest.mark.parametrize("v,k,prune", FILTER_CELLS)
+    def test_candidate_choice_keeps_its_implied_bounds(self, v, k, prune):
+        # _candidate_sets reads the maximum degree off the last vertex, has
+        # no guard for a deficiency above rem_after + 1, and no k -
+        # rem_after or k bound on the size; the search must keep all four
+        # facts at every node it reaches
+        nodes = sets = 0
+
+        def walk(node):
+            nonlocal nodes, sets
+            nodes += 1
+            deg = node.deg
+            rem_after = v - len(deg) - 1
+            assert max(deg) == deg[-1]
+            assert all(k - d <= rem_after + 1 for d in deg)
+            forced = sum(1 for d in deg if k - d == rem_after + 1)
+            assert k - rem_after <= max(deg[-1], forced)
+            for s in _candidate_sets(node):
+                sets += 1
+                assert len(s) <= k
+            if len(deg) + 1 < v:
+                for child in _accepted_children(node):
+                    walk(child)
+
+        walk(_Search(v, k, prune).root())
+        assert nodes > 1 and sets > 0
 
     @pytest.mark.parametrize("v,k,prune", [(8, 3, "maxpair=0"),
                                            (6, 2, "maxpair=0"),

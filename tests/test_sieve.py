@@ -5,12 +5,13 @@ import json
 import pytest
 
 from deza.sieve import (
+    _two_is_square,
     ddg_sieve,
     deza_sieve,
-    quadratic_residue,
     scan_n2_tuples,
     scan_small_n_tuples,
 )
+from oracle import quadratic_residue
 
 
 class TestQuadraticResidue:
@@ -28,6 +29,19 @@ class TestQuadraticResidue:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             quadratic_residue(2, 0)
+
+    def test_factor_rule_matches_scan(self):
+        # D7's rule: 4 does not divide n and every odd prime factor of n
+        # is 1 or 7 mod 8
+        for n in range(1, 3001):
+            assert _two_is_square(n) == quadratic_residue(2, n), n
+
+    def test_factor_rule_on_a_large_prime(self):
+        # 999999999989 is prime and 5 mod 8; the scan would take hours
+        assert not _two_is_square(999999999989)
+        assert _two_is_square(2 * 7 ** 9 * 1000000007)
+        verdict = ddg_sieve(999999999989, 3, 1, 0, 1, 999999999989)
+        assert verdict.rule("D7").status == "fail"
 
 
 class TestDezaSieve:
