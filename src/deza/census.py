@@ -46,6 +46,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
 from . import __version__
 from .canon import canon_data, canonical_certificate, refine
 from .catalog import construct, graph_facts
+from .classify import beta_formula
 from .graphs import Graph, GraphError
 from .graph6 import encode_graph6
 
@@ -163,14 +164,15 @@ class _Search:
 
     def root(self) -> "_Partial":
         """The node holding the first vertex alone."""
-        return _Partial(self, (0,), (0,), 0)
+        return _Partial(self, (0,), 0)
 
 
 class _Partial(NamedTuple):
-    """An immutable search node: adjacency rows and degrees of a partial
-    graph, seen, the mask of its distinct frozen pair values, and gens,
-    the automorphisms canon_data found when the node was accepted, which
-    its children's search uses to skip symmetric candidate sets.
+    """An immutable search node: the adjacency rows of a partial graph,
+    seen, the mask of its distinct frozen pair values, and gens, the
+    automorphisms canon_data found when the node was accepted, which its
+    children's search uses to skip symmetric candidate sets.  A vertex
+    set is a bit mask, as a row is, and a degree is a row's popcount.
 
     A pair is frozen once one of its endpoints is saturated: a saturated
     vertex gets no new neighbour, so no later vertex adds to the pair's
@@ -182,16 +184,15 @@ class _Partial(NamedTuple):
 
     search: _Search
     rows: Tuple[int, ...]
-    deg: Tuple[int, ...]
     seen: int
     gens: Tuple[Tuple[int, ...], ...] = ()
 
     def graph(self) -> Graph:
         return Graph(len(self.rows), self.rows)
 
-    def add_vertex(self, s: Sequence[int]) -> Optional["_Partial"]:
-        """The child with a new vertex r adjacent to s; None when the step
-        breaks the frozen-value rules or the interval rule of the spec.
+    def add_vertex(self, smask: int) -> Optional["_Partial"]:
+        """The child whose new vertex r joins the set smask; None when the
+        step breaks the frozen-value rules or the interval rule of the spec.
 
         Callers pass sets of unsaturated vertices that already satisfy
         maxpair (_candidate_sets drops every other one), so one pass over
@@ -211,18 +212,15 @@ class _Partial(NamedTuple):
         vertex with no vertex left, which candidate choice never yields.
         """
         search = self.search
-        smask = 0
-        for x in s:
-            smask |= 1 << x
         seen = self.seen
         rows = self.rows
         if not search.vacuous:
-            deg = self.deg
             k = search.k
             left = search.v - len(rows) - 1
             gap = search.gap if search.interval and left > 0 else None
-            dr = k - len(s)
-            after = [k - d - (smask >> y & 1) for y, d in enumerate(deg)]
+            dr = k - smask.bit_count()
+            after = [k - row.bit_count() - (smask >> y & 1)
+                     for y, row in enumerate(rows)]
             for y, dy in enumerate(after):
                 c = (rows[y] & smask).bit_count()
                 if dr and dy:
@@ -232,16 +230,16 @@ class _Partial(NamedTuple):
                     seen |= 1 << c
             if not search.frozen_ok(seen):
                 return None
-            for x in s:
-                dx = after[x]
+            for x, dx in enumerate(after):
                 # without the interval rule, an x that stays open has
                 # nothing to check: its frozen pairs are read from their
                 # other endpoint
-                if dx and not gap:
+                if not smask >> x & 1 or (dx and not gap):
                     continue
                 row = rows[x]
                 for y, dy in enumerate(after):
-                    if y == x or deg[y] == k:
+                    # skip y saturated before the step
+                    if y == x or not (dy or smask >> y & 1):
                         continue
                     c = (row & rows[y]).bit_count() + (smask >> y & 1)
                     if dx and dy:
@@ -251,15 +249,11 @@ class _Partial(NamedTuple):
                         seen |= 1 << c
                 if not search.frozen_ok(seen):
                     return None
-        rows = list(rows)
-        deg = list(self.deg)
         bit = 1 << len(rows)
-        for x in s:
-            rows[x] |= bit
-            deg[x] += 1
+        rows = [row | bit if smask >> y & 1 else row
+                for y, row in enumerate(rows)]
         rows.append(smask)
-        deg.append(len(s))
-        return _Partial(search, tuple(rows), tuple(deg), seen)
+        return _Partial(search, tuple(rows), seen)
 
     def capacity_ok(self) -> bool:
         """Whether the m = v - n later vertices can fill every deficiency
@@ -279,8 +273,8 @@ class _Partial(NamedTuple):
         m = search.v - len(self.rows)
         # masks[d]: the placed vertices with deficiency d
         masks = [0] * (k + 1)
-        for y, d in enumerate(self.deg):
-            masks[k - d] |= 1 << y
+        for y, row in enumerate(self.rows):
+            masks[k - row.bit_count()] |= 1 << y
         weights = [(d, mask) for d, mask in enumerate(masks) if d and mask]
         if sum(d * (d - 1) * mask.bit_count()
                for d, mask in weights) > most * m * (m - 1):
@@ -290,8 +284,8 @@ class _Partial(NamedTuple):
                    <= cap for row in self.rows)
 
 
-def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
-    """Neighbour sets for the next vertex, in a fixed deterministic order.
+def _candidate_sets(node: _Partial) -> Iterator[int]:
+    """Neighbour sets, as bit masks, for the next vertex in a fixed order.
 
     Sets come by size, then in lexicographic order of their optional
     members.  The forced-vertex rule (a vertex whose deficiency equals
@@ -321,7 +315,7 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
     search = node.search
     v, k = search.v, search.k
     rows = node.rows
-    deg = node.deg
+    deg = [row.bit_count() for row in rows]
     r = len(rows)
     rem_after = v - r - 1
     forced: List[int] = []
@@ -391,7 +385,7 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
             pool = [x for x in optional if deg[x] != top]
         n = len(pool)
         if need == 0:
-            yield tuple(forced)
+            yield base
             continue
         # lexicographic combinations of need members of pool, built one
         # member at a time; masks[d] and blocks[d] hold the set and its
@@ -414,7 +408,7 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
                 continue
             picks[d] = i
             if d + 1 == need:
-                yield tuple(sorted(forced + [pool[p] for p in picks]))
+                yield masks[d] | 1 << pool[i]
                 i += 1
                 continue
             x = pool[i]
@@ -430,7 +424,7 @@ def _candidate_sets(node: _Partial) -> Iterator[Tuple[int, ...]]:
             i += 1
 
 
-def _last_cell_possible(rows: Sequence[int], deg: Sequence[int]) -> bool:
+def _last_cell_possible(rows: Sequence[int]) -> bool:
     """Whether the last vertex r can lie in the last root cell.
 
     refine splits the unit partition by degree and then, popping the
@@ -439,22 +433,25 @@ def _last_cell_possible(rows: Sequence[int], deg: Sequence[int]) -> bool:
     only members of D with the most neighbours in D, and r must be one;
     candidate choice already put r in D, so the maximum degree is r's.
     """
-    r = len(rows) - 1
-    top = deg[r]
-    members = [x for x in range(r + 1) if deg[x] == top]
+    top = rows[-1].bit_count()
+    members = [x for x, row in enumerate(rows) if row.bit_count() == top]
     dmask = 0
     for x in members:
         dmask |= 1 << x
-    mine = (rows[r] & dmask).bit_count()
+    mine = (rows[-1] & dmask).bit_count()
     return all((rows[x] & dmask).bit_count() <= mine for x in members)
 
 
-def _orbit_seen(s: Tuple[int, ...], seen: Set[Tuple[int, ...]],
-                gens: Sequence[Tuple[int, ...]]) -> bool:
-    """True if some automorphism image of s was already processed.
+_ORBIT_CAP = 4096
 
-    On a miss the whole orbit of s is added to seen (capped; the cap only
-    costs duplicate work later, which certificate dedup absorbs).
+
+def _orbit_seen(s: int, seen: Set[int],
+                gens: Sequence[Tuple[int, ...]]) -> bool:
+    """True if some automorphism image of the mask s was already processed.
+
+    On a miss the whole orbit of s is added to seen (capped at _ORBIT_CAP;
+    the cap only costs duplicate work later, which certificate dedup
+    absorbs).
     """
     if s in seen:
         return True
@@ -462,12 +459,15 @@ def _orbit_seen(s: Tuple[int, ...], seen: Set[Tuple[int, ...]],
     queue = [s]
     while queue:
         cur = queue.pop()
+        members = [x for x in range(cur.bit_length()) if cur >> x & 1]
         for g in gens:
-            img = tuple(sorted(g[x] for x in cur))
+            img = 0
+            for x in members:
+                img |= 1 << g[x]
             if img not in orbit:
                 orbit.add(img)
                 queue.append(img)
-        if len(orbit) > 4096:
+        if len(orbit) > _ORBIT_CAP:
             break
     seen.update(orbit)
     return False
@@ -512,13 +512,13 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
     """
     r = len(node.rows)
     gens = node.gens
-    seen_sets: Set[Tuple[int, ...]] = set()
+    seen_sets: Set[int] = set()
     seen_certs: Set[bytes] = set()
     for s in _candidate_sets(node):
         if gens and _orbit_seen(s, seen_sets, gens):
             continue
         child = node.add_vertex(s)
-        if (child is None or not _last_cell_possible(child.rows, child.deg)
+        if (child is None or not _last_cell_possible(child.rows)
                 or not child.capacity_ok()):
             continue
         cells = refine(child.rows, [list(range(r + 1))])
@@ -854,11 +854,11 @@ def _gap_cells(vmax: int, kmax: Optional[int]) -> Iterator[_Cell]:
             top = v - 2 if kmax is None else min(kmax, v - 2)
             for k in range(gap + 1, top + 1):
                 a = k - gap
-                # b-partner count: elementary double counting, must be a
-                # positive integer at most v-1 for any realization
-                num = k * (k - 1) - a * (v - 1)
-                if (v * k % 2 == 0 and num > 0 and num % (gap - 2) == 0
-                        and num // (gap - 2) <= v - 1):
+                # the sieve's R1 and R2: handshake parity, and a b-partner
+                # count that is a positive integer at most v-1
+                beta = beta_formula(v, k, k - 2, a)
+                if (v * k % 2 == 0 and beta.denominator == 1
+                        and 0 < beta <= v - 1):
                     yield (v, k, f"maxpair=k-2;sat=k-{gap},k-2",
                            (v, k, k - 2, a))
 

@@ -38,9 +38,6 @@ class Graph:
     v: int
     rows: Tuple[int, ...]
 
-    def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def degrees(self) -> Tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
 

@@ -59,12 +59,13 @@ def count_regular_classes_naive(v: int, k: int) -> int:
     return len(certs)
 
 
-def reference_sets(node) -> List[Tuple[int, ...]]:
+def reference_sets(node) -> List[int]:
     """Every neighbour set the forced-vertex rule and the deficiency
-    bounds allow for the next vertex of a generator search node, by size
-    and then in lexicographic order, before the degree and maxpair
-    filters."""
-    v, k, deg = node.search.v, node.search.k, node.deg
+    bounds allow for the next vertex of a generator search node, as bit
+    masks, by size and then in lexicographic order, before the degree
+    and maxpair filters."""
+    v, k = node.search.v, node.search.k
+    deg = [row.bit_count() for row in node.rows]
     rem = v - len(deg) - 1
     open_ = [x for x, d in enumerate(deg) if d < k]
     if any(k - deg[x] > rem + 1 for x in open_):
@@ -79,7 +80,7 @@ def reference_sets(node) -> List[Tuple[int, ...]]:
         if (k - size > rem or left > rem * k
                 or rem * k - left > rem * (rem - 1)):
             continue
-        sets += [tuple(sorted(forced + list(extra)))
+        sets += [sum(1 << x for x in forced + list(extra))
                  for extra in itertools.combinations(optional,
                                                      size - len(forced))]
     return sets
@@ -95,24 +96,25 @@ def has_completion(node) -> bool:
     node whose pairs keep maxpair, as every generator node does.
     """
     search = node.search
-    deg, rows = node.deg, node.rows
+    rows = node.rows
+    deg = [row.bit_count() for row in rows]
     if len(rows) == search.v:
         return all(d == search.k for d in deg)
     top = max(deg)
-    for s in reference_sets(node):
+    for smask in reference_sets(node):
+        s = [x for x in range(len(rows)) if smask >> x & 1]
         if len(s) < top or (len(s) == top
                             and any(deg[x] == top for x in s)):
             continue
         if search.maxpair is not None:
             # only the pairs inside s and the pairs of the new vertex
             # change their counts
-            smask = sum(1 << x for x in s)
             if any((rows[x] & rows[y]).bit_count() >= search.maxpair
                    for x, y in itertools.combinations(s, 2)) or any(
                        (row & smask).bit_count() > search.maxpair
                        for row in rows):
                 continue
-        child = node.add_vertex(s)
+        child = node.add_vertex(smask)
         if child is not None and has_completion(child):
             return True
     return False

@@ -16,6 +16,7 @@ from deza.census import (
     _accepted_children,
     _candidate_sets,
     _frontier,
+    _gap_cells,
     _last_cell_possible,
     _Partial,
     _Search,
@@ -29,6 +30,7 @@ from deza.census import (
 from deza.classify import classify
 from deza.graph6 import decode_graph6, encode_graph6
 from deza.graphs import GraphError
+from deza.sieve import deza_sieve
 from oracle import count_regular_classes_naive, has_completion, reference_sets
 
 # isomorphism-class counts of k-regular graphs, any connectivity; the
@@ -221,16 +223,12 @@ class TestPrunes:
         real = _Partial.add_vertex
         refused = 0
 
-        def counted(self, s):
+        def counted(self, smask):
             nonlocal refused
-            child = real(self, s)
+            child = real(self, smask)
             if child is None:
-                r = len(self.rows)
-                rows = [row | (1 << r if x in s else 0)
-                        for x, row in enumerate(self.rows)]
-                rows.append(sum(1 << x for x in s))
-                refused += (rule == "add_vertex"
-                            or _frozen_rules_allow(rows, k, self.search))
+                refused += (rule == "add_vertex" or _frozen_rules_allow(
+                    _step_rows(self.rows, smask), k, self.search))
             return child
 
         monkeypatch.setattr(_Partial, "add_vertex", counted)
@@ -258,10 +256,7 @@ class TestPrunes:
         def breaks_maxpair(node, s):
             if maxpair is None:
                 return False
-            r = len(node.rows)
-            child = [row | (1 << r if x in s else 0)
-                     for x, row in enumerate(node.rows)]
-            child.append(sum(1 << x for x in s))
+            child = _step_rows(node.rows, s)
             return max(_pair_counts(child).values()) > maxpair
 
         def walk(node):
@@ -271,18 +266,20 @@ class TestPrunes:
             kept_set = set(kept)
             assert kept == [s for s in every if s in kept_set]
             r = len(node.rows)
-            top = max(node.deg)
+            deg = [row.bit_count() for row in node.rows]
+            top = max(deg)
             for s in every:
                 rows = list(node.rows)
-                lower = len(s) < top or (
-                    len(s) == top and any(node.deg[x] == top for x in s))
+                size = s.bit_count()
+                lower = size < top or (size == top and any(
+                    d == top for x, d in enumerate(deg) if s >> x & 1))
                 if s in kept_set:
                     assert not lower
                     assert not breaks_maxpair(node, s)
                     child = node.add_vertex(s)
                     if child is None:
                         continue
-                    if not _last_cell_possible(child.rows, child.deg):
+                    if not _last_cell_possible(child.rows):
                         skipped += 1
                         assert outside_last_cell(child.rows)
                     if not child.capacity_ok():
@@ -323,7 +320,7 @@ class TestPrunes:
         def walk(node):
             nonlocal nodes, sets
             nodes += 1
-            deg = node.deg
+            deg = [row.bit_count() for row in node.rows]
             rem_after = v - len(deg) - 1
             assert max(deg) == deg[-1]
             assert all(k - d <= rem_after + 1 for d in deg)
@@ -331,7 +328,7 @@ class TestPrunes:
             assert k - rem_after <= max(deg[-1], forced)
             for s in _candidate_sets(node):
                 sets += 1
-                assert len(s) <= k
+                assert s.bit_count() <= k
             if len(deg) + 1 < v:
                 for child in _accepted_children(node):
                     walk(child)
@@ -353,9 +350,7 @@ class TestPrunes:
         def walk(node):
             r = len(node.rows)
             for s in _candidate_sets(node):
-                child = [row | (1 << r if x in s else 0)
-                         for x, row in enumerate(node.rows)]
-                child.append(sum(1 << x for x in s))
+                child = _step_rows(node.rows, s)
                 assert max(_pair_counts(child).values()) <= search.maxpair
             if r + 1 < v:
                 for child in _accepted_children(node):
@@ -370,6 +365,13 @@ class TestPrunes:
         everything = _g6_set(generate_regular(8, 4))
         assert set(anchored) <= set(everything)
         assert "GQzTrg" in anchored      # the 4x2 grid survives
+
+
+def _step_rows(rows, smask):
+    """The rows after a new vertex joins the vertices in the mask smask."""
+    bit = 1 << len(rows)
+    return [row | bit if smask >> x & 1 else row
+            for x, row in enumerate(rows)] + [smask]
 
 
 def _pair_counts(rows):
@@ -456,7 +458,7 @@ def test_partial_matches_recomputation(v, k, prune):
     # guarantees, with a stack of ancestors to step back to: the verdict
     # of add_vertex must equal the frozen-value rules on every pair with a
     # saturated endpoint and the interval rule on the pairs the step
-    # touched, both recomputed from the rows; a child's rows, degrees and
+    # touched, both recomputed from the rows; a child's rows and
     # frozen-value mask must equal the recomputation (the mask 0 under a
     # vacuous spec); and no step, accepted or rejected, may change the
     # node it was taken from, nor any of its ancestors
@@ -477,21 +479,19 @@ def test_partial_matches_recomputation(v, k, prune):
             if r > 1 and (r == v or rng.random() < 0.2):
                 path.pop()
                 rows = list(path[-1].rows)
-                assert list(path[-1].deg) == [row.bit_count() for row in rows]
                 assert path[-1].seen == _seen_from_rows(rows, k, search)
                 continue
-            open_ = [x for x in range(r) if node.deg[x] < k]
+            open_ = [x for x in range(r) if node.rows[x].bit_count() < k]
             s = sorted(rng.sample(open_, rng.randint(0, min(k, len(open_)))))
             smask = sum(1 << x for x in s)
-            child_rows = [row | (1 << r if row_id in s else 0)
-                          for row_id, row in enumerate(node.rows)] + [smask]
+            child_rows = _step_rows(node.rows, smask)
             if search.maxpair is not None and max(
                     _pair_counts(child_rows).values(), default=0) > \
                     search.maxpair:
                 continue
-            before = (list(node.rows), list(node.deg), node.seen)
-            child = node.add_vertex(s)
-            assert (list(node.rows), list(node.deg), node.seen) == before
+            before = (node.rows, node.seen)
+            child = node.add_vertex(smask)
+            assert (node.rows, node.seen) == before
             ok = child is not None
             outcomes[ok] += 1
             frozen_ok = _frozen_rules_allow(child_rows, k, search)
@@ -502,7 +502,6 @@ def test_partial_matches_recomputation(v, k, prune):
             if not ok:
                 continue
             assert list(child.rows) == child_rows
-            assert list(child.deg) == [row.bit_count() for row in child_rows]
             assert child.seen == _seen_from_rows(child_rows, k, search)
             if rng.random() >= 0.3:
                 path.append(child)
@@ -536,6 +535,30 @@ def test_vacuity_verdict(prune, k, vacuous):
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("v,k,prune", [(10, 4, None),
+                                           (12, 3, ANCHOR_PRUNE)])
+    def test_orbit_cap_only_costs_duplicate_work(self, monkeypatch, v, k,
+                                                 prune):
+        # past the cap, _orbit_seen leaves images of a tried set unmarked,
+        # so the search tries them again and certificate dedup drops the
+        # repeats: at a cap of 1 the output is the same, byte for byte,
+        # from more add_vertex calls
+        real = _Partial.add_vertex
+        calls = 0
+
+        def counted(self, smask):
+            nonlocal calls
+            calls += 1
+            return real(self, smask)
+
+        monkeypatch.setattr(_Partial, "add_vertex", counted)
+        default = [encode_graph6(g) for g in generate_regular(v, k, prune)]
+        default_calls, calls = calls, 0
+        monkeypatch.setattr(deza.census, "_ORBIT_CAP", 1)
+        capped = [encode_graph6(g) for g in generate_regular(v, k, prune)]
+        assert default and capped == default
+        assert calls > default_calls
+
     def test_parallel_sequence_identical(self):
         serial = [encode_graph6(g) for g in generate_regular(9, 4)]
         parallel = [encode_graph6(g) for g in generate_regular(9, 4, jobs=2)]
@@ -574,8 +597,8 @@ class TestDeterminism:
         joined = []
         for node in level:
             copy = pickle.loads(pickle.dumps(node))
-            assert (copy.rows, copy.deg, copy.seen, copy.gens) == (
-                node.rows, node.deg, node.seen, node.gens)
+            assert (copy.rows, copy.seen, copy.gens) == (
+                node.rows, node.seen, node.gens)
             subtree = _subtree_task(copy)
             assert subtree == _subtree_task(node)
             joined += subtree
@@ -715,6 +738,20 @@ class TestLimits:
 
 
 class TestAudits:
+    def test_gap_cells_are_the_sieve_survivors(self):
+        # a theorem-2 cell (v, k) with a = k - gap is enumerated exactly
+        # when the sieve's handshake parity (R1) and b-partner count (R2)
+        # pass for (v, k, k-2, a)
+        cells = {(v, k, k - target[3])
+                 for v, k, _, target in _gap_cells(40, None)}
+        survivors = {
+            (v, k, gap) for gap in (3, 4) for v in range(5, 41)
+            for k in range(gap + 1, v - 1)
+            if {"R1", "R2"}.isdisjoint(
+                deza_sieve(v, k, k - 2, k - gap).failures())}
+        assert cells == survivors
+        assert len(cells) == 84
+
     def test_theorem_one_small_window(self):
         report = audit_theorem(1, vmax=10)
         assert report.ok
