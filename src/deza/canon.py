@@ -28,7 +28,11 @@ Every skipped leaf is the image of an earlier leaf under a found
 automorphism, with an equal certificate.  So the certificate, the labeling
 (the first minimal leaf in depth-first order) and the last orbit (the
 closure of the visited last vertices under the found automorphisms) are
-those of the full tree; only the list of generators gets shorter.
+those of the full tree; only the list of generators gets shorter, and
+it still generates Aut.  For Aut acts freely on the leaves with the best
+certificate, so an automorphism is determined by its image of the best
+leaf; that leaf is a visited one, which added a generator mapping it onto
+the best leaf, or the image of a visited one under found automorphisms.
 
 Two rules keep the work per node small without changing which leaves are
 visited, in the manner of McKay and Piperno (2014):
@@ -66,8 +70,8 @@ class CanonData:
     """Full result of the canonical search (internal superset of the public
     certificate): last_orbit is the set of vertices that appear in the last
     canonical position over all optimal labelings, aut_gens are automorphisms
-    found as certificate collisions (generating a subgroup of Aut, not
-    necessarily all of it)."""
+    found as certificate collisions, and they generate the whole group Aut
+    (of the graph, or of the ordered root partition when one is given)."""
 
     labeling: Tuple[int, ...]
     cert: bytes

@@ -1,17 +1,20 @@
 """Isomorph-free enumeration of regular graphs and theorem audits.
 
-Generation is vertex-by-vertex canonical augmentation: a child (the parent
-plus one new last vertex) is kept only when its added vertex lies in the
-canonical last orbit of the child, and only once per parent up to
-certificate equality.  Together these guarantee exactly one representative
-per isomorphism class without a global seen-set, so memory stays
+Generation is vertex-by-vertex canonical augmentation (McKay, "Isomorph-
+free exhaustive generation", J. Algorithms 26, 1998): a child (the parent
+plus one new last vertex) is kept when its neighbour set is the first
+tried of its orbit under the parent's automorphisms and its new vertex
+lies in the child's canonical last orbit.  Two such siblings are never
+isomorphic: an isomorphism, times an automorphism of the second child that
+brings the new vertex back, is an automorphism of the parent mapping one
+set onto the other.  No global seen-set is needed, so memory stays
 proportional to the search depth.
 
 A search node is immutable: adding a vertex returns a new child node and
 leaves its parent as it was, so the search needs no undo, and a node can
-be handed to a pool worker as it is.  A node carries the automorphisms
-found when it was accepted, and its children's search skips every
-neighbour set that they map onto one already tried.
+be handed to a pool worker as it is.  A node carries generators of its
+whole automorphism group, found when it was accepted, and its children's
+search skips every neighbour set that they map onto one already tried.
 
 Prunes must be monotone: a violating partial graph can only have violating
 completions.  A prune is a spec string, which each search reads at its
@@ -347,6 +350,7 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
     # bound tops k only if total_def >= (m+1)(k+2); then for m >= 1 the
     # lower sum bound lies above it by m(total_def - k(m+1))/(2(m+1)) > 0,
     # and for m = 0 every open vertex is forced, so lo >= total_def > it.
+    # A forced vertex of degree top makes top = k - m - 1, so lo >= r > top.
     if lo > hi:
         return
     maxp = search.maxpair
@@ -380,8 +384,6 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
         need = size - len(forced)
         pool = optional
         if size == top:
-            if any(deg[x] == top for x in forced):
-                continue
             pool = [x for x in optional if deg[x] != top]
         n = len(pool)
         if need == 0:
@@ -442,16 +444,13 @@ def _last_cell_possible(rows: Sequence[int]) -> bool:
     return all((rows[x] & dmask).bit_count() <= mine for x in members)
 
 
-_ORBIT_CAP = 4096
-
-
 def _orbit_seen(s: int, seen: Set[int],
                 gens: Sequence[Tuple[int, ...]]) -> bool:
     """True if some automorphism image of the mask s was already processed.
 
-    On a miss the whole orbit of s is added to seen (capped at _ORBIT_CAP;
-    the cap only costs duplicate work later, which certificate dedup
-    absorbs).
+    On a miss the whole orbit of s is added to seen.  The filters of
+    _candidate_sets read only what automorphisms preserve, so every
+    image is a set that candidate choice yields.
     """
     if s in seen:
         return True
@@ -467,8 +466,6 @@ def _orbit_seen(s: int, seen: Set[int],
             if img not in orbit:
                 orbit.add(img)
                 queue.append(img)
-        if len(orbit) > _ORBIT_CAP:
-            break
     seen.update(orbit)
     return False
 
@@ -500,12 +497,12 @@ def generate_regular(v: int, k: int, prune: Optional[str] = None,
 def _accepted_children(node: _Partial) -> Iterator[_Partial]:
     """Yield each accepted child of node, carrying its automorphisms.
 
-    A child is accepted when it passes the prunes, its new vertex r lies
-    in the canonical last orbit, and its certificate is new among its
-    siblings.  Cheap necessary conditions run first: _candidate_sets
-    yields only sets that give r the maximum degree and pass maxpair,
-    add_vertex checks the frozen values and the intervals, and
-    _last_cell_possible and capacity_ok run before the root refine.
+    A child is accepted when its neighbour set is the first of its orbit
+    under node.gens, it passes the prunes, and its new vertex r lies in
+    the canonical last orbit.  Cheap necessary conditions run first:
+    _candidate_sets yields only sets that give r the maximum degree and
+    pass maxpair, add_vertex checks the frozen values and the intervals,
+    and _last_cell_possible and capacity_ok run before the root refine.
     Every test is invariant under the parent's automorphisms, so skipping
     orbits with _orbit_seen after the first ones keeps the same
     representatives.
@@ -513,7 +510,6 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
     r = len(node.rows)
     gens = node.gens
     seen_sets: Set[int] = set()
-    seen_certs: Set[bytes] = set()
     for s in _candidate_sets(node):
         if gens and _orbit_seen(s, seen_sets, gens):
             continue
@@ -524,8 +520,7 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
         cells = refine(child.rows, [list(range(r + 1))])
         if r in cells[-1]:
             data = canon_data(child.graph(), cells)
-            if r in data.last_orbit and data.cert not in seen_certs:
-                seen_certs.add(data.cert)
+            if r in data.last_orbit:
                 yield child._replace(gens=data.aut_gens)
 
 

@@ -133,10 +133,10 @@ def ddg_detect(g: Graph) -> DdgDetection:
         classes = _classes_for_value(g, lam1)
         if classes is None:
             continue
+        # proper: a pair with lam1 shares a class, so n >= 2; and m >= 2,
+        # as one class would give lam1 to every pair
         n = len(classes[0])
         m = len(classes)
-        if m == 1 or n == 1:
-            continue
         for cls in classes:
             for i, u in enumerate(cls):
                 for w in cls[i + 1:]:

@@ -214,10 +214,9 @@ def scan_n2_tuples(kmax: int) -> Iterator[Tuple[DdgParams, SieveVerdict]]:
         for a in range(1, k + 1):
             if half % a:
                 continue
+            # a <= k gives v = 2m >= 2 + (k^2 - 2k + 2)/k = k + 2/k > k
             m = half // a + 1
             v = 2 * m
-            if k >= v:
-                continue
             params: DdgParams = (v, k, k - 2, a, m, 2)
             yield params, ddg_sieve(*params)
 

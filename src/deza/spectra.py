@@ -249,8 +249,7 @@ def _is_zero(p: Sequence[int]) -> bool:
 
 
 def _isqrt_exact(d: int) -> Optional[int]:
-    if d < 0:
-        return None
+    """The square root of d >= 0 when d is a perfect square, else None."""
     s = math.isqrt(d)
     return s if s * s == d else None
 

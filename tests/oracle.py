@@ -152,6 +152,23 @@ def automorphisms(g: Graph) -> List[Tuple[int, ...]]:
     return out
 
 
+def group_order(gens: Sequence[Tuple[int, ...]], v: int) -> int:
+    """Order of the permutation group on v points that gens generate, by
+    listing every product of generators; meant for groups of a few
+    thousand elements."""
+    identity = tuple(range(v))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for s in gens:
+            q = tuple(s[x] for x in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return len(group)
+
+
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on the given vertices, relabelled 0..len-1 in order."""
     pos = {x: i for i, x in enumerate(vertices)}

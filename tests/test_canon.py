@@ -8,7 +8,7 @@ from deza.graphs import (cartesian_product, complement, complete_graph,
                          fano_non_incidence, hypercube, make_graph,
                          permute_graph, petersen)
 
-from oracle import automorphisms, reference_refine
+from oracle import automorphisms, group_order, reference_refine
 
 
 def _grid_4x2():
@@ -230,6 +230,23 @@ def test_last_orbit_matches_brute_force_automorphisms():
         data = canon_data(g)
         last = data.labeling.index(v - 1)
         assert data.last_orbit == frozenset(s[last] for s in automorphisms(g))
+
+
+def test_aut_gens_generate_the_whole_group():
+    # the enumerator tries one neighbour set per orbit of the group the
+    # generators give, so that group must be all of Aut, however the
+    # graph is labelled
+    checked = 0
+    for name in catalog_names():
+        g = construct(name)
+        if g.v > 16:
+            continue
+        order = len(automorphisms(g))
+        for i in range(2):
+            data = canon_data(_relabelled(g, f"{name}/group/{i}"))
+            assert group_order(data.aut_gens, g.v) == order, name
+            checked += 1
+    assert checked >= 20
 
 
 def test_automorphism_pruning_keeps_few_generators():

@@ -5,6 +5,7 @@ import os
 import pickle
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -15,23 +16,29 @@ from deza.catalog import construct
 from deza.census import (
     _accepted_children,
     _candidate_sets,
+    _deza_scope,
     _frontier,
     _gap_cells,
     _last_cell_possible,
+    _match_a0,
+    _match_gap,
+    _match_unlisted_ddg,
     _Partial,
     _Search,
     _SUBTREES_PER_JOB,
     _subtree_task,
     audit_theorem,
+    build_record,
     census,
     generate_regular,
     parse_filter,
 )
 from deza.classify import classify
 from deza.graph6 import decode_graph6, encode_graph6
-from deza.graphs import GraphError
+from deza.graphs import GraphError, disjoint_union
 from deza.sieve import deza_sieve
-from oracle import count_regular_classes_naive, has_completion, reference_sets
+from oracle import (automorphisms, count_regular_classes_naive, group_order,
+                    has_completion, reference_sets)
 
 # isomorphism-class counts of k-regular graphs, any connectivity; the
 # published cubic counts (6 at v=8, 21 at v=10) pin the generator to the
@@ -534,31 +541,62 @@ def test_vacuity_verdict(prune, k, vacuous):
     assert _vacuous(search, k) == vacuous
 
 
+def _accepted_nodes(v, k, prune, vmax):
+    """The root and every accepted node of the search with at most vmax
+    vertices, in DFS order."""
+    def walk(node):
+        yield node
+        if len(node.rows) < vmax:
+            for child in _accepted_children(node):
+                yield from walk(child)
+
+    return walk(_Search(v, k, prune).root())
+
+
+# cells under no prune and the specs of theorems 1, 2 and 3
+AUGMENTATION_CELLS = [(9, 4, None), (10, 4, None), (10, 4, SAT_PRUNE),
+                      (12, 3, SAT_PRUNE), (10, 4, GAP3_PRUNE),
+                      (9, 4, ANCHOR_PRUNE), (12, 3, ANCHOR_PRUNE)]
+
+
+class TestCanonicalAugmentation:
+    # McKay's two tests: one neighbour set per orbit of the parent's
+    # automorphism group, and the new vertex in the child's last orbit;
+    # the generator keeps no other record of the children it accepted
+
+    @pytest.mark.parametrize("v,k,prune", AUGMENTATION_CELLS)
+    def test_node_gens_generate_the_whole_group(self, v, k, prune):
+        # a node's children skip sets by the group its gens generate, so
+        # at every node up to 11 vertices that group must be all of Aut
+        nodes = 0
+        for node in _accepted_nodes(v, k, prune, min(v, 11)):
+            g = node.graph()
+            assert group_order(node.gens, g.v) == len(automorphisms(g))
+            nodes += 1
+        assert nodes > 0
+
+    @pytest.mark.parametrize("v,k,prune", AUGMENTATION_CELLS)
+    def test_orbits_are_closed_and_siblings_distinct(self, v, k, prune):
+        # candidate choice reads only what automorphisms preserve, so an
+        # image of a yielded set is itself yielded, and no two accepted
+        # siblings are isomorphic
+        moved = 0
+        for node in _accepted_nodes(v, k, prune, v - 1):
+            sets = list(_candidate_sets(node))
+            yielded = set(sets)
+            for s in sets:
+                members = [x for x in range(len(node.rows)) if s >> x & 1]
+                for g in node.gens:
+                    image = sum(1 << g[x] for x in members)
+                    assert image in yielded
+                    moved += image != s
+            certs = [canonical_certificate(child.graph()).certificate_bytes
+                     for child in _accepted_children(node)]
+            assert len(set(certs)) == len(certs)
+        assert moved > 0
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("v,k,prune", [(10, 4, None),
-                                           (12, 3, ANCHOR_PRUNE)])
-    def test_orbit_cap_only_costs_duplicate_work(self, monkeypatch, v, k,
-                                                 prune):
-        # past the cap, _orbit_seen leaves images of a tried set unmarked,
-        # so the search tries them again and certificate dedup drops the
-        # repeats: at a cap of 1 the output is the same, byte for byte,
-        # from more add_vertex calls
-        real = _Partial.add_vertex
-        calls = 0
-
-        def counted(self, smask):
-            nonlocal calls
-            calls += 1
-            return real(self, smask)
-
-        monkeypatch.setattr(_Partial, "add_vertex", counted)
-        default = [encode_graph6(g) for g in generate_regular(v, k, prune)]
-        default_calls, calls = calls, 0
-        monkeypatch.setattr(deza.census, "_ORBIT_CAP", 1)
-        capped = [encode_graph6(g) for g in generate_regular(v, k, prune)]
-        assert default and capped == default
-        assert calls > default_calls
-
     def test_parallel_sequence_identical(self):
         serial = [encode_graph6(g) for g in generate_regular(9, 4)]
         parallel = [encode_graph6(g) for g in generate_regular(9, 4, jobs=2)]
@@ -751,6 +789,64 @@ class TestAudits:
                 deza_sieve(v, k, k - 2, k - gap).failures())}
         assert cells == survivors
         assert len(cells) == 84
+
+    def test_theorem_one_wording(self):
+        # every return of the theorem-1 matcher, on real records with the
+        # fields it reads replaced
+        petersen = build_record(construct("petersen"), ())
+        heawood = build_record(construct("heawood"), ())
+        grid = build_record(construct("grid-4x2"), ())
+        assert _match_a0(petersen) == (
+            None, "a diameter-2 (v,3,1,0) graph other than the Petersen "
+                  "graph")
+        assert _match_a0(heawood) == (
+            "cubic-diameter-exceeds-2",
+            "a (14,3,1,0) graph that is not the point-line incidence "
+            "graph, contradicting the uniqueness claim")
+        assert _match_a0(replace(heawood, deza=(12, 3, 1, 0))) == (
+            "cubic-diameter-exceeds-2", None)
+        assert _match_a0(grid) == (
+            None, "an (8,4,2,0) graph other than the 4x2 rook's graph")
+        for v, other in ((14, "the plane non-incidence graph"),
+                         (16, "the 4-cube")):
+            assert _match_a0(replace(grid, deza=(v, 4, 2, 0))) == (
+                None, f"a ({v},4,2,0) graph other than {other}")
+        assert _match_a0(replace(grid, deza=(10, 4, 2, 0))) == (
+            None, "parameters (10, 4, 2, 0) outside every listed case")
+
+    def test_theorem_two_wording(self):
+        rook = build_record(construct("rook-3x3"), ())
+        other = build_record(construct("complement-petersen"), ())
+        assert _match_gap(rook) == ("srg-(9,4,1,2)", None)
+        assert _match_gap(other) == ("srg-(10,6,3,4)", None)
+        for v in (8, 9):
+            strict = replace(rook, deza=(v, 4, 2, 1), strictly_deza=True,
+                             srg=None)
+            assert _match_gap(strict) == (f"strict-deza-({v},4,2,1)", None)
+        assert _match_gap(replace(rook, srg=None)) == (
+            None, "parameters (9, 4, 2, 1) outside every a=k-3 case")
+        assert _match_gap(replace(rook, deza=(10, 4, 2, 1),
+                                  strictly_deza=True, srg=None)) == (
+            None, "parameters (10, 4, 2, 1) outside every a=k-3 case")
+        assert _match_gap(replace(other, deza=(10, 6, 4, 2))) == (
+            None, "parameters (10, 6, 4, 2) outside every a=k-4 case")
+
+    def test_theorem_three_wording(self):
+        grid = build_record(construct("grid-4x2"), ())
+        assert _match_unlisted_ddg(grid) == (
+            None, "a proper divisible design graph with larger constant "
+                  "k-2 not on the list")
+
+    def test_deza_scope_needs_connected_target(self):
+        # two copies of the 4x2 rook's graph are a (16,4,2,0) Deza graph,
+        # but not a connected one, so theorem 1 leaves them out
+        grid = construct("grid-4x2")
+        one = build_record(grid, ())
+        two = build_record(disjoint_union([grid, grid]), ())
+        assert two.deza == (16, 4, 2, 0) and two.diameter is None
+        assert _deza_scope(two, (16, 4, 2, 0)) is None
+        assert _deza_scope(one, (8, 4, 2, 0)) == (8, 4, 2, 0)
+        assert _deza_scope(one, (8, 4, 2, 1)) is None
 
     def test_theorem_one_small_window(self):
         report = audit_theorem(1, vmax=10)

@@ -211,6 +211,19 @@ class TestDdgAndSpectrum:
         assert code == 0
         assert "factored: (x-4)(x-2)x^3(x+2)^3" in out
 
+    @pytest.mark.parametrize("g6,charpoly,factored", [
+        # an edge and an isolated vertex: every root an integer
+        ("B_", "x^3-x", "(x-1)x(x+1)"),
+        # the path on four vertices: a quartic with no integer or surd
+        # pair factor stays whole, in brackets
+        ("Ch", "x^4-3x^2+1", "[x^4-3x^2+1]")])
+    def test_spectrum_text_of_graph6_input(self, capsys, g6, charpoly,
+                                           factored):
+        code, out, _ = run(capsys, "spectrum", g6)
+        assert code == 0
+        assert out.splitlines() == [f"charpoly: {charpoly}",
+                                    f"factored: {factored}"]
+
     def test_spectrum_polynomial_computed_once(self, capsys, monkeypatch):
         # a proper DDG: the design check reuses the command's factors
         calls = []
@@ -392,6 +405,16 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: bad filter term")
+
+    def test_filter_with_three_parameters(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated before checking the filter")
+        monkeypatch.setattr(deza.census, "generate_regular", never)
+        code, out, err = run(capsys, "enumerate", "--v", "6", "--k", "3",
+                             "--filter", "deza(1,2,3)")
+        assert code == 1
+        assert out == ""
+        assert err.rstrip().endswith("needs four parameters")
 
     def test_out_into_missing_directory_before_enumerating(
             self, capsys, monkeypatch, tmp_path):
