@@ -27,7 +27,7 @@ Comput. 60 (2014)):
 Every skipped leaf is the image of an earlier leaf under a found
 automorphism, with an equal certificate.  So the certificate, the labeling
 (the first minimal leaf in depth-first order) and the last orbit (the
-closure of the visited last vertices under the found automorphisms) are
+orbit of the best leaf's last vertex under the found automorphisms) are
 those of the full tree; only the list of generators gets shorter, and
 it still generates Aut.  For Aut acts freely on the leaves with the best
 certificate, so an automorphism is determined by its image of the best
@@ -68,8 +68,9 @@ class CanonicalCertificate:
 @dataclass(frozen=True)
 class CanonData:
     """Full result of the canonical search (internal superset of the public
-    certificate): last_orbit is the set of vertices that appear in the last
-    canonical position over all optimal labelings, aut_gens are automorphisms
+    certificate): last_orbit is the orbit of the best leaf's last vertex,
+    which is the set of vertices that appear in the last canonical position
+    over all optimal labelings, aut_gens are automorphisms
     found as certificate collisions, and they generate the whole group Aut
     (of the graph, or of the ordered root partition when one is given)."""
 
@@ -168,7 +169,6 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
     best_rows: List[int] | None = None
     best_order: List[int] = []
     best_fixed: List[int] = []
-    last_set: set[int] = set()
     gens: List[Tuple[int, ...]] = []
 
     if root_cells is None:
@@ -225,15 +225,12 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
                 best_rows = leaf
                 best_order = order
                 best_fixed = fixed
-                last_set.clear()
-                last_set.add(order[-1])
             else:
                 sigma = [0] * v
                 bo = best_order
                 for p in range(v):
                     sigma[order[p]] = bo[p]
                 gens.append(tuple(sigma))
-                last_set.add(order[-1])
                 # backjump to where this path left the best leaf's path
                 depth = 0
                 while fixed[depth] == best_fixed[depth]:
@@ -267,9 +264,10 @@ def canon_data(g: Graph, root_cells: List[List[int]] | None = None) -> CanonData
 
     dfs(root_cells, [], [])
     assert best_rows is not None
-    # the last orbit is the closure of the visited last vertices under gens
-    last_orbit = set(last_set)
-    stack = list(last_set)
+    # a tied leaf's last vertex is best_order[-1]'s image under the inverse
+    # of the generator it added, so this orbit holds every optimal last vertex
+    last_orbit = {best_order[-1]}
+    stack = [best_order[-1]]
     while stack:
         x = stack.pop()
         for s in gens:

@@ -99,6 +99,8 @@ def _entries() -> Tuple[CatalogEntry, ...]:
     return tuple(out)
 
 
+_CATALOG = {e.name: e for e in _entries()}
+
 _ALIASES = {
     "grid-3x3": "rook-3x3",
     "heawood": "fano-incidence",
@@ -107,22 +109,21 @@ _ALIASES = {
 
 
 def catalog() -> Dict[str, CatalogEntry]:
-    return {e.name: e for e in _entries()}
+    return dict(_CATALOG)
 
 
 def catalog_names() -> Tuple[str, ...]:
-    return tuple(e.name for e in _entries())
+    return tuple(_CATALOG)
 
 
 def construct(name: str) -> Graph:
     """Build a catalog graph by name (a few aliases are accepted)."""
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    entries = catalog()
-    if key not in entries:
-        known = ", ".join(catalog_names())
+    if key not in _CATALOG:
+        known = ", ".join(_CATALOG)
         raise GraphError(f"unknown graph {name!r}; known names: {known}")
-    return entries[key].graph()
+    return _CATALOG[key].graph()
 
 
 def graph_facts(g: Graph) -> Dict[str, object]:

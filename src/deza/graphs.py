@@ -89,7 +89,9 @@ class Graph:
         return best
 
 
-def _rows_from_edges(v: int, edges: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
+def make_graph(v: int, edges: Iterable[Tuple[int, int]]) -> Graph:
+    """Graph on v vertices with exactly the given edges (symmetric closure)."""
+    _check_vertex_count(v)
     rows = [0] * v
     for e in edges:
         i, j = e
@@ -99,13 +101,7 @@ def _rows_from_edges(v: int, edges: Iterable[Tuple[int, int]]) -> Tuple[int, ...
             raise GraphError(f"loop {e!r} not allowed")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return tuple(rows)
-
-
-def make_graph(v: int, edges: Iterable[Tuple[int, int]]) -> Graph:
-    """Graph on v vertices with exactly the given edges (symmetric closure)."""
-    _check_vertex_count(v)
-    return Graph(v, _rows_from_edges(v, edges))
+    return Graph(v, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
@@ -166,7 +162,7 @@ def hypercube(d: int) -> Graph:
     distance one."""
     if d < 0:
         raise GraphError("hypercube dimension must be non-negative")
-    if d >= MAX_VERTICES.bit_length() + 1 or (1 << d) > MAX_VERTICES:
+    if d >= MAX_VERTICES.bit_length():  # 2^d > MAX_VERTICES
         raise GraphError(f"hypercube dimension {d} exceeds the vertex cap")
     v = 1 << d
     return Graph(v, tuple(

@@ -12,7 +12,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .classify import beta_formula
 from .graphs import GraphError
-from .spectra import _balanced_attributions
+from .spectra import _balanced_attributions, _prime_factors
 
 DdgParams = Tuple[int, int, int, int, int, int]
 
@@ -50,18 +50,8 @@ def _verdict(trace: List[RuleResult]) -> SieveVerdict:
 def _two_is_square(n: int) -> bool:
     """Whether x^2 = 2 (mod n) is solvable, in O(sqrt n): exactly when 4 does
     not divide n and every odd prime factor of n is 1 or 7 mod 8 (Hensel)."""
-    if n % 4 == 0:
-        return False
-    n //= 2 - n % 2  # drop a factor 2
-    p = 3
-    while p * p <= n:
-        if n % p:
-            p += 2
-        elif p % 8 in (1, 7):
-            n //= p
-        else:
-            return False
-    return n % 8 in (1, 7)
+    return n % 4 != 0 and all(p % 8 in (1, 7)
+                              for p, _ in _prime_factors(n) if p > 2)
 
 
 def deza_sieve(v: int, k: int, b: int, a: int) -> SieveVerdict:

@@ -58,17 +58,12 @@ def char_poly(g: Graph) -> Tuple[int, ...]:
     for c in reversed(_power_sum_char_poly(complement(g))):
         q = [-a - b for a, b in zip(q + [0], [0] + q)]
         q[0] += c
-    # times (x - k), then divide synthetically by x - r with r = k - v
+    # times (x - k), then divide by x + v - k
     num = [-k * a + b for a, b in zip(q + [0], [0] + q)]
-    r = k - v
-    out = [0] * (v + 1)
-    acc = 0
-    for i in range(v + 1, 0, -1):
-        acc = num[i] + r * acc
-        out[i - 1] = acc
-    if num[0] + r * acc:
+    out, rem = poly_divmod(num, (v - k, 1))
+    if any(rem):
         raise InternalInvariantError("inexact complement division")
-    return tuple(out) if v % 2 == 0 else tuple(-c for c in out)
+    return out if v % 2 == 0 else tuple(-c for c in out)
 
 
 def _power_sum_char_poly(g: Graph) -> Tuple[int, ...]:
@@ -244,34 +239,37 @@ def poly_divmod(p: Sequence[int], q: Sequence[int]) -> Tuple[Tuple[int, ...], Tu
     return tuple(quo), tuple(rem)
 
 
-def _is_zero(p: Sequence[int]) -> bool:
-    return all(c == 0 for c in p)
-
-
 def _isqrt_exact(d: int) -> Optional[int]:
     """The square root of d >= 0 when d is a perfect square, else None."""
     s = math.isqrt(d)
     return s if s * s == d else None
 
 
+def _prime_factors(n: int) -> Iterator[Tuple[int, int]]:
+    """Yield (p, e) for each prime power p^e exactly dividing n >= 1, p
+    ascending, by trial division by 2 and then odd numbers.  Lazily, so a
+    caller that stops at one prime skips the rest of the O(sqrt n) search."""
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            yield p, e
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
 def squarefree_part(d: int) -> Tuple[int, int]:
     """Write d = s^2 * q with q squarefree; returns (s, q).  Requires d > 0."""
     if d <= 0:
         raise ValueError("need a positive integer")
-    s, q, f = 1, 1, 2
-    n = d
-    while f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e:
-            s *= f ** (e // 2)
-            if e % 2:
-                q *= f
-        f += 1
-    if n > 1:
-        q *= n
+    s = q = 1
+    for p, e in _prime_factors(d):
+        s *= p ** (e // 2)
+        q *= p ** (e % 2)
     return s, q
 
 
@@ -303,7 +301,7 @@ def factor_adjacency_poly(coeffs: Sequence[int], bound: int) -> SpectrumFactors:
         mult = 0
         while len(p) > 1 and poly_eval(p, r) == 0:
             p, rem = poly_divmod(p, (-r, 1))
-            if not _is_zero(rem):
+            if any(rem):
                 raise InternalInvariantError("inexact root division")
             mult += 1
         if mult:
@@ -318,7 +316,7 @@ def factor_adjacency_poly(coeffs: Sequence[int], bound: int) -> SpectrumFactors:
         while (len(p) > 2 and poly_eval(p[0::2], d) == 0
                and poly_eval(p[1::2], d) == 0):
             p, rem = poly_divmod(p, (-d, 0, 1))
-            if not _is_zero(rem):
+            if any(rem):
                 raise InternalInvariantError("inexact surd division")
             mult += 1
         if mult:

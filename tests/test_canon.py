@@ -1,9 +1,9 @@
 import hashlib
 import random
 
-from deza.canon import canon_data, canonical_certificate, refine
+from deza.canon import CanonData, canon_data, canonical_certificate, refine
 from deza.catalog import _cubes_complement, catalog_names, construct
-from deza.graphs import (cartesian_product, complement, complete_graph,
+from deza.graphs import (Graph, cartesian_product, complement, complete_graph,
                          cycle_graph, disjoint_union, fano_incidence,
                          fano_non_incidence, hypercube, make_graph,
                          permute_graph, petersen)
@@ -220,16 +220,40 @@ def test_frozen_aut_gens():
     assert _aut_gens_digest(graphs) == AUT_GENS_DIGEST
 
 
+def _check_last_orbit(g, root_cells, auts):
+    # the last orbit is the orbit, under the automorphisms of the ordered
+    # root partition, of the vertex in the last canonical position
+    data = canon_data(g, root_cells)
+    last = data.labeling.index(g.v - 1)
+    assert data.last_orbit == frozenset(s[last] for s in auts)
+
+
 def test_last_orbit_matches_brute_force_automorphisms():
-    # the last orbit is the orbit, under the whole automorphism group, of
-    # the vertex in the last canonical position
     rng = random.Random(8)
     for _ in range(300):
         v = rng.randint(1, 7)
         g = _gnp(v, rng.choice((0.2, 0.4, 0.5, 0.6, 0.8)), rng)
-        data = canon_data(g)
-        last = data.labeling.index(v - 1)
-        assert data.last_orbit == frozenset(s[last] for s in automorphisms(g))
+        auts = automorphisms(g)
+        _check_last_orbit(g, None, auts)
+        # the enumerator passes the refined unit partition as root cells
+        _check_last_orbit(g, refine(g.rows, [list(range(v))]), auts)
+        # a first root cell [x] leaves the stabiliser of x
+        if v > 1:
+            x = rng.randrange(v)
+            cells = refine(g.rows, [[x], [y for y in range(v) if y != x]])
+            _check_last_orbit(g, cells, [s for s in auts if s[x] == x])
+    for name in catalog_names():
+        g = construct(name)
+        if g.v > 16:
+            continue
+        for i in range(2):
+            h = _relabelled(g, f"{name}/last/{i}")
+            _check_last_orbit(h, None, automorphisms(h))
+
+
+def test_empty_graph():
+    data = canon_data(Graph(0, ()))
+    assert data == CanonData((), b"\x00\x00", frozenset(), ())
 
 
 def test_aut_gens_generate_the_whole_group():

@@ -57,6 +57,14 @@ class TestConstruct:
         assert _cert(construct("complement-1-cube")) == \
             _cert(construct("complement-1-cubes"))
 
+    def test_catalog_returns_a_copy(self):
+        names = catalog_names()
+        entries = catalog()
+        del entries["petersen"]
+        assert catalog_names() == names
+        assert construct("petersen").v == 10
+        assert "petersen" in catalog()
+
     def test_unknown_name_lists_options(self):
         with pytest.raises(GraphError, match="petersen"):
             construct("no-such-graph")

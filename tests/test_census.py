@@ -16,6 +16,7 @@ from deza.catalog import construct
 from deza.census import (
     _accepted_children,
     _candidate_sets,
+    _check_limits,
     _deza_scope,
     _frontier,
     _gap_cells,
@@ -35,7 +36,7 @@ from deza.census import (
 )
 from deza.classify import classify
 from deza.graph6 import decode_graph6, encode_graph6
-from deza.graphs import GraphError, disjoint_union
+from deza.graphs import GraphError, disjoint_union, make_graph
 from deza.sieve import deza_sieve
 from oracle import (automorphisms, count_regular_classes_naive, group_order,
                     has_completion, reference_sets)
@@ -659,6 +660,15 @@ class TestDeterminism:
                     for g in generate_regular(9, 4, ANCHOR_PRUNE, jobs=2)]
         assert serial and serial == parallel
 
+    def test_dead_tree_starts_no_pool(self, monkeypatch):
+        # maxpair=0 allows no pair a common neighbour, which no cubic
+        # graph has, and the search dies before its frontier holds a node
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool for an empty frontier")
+        monkeypatch.setattr(deza.census.multiprocessing, "Pool", no_pool)
+        assert not _frontier(_Search(8, 3, "maxpair=0"), 32)
+        assert list(generate_regular(8, 3, "maxpair=0", jobs=2)) == []
+
     def test_two_censuses_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -695,6 +705,14 @@ class TestCensusRecords:
         keys = [(r.v, r.k, r.certificate_hash) for r in records]
         assert keys == sorted(keys)
         assert len(set(r.certificate_hash for r in records)) == len(records)
+
+    def test_irregular_graph_has_no_record(self):
+        path = make_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="regular graphs only"):
+            build_record(path, ())
+
+    def test_int_bounds_are_one_cell(self):
+        assert census(8, 3) == census([8], [3])
 
     def test_odd_cells_skipped(self):
         with_odd = [r.graph6 for r in census([5, 6], [3])]
@@ -766,6 +784,13 @@ class TestLimits:
             census([8], [3])
         monkeypatch.setenv("DEZA_MAX_VERTICES", "8")
         assert census([8], [3])
+
+    def test_long_window(self, monkeypatch):
+        monkeypatch.delenv("DEZA_MAX_VERTICES", raising=False)
+        _check_limits(16, 4, long=True)
+        for v, k, long in ((16, 4, False), (17, 4, True), (16, 5, True)):
+            with pytest.raises(GraphError, match=f"^v={v}, k={k} outside"):
+                _check_limits(v, k, long=long)
 
     def test_every_cell_checked_before_enumerating(self, monkeypatch):
         def never(*args, **kwargs):

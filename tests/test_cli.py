@@ -206,6 +206,14 @@ class TestDdgAndSpectrum:
         assert code == 0
         assert "(8, 4, 0, 2, 4, 2)" in out
 
+    @pytest.mark.parametrize("command", ["ddg", "spectrum"])
+    def test_dash_reads_graph6_from_stdin(self, capsys, monkeypatch,
+                                          command):
+        want = run(capsys, command, "GQzTrg")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("GQzTrg\n"))
+        assert run(capsys, command, "-") == want
+        assert want[0] == 0 and want[1]
+
     def test_spectrum_factored_form(self, capsys):
         code, out, _ = run(capsys, "spectrum", "grid-4x2")
         assert code == 0
@@ -322,6 +330,15 @@ class TestEnumerate:
                            "--filter", "deza(8,4,2,0)")
         assert code == 0
         assert out.strip() == "GQzTrg"
+
+    def test_two_jobs_print_the_one_job_stdout(self, capsys, monkeypatch):
+        # --jobs is capped at the CPU count; claim two so the pool runs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = run(capsys, "enumerate", "--v", "8", "--k", "3")
+        parallel = run(capsys, "enumerate", "--v", "8", "--k", "3",
+                       "--jobs", "2")
+        assert parallel == serial
+        assert serial[0] == 0 and serial[1].count("\n") == 6
 
     def test_out_files(self, capsys, tmp_path):
         prefix = tmp_path / "run"
@@ -465,7 +482,7 @@ class TestExitCodes:
         pytest.param(("enumerate", "--v", "8", "--k", "3"), id="enumerate"),
         pytest.param(("audit", "--theorem", "1"), id="audit"),
     ])
-    @pytest.mark.parametrize("jobs", [0, -3, (os.cpu_count() or 1) + 1])
+    @pytest.mark.parametrize("jobs", [0, -3, (os.cpu_count() or 1) + 1, "x"])
     def test_jobs_out_of_range(self, capsys, monkeypatch, argv, jobs):
         # rejected while parsing, before any generator or pool could start
         def never(*args, **kwargs):

@@ -22,6 +22,8 @@ def test_make_graph_rejects_loops_and_range():
         make_graph(3, [(0, 3)])
     with pytest.raises(GraphError, match=r"cap"):
         make_graph(513, [])
+    with pytest.raises(GraphError, match=r"non-negative"):
+        make_graph(-1, [])
 
 
 def test_duplicate_edges_collapse():
@@ -61,8 +63,12 @@ def test_hypercube():
     assert q3.diameter() == 3
     assert hypercube(4).diameter() == 4
     assert hypercube(0).v == 1
-    with pytest.raises(GraphError):
+    # 2^9 is the vertex cap itself
+    assert hypercube(9).degrees() == (9,) * 512
+    with pytest.raises(GraphError, match=r"cap"):
         hypercube(10)
+    with pytest.raises(GraphError, match=r"non-negative"):
+        hypercube(-1)
 
 
 def test_petersen_structure():

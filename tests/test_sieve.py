@@ -203,6 +203,10 @@ class TestDdgSieve:
         with pytest.raises(ValueError):
             ddg_sieve(8, 4, 2, 0, 0, 4)
 
+    def test_unknown_rule_name(self):
+        with pytest.raises(KeyError):
+            ddg_sieve(14, 3, 1, 0, 2, 7).rule("D9")
+
     def test_class_size_above_v_is_refused(self):
         # a split of v vertices has m, n <= v; a larger n would otherwise
         # reach D7's residue scan, which takes time linear in n

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -26,6 +27,7 @@ from deza.spectra import (
     SpectrumMismatch,
     _balanced_attributions,
     _expected_factors,
+    _prime_factors,
     _walk_char_poly,
     adjacency_square_identity,
     char_poly,
@@ -112,6 +114,26 @@ class TestPolyHelpers:
         assert squarefree_part(72) == (6, 2)
         with pytest.raises(ValueError):
             squarefree_part(0)
+        for d in range(1, 3001):
+            s = max(s for s in range(1, math.isqrt(d) + 1) if d % (s * s) == 0)
+            assert squarefree_part(d) == (s, d // (s * s)), d
+
+    def test_prime_factors_multiply_back(self):
+        for n in range(1, 3001):
+            factors = list(_prime_factors(n))
+            primes = [p for p, _ in factors]
+            assert primes == sorted(set(primes)), n
+            for p, e in factors:
+                bound = math.isqrt(p) + 1
+                assert e >= 1 and all(p % f for f in range(2, bound)), n
+            assert math.prod(p ** e for p, e in factors) == n
+
+    def test_prime_factors_are_lazy(self):
+        # a caller that stops at the first prime, as the sieve's D7 rule
+        # does, must not pay for the rest: 10**18 + 9 is prime
+        factors = _prime_factors(3 * (10 ** 18 + 9))
+        assert inspect.isgenerator(factors)
+        assert next(factors) == (3, 1)
 
 
 # polynomials below are built by multiplying the factors out, so the
