@@ -43,8 +43,7 @@ def _dump(obj) -> str:
 def _read_graph(text: str) -> Graph:
     """Resolve a positional input: catalog name, graph6 literal, or '-'."""
     if text == "-":
-        text = sys.stdin.readline().strip()
-        return decode_graph6(text)
+        return decode_graph6(sys.stdin.readline())
     try:
         return construct(text)
     except GraphError:
@@ -63,16 +62,15 @@ def _graph_from_flags(args) -> Graph:
     if args.g6 is None:
         raise UsageError("provide --g6 <file> or --name <name>")
     if args.g6 == "-":
-        line = sys.stdin.readline().strip()
-    else:
-        # non-ASCII text reaches decode_graph6, which names it
-        try:
-            with open(args.g6, "r", encoding="utf-8",
-                      errors="surrogateescape") as fh:
-                line = fh.readline().strip()
-        except OSError as exc:
-            raise GraphError(f"cannot read --g6 {args.g6}: "
-                             f"{exc.strerror}") from None
+        return _read_graph("-")
+    # non-ASCII text reaches decode_graph6, which names it
+    try:
+        with open(args.g6, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            line = fh.readline()
+    except OSError as exc:
+        raise GraphError(f"cannot read --g6 {args.g6}: "
+                         f"{exc.strerror}") from None
     return decode_graph6(line)
 
 
@@ -234,9 +232,9 @@ def _factored_text(factors) -> str:
 def _cmd_spectrum(args) -> int:
     g = _read_graph(args.input)
     coeffs = char_poly(g)
-    k = g.regular_degree()
-    bound = k if k is not None else g.v
-    factors = factor_adjacency_poly(coeffs, max(bound, 1))
+    # every eigenvalue lies in [-D, D] for the maximum degree D
+    bound = max(max(g.degrees(), default=0), 1)
+    factors = factor_adjacency_poly(coeffs, bound)
     det = ddg_detect(g)
     spec = (None if det.proper is None else
             ddg_spectrum_check(g, *det.proper.params, factors=factors))
@@ -442,13 +440,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -22,20 +22,12 @@ def encode_graph6(g: Graph) -> str:
         head = chr(63 + v)
     else:
         head = "~" + "".join(chr(63 + (v >> s & 0x3F)) for s in (12, 6, 0))
-    bits = []
-    for j in range(1, v):
-        rj = g.rows[j]
-        for i in range(j):
-            bits.append(rj >> i & 1)
-    body = []
-    for p in range(0, len(bits), 6):
-        group = bits[p:p + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        body.append(chr(63 + val))
-    return head + "".join(body)
+    # column j is row j's j low bits, lowest first
+    bits = "".join(f"{g.rows[j] & ((1 << j) - 1):0{j}b}"[::-1]
+                   for j in range(1, v))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(63 + int(bits[p:p + 6], 2))
+                          for p in range(0, len(bits), 6))
 
 
 def decode_graph6(text: str) -> Graph:
@@ -72,21 +64,15 @@ def decode_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"body length {len(data) - pos} != expected {nbytes} bytes",
             len(data))
+    bits = "".join(f"{byte - 63:06b}" for byte in data[pos:])
+    if "1" in bits[nbits:]:  # fewer than six padding bits: the last byte
+        raise Graph6Error("nonzero padding bits", len(data) - 1)
     rows = [0] * v
-    bit_index = 0
-    i, j = 0, 1  # walks the column-major upper triangle
-    for off in range(pos, len(data)):
-        val = data[off] - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            b = val >> shift & 1
-            if bit_index < nbits:
-                if b:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif b:
-                raise Graph6Error("nonzero padding bits", off)
-            bit_index += 1
+    for j in range(1, v):
+        col = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        rows[j] |= col
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
     return Graph(v, tuple(rows))

@@ -290,8 +290,8 @@ class SpectrumFactors:
 def factor_adjacency_poly(coeffs: Sequence[int], bound: int) -> SpectrumFactors:
     """Split off integer roots in [-bound, bound] and surd pairs (x^2 - d).
 
-    bound should dominate the spectral radius (the degree of a regular
-    graph works); d ranges over non-squares up to bound^2.
+    bound should dominate the spectral radius (the maximum degree works for
+    every graph); d ranges over non-squares up to bound^2.
     """
     if not coeffs or coeffs[-1] != 1:
         raise ValueError("expected a monic polynomial")

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -14,8 +15,9 @@ import deza.census
 from deza import cli, spectra
 from deza.catalog import catalog, catalog_names, construct
 from deza.classify import classify
-from deza.graph6 import decode_graph6
-from deza.graphs import InternalInvariantError
+from deza.graph6 import decode_graph6, encode_graph6
+from deza.graphs import (InternalInvariantError, complete_graph,
+                         disjoint_union, make_graph)
 
 
 def run(capsys, *argv):
@@ -231,6 +233,31 @@ class TestDdgAndSpectrum:
         assert code == 0
         assert out.splitlines() == [f"charpoly: {charpoly}",
                                     f"factored: {factored}"]
+
+    def test_spectrum_of_irregular_graphs_uses_the_max_degree(self, capsys):
+        # every eigenvalue lies in [-D, D] for the maximum degree D, so the
+        # factors equal those found with the wider bound v; K5 plus a path
+        # has the integer root D = 4, and the star K_{1,3} the surd pair
+        # (x^2 - 3)
+        rng = random.Random(31)
+        graphs = [disjoint_union([complete_graph(5),
+                                  make_graph(3, [(0, 1), (1, 2)])]),
+                  make_graph(4, [(0, 1), (0, 2), (0, 3)])]
+        while len(graphs) < 24:
+            v = rng.randrange(3, 15)
+            p = rng.choice((0.15, 0.4, 0.7))
+            g = make_graph(v, [(i, j) for i in range(v)
+                               for j in range(i + 1, v) if rng.random() < p])
+            if g.regular_degree() is None:
+                graphs.append(g)
+        for g in graphs:
+            code, out, _ = run(capsys, "spectrum", encode_graph6(g), "--json")
+            assert code == 0
+            data = json.loads(out)
+            factors = spectra.factor_adjacency_poly(data["coeffs"], g.v)
+            assert {key: data[key] for key in
+                    ("int_roots", "surd_pairs", "residual")} == json.loads(
+                cli._dump(factors))
 
     def test_spectrum_polynomial_computed_once(self, capsys, monkeypatch):
         # a proper DDG: the design check reuses the command's factors

@@ -5,6 +5,7 @@ import pytest
 from deza.graph6 import Graph6Error, decode_graph6, encode_graph6
 from deza.graphs import (complete_graph, cycle_graph, empty_graph,
                          fano_incidence, hypercube, make_graph, petersen)
+from oracle import reference_decode_graph6, reference_encode_graph6
 
 
 def test_frozen_reference_encodings():
@@ -24,15 +25,19 @@ def test_roundtrip_catalog_graphs():
 
 
 def test_roundtrip_random_graphs_including_long_header():
+    # the frozen encodings above have symmetric columns, so only graphs
+    # like these see the bit order inside a column
     rng = random.Random(99)
-    for v in (10, 30, 62, 63, 70):
-        edges = [(i, j) for i in range(v) for j in range(i + 1, v)
-                 if rng.random() < 0.3]
-        g = make_graph(v, edges)
-        s = encode_graph6(g)
-        if v >= 63:
-            assert s.startswith("~")
-        assert decode_graph6(s) == g
+    for density in (0.05, 0.3, 0.9):
+        for v in (*range(10), 30, 62, 63, 70, 128, 512):
+            edges = [(i, j) for i in range(v) for j in range(i + 1, v)
+                     if rng.random() < density]
+            g = make_graph(v, edges)
+            s = encode_graph6(g)
+            assert s == reference_encode_graph6(g)
+            if v >= 63:
+                assert s.startswith("~")
+            assert decode_graph6(s) == g
 
 
 def test_header_prefix_stripped():
@@ -76,7 +81,8 @@ def test_decode_rejects_over_cap():
 
 def test_arbitrary_strings_raise_only_graph6_error():
     # seeded random strings, biased towards the graph6 alphabet, long-form
-    # headers and the >>graph6<< prefix, must decode or raise Graph6Error
+    # headers and the >>graph6<< prefix, must decode to the per-bit
+    # reference's graph or raise its Graph6Error message and offset
     rng = random.Random(2024)
     alphabet = [chr(c) for c in range(63, 127)]
     other = [chr(c) for c in range(0, 63)] + ["\x7f", "\u00e9", "\u2603",
@@ -93,8 +99,12 @@ def test_arbitrary_strings_raise_only_graph6_error():
         elif roll < 0.3:
             text = ">>graph6<<" + text
         try:
-            decode_graph6(text)
-        except Graph6Error:
+            want = reference_decode_graph6(text)
+        except Graph6Error as exc:
+            with pytest.raises(Graph6Error) as e:
+                decode_graph6(text)
+            assert (str(e.value), e.value.offset) == (str(exc), exc.offset)
             continue
+        assert decode_graph6(text) == want
         decoded += 1
     assert decoded > 0

@@ -255,6 +255,56 @@ class TestScans:
             assert verdict.rule("D7").status == "fail", params
 
 
+    def test_theorem3_parameter_survivors(self):
+        # every proper (m, n >= 2) DDG tuple with 3 <= k <= 60,
+        # max(lam1, lam2) = k-2 and lam1 != lam2 that satisfies D2:
+        # k^2 - k = lam1(n-1) + lam2 n(m-1).  For each k the n range is
+        # complete: lam1 >= 1 gives lam1(n-1) <= k^2 - k, and lam1 = 0
+        # gives lam2 = k-2 >= 1 and n <= n(m-1) = (k^2 - k)/lam2.  m is
+        # then fixed by D2 unless lam2 = 0, where D2 leaves it free; those
+        # tuples are disjoint copies of one graph (README, theorem 3), so
+        # the scan tries m <= 7 only
+        passed = []
+        for k in range(3, 61):
+            top = k * k - k
+            pairs = ([(k - 2, c) for c in range(k - 2)]
+                     + [(c, k - 2) for c in range(k - 2)])
+            for lam1, lam2 in pairs:
+                nmax = 1 + top // lam1 if lam1 else top // lam2
+                for n in range(2, nmax + 1):
+                    rest = top - lam1 * (n - 1)
+                    if lam2 == 0:
+                        ms = range(2, 8) if rest == 0 else ()
+                    elif rest > 0 and rest % (lam2 * n) == 0:
+                        ms = (1 + rest // (lam2 * n),)
+                    else:
+                        ms = ()
+                    for m in ms:
+                        params = (m * n, k, lam1, lam2, m, n)
+                        verdict = ddg_sieve(*params)
+                        assert verdict.rule("D2").status == "pass"
+                        if verdict.feasible:
+                            passed.append(params)
+        assert sorted(passed) == [
+            (8, 3, 0, 1, 4, 2), (8, 4, 0, 2, 4, 2),
+            (14, 3, 1, 0, 2, 7), (14, 4, 2, 0, 2, 7),
+            (28, 3, 1, 0, 4, 7), (28, 4, 2, 0, 4, 7),
+            (42, 3, 1, 0, 6, 7), (42, 4, 2, 0, 6, 7)]
+
+    def test_theorem2_parameter_survivors(self):
+        # every Deza cell (v, k, k-2, a) with a in {k-3, k-4}, a > 0 and
+        # complement degree k' = v-1-k >= 4 that passes the sieve.  R2 needs
+        # beta > 0, that is a(v-1) < k(k-1): k' < 2 + 6/(k-3) when a = k-3
+        # and k' < 3 + 12/(k-4) when a = k-4.  With k' >= 4 that leaves
+        # k <= 5, v <= 12 and k <= 15, v <= 20, inside this window
+        cells = {(v, k) for v in range(2, 41) for k in range(4, v - 4)
+                 for a in (k - 3, k - 4)
+                 if a > 0 and deza_sieve(v, k, k - 2, a).feasible}
+        assert sorted(cells) == [
+            (9, 4), (10, 4), (10, 5), (11, 4), (11, 6), (12, 4), (12, 6),
+            (13, 6), (13, 8), (14, 6), (14, 8), (15, 6), (15, 10),
+            (17, 12), (19, 14)]
+
 def _small_ddg_tuples():
     """Every (v, k, lam1, lam2, m, n) with v <= 16, m * n = v, k < v and
     lam1, lam2 <= k; 344 of them have more than one balanced eigenvalue
