@@ -35,6 +35,19 @@ least as many neighbours as the new one and gains at most k minus that
 many later; the child's deficiency must cover the rest.  Capacity, under
 maxpair: a later vertex shares at most maxpair neighbours with a placed
 one, and two later vertices share at most maxpair placed neighbours.
+
+The sat clause is also enforced at candidate choice, which drops only
+sets that add_vertex would refuse, so it changes no output either.  A
+step with neighbour set s freezes exactly these pairs: the new vertex
+with every y saturated before it, with every x in s of degree k-1, and,
+when |s| = k, with every placed vertex, each at |N(y) & s|; and a
+saturating x in s with every other open y, at c_xy + [y in s].  Every
+other pair it touches stays open, and pairs frozen before the step
+keep their values.  So when sat is the only frozen-value rule, a set
+breaks it exactly when one of these frozen counts is bad, and candidate
+choice drops exactly the sets add_vertex refuses on frozen values; with
+satdistinct as well, a bad count still refuses the step, so every set
+dropped is still refused.  Only the interval rule is left to add_vertex.
 """
 
 import hashlib
@@ -96,10 +109,18 @@ class _Search:
     The rules only get stricter on larger value sets, and such a spec has
     gap 0 on all those values, so it can reject no step; then no frozen
     value is computed at all and every node's mask stays 0.
+
+    relation, for a spec with sat that is not vacuous, says what the
+    pair count c of an open x of degree k-1 and another open y asks of
+    the next neighbour set, whose step freezes the pair at c + [y joins]
+    when x joins: bit 0 is set when c is bad, so y must join with x, and
+    bit 1 when c+1 is bad or above maxpair, so y must not; both bits bar
+    x.  It is None for every other spec, and candidate choice then builds
+    no relation.
     """
 
     __slots__ = ("v", "k", "maxpair", "sat", "distinct", "anchor", "gap",
-                 "bad", "interval", "vacuous")
+                 "bad", "interval", "vacuous", "relation")
 
     def __init__(self, v: int, k: int, prune: Optional[str]):
         self.v = v
@@ -148,6 +169,10 @@ class _Search:
         # a negative maxpair allows no count, so no interval is dead
         self.interval = (not self.vacuous and self.gap is not None
                          and max(self.gap[:top + 1], default=0) > 1)
+        self.relation: Optional[List[int]] = None
+        if self.sat is not None and not self.vacuous:
+            self.relation = [self.bad >> c & 3 | 2 * (top <= c)
+                             for c in range(k)]
 
     def frozen_ok(self, seen: int) -> bool:
         """Whether the frozen-value rules accept the values in the mask
@@ -311,7 +336,20 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
     - maxpair: a set is dropped as soon as a pair inside it already has
       maxpair common neighbours, or an existing vertex has more than
       maxpair neighbours in it.  Both counts only grow with the set, so
-      dropping at the first such prefix is exact.
+      dropping at the first such prefix is exact;
+    - sat, when search.relation is set: a set is dropped when the step
+      would freeze a pair at a count outside sat (see the module
+      docstring).  For an open x of degree k-1 (a tail) and another open
+      y, the relation of their count bars x, makes y join with x, or
+      keeps the two apart, the last as a conflict like maxpair's; a
+      prefix is dropped once a vertex it requires is blocked or passed.
+      The counts of the new vertex with the watched vertices (the
+      saturated ones, and at size k all of them) and with the tails in
+      the set are checked when the last member is picked: for the prefix
+      before it, fix holds the vertices whose count is bad unless the
+      last member is their neighbour, and avoid those whose count is bad
+      if it is.  Below size k, a node with no tail and no saturated
+      vertex freezes no pair, and builds no relation.
 
     The surviving sets keep their relative order.
     """
@@ -354,18 +392,95 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
     if lo > hi:
         return
     maxp = search.maxpair
+    relation = search.relation
+    if relation is not None and hi < k and k - 1 not in deg \
+            and k not in deg:
+        # no step of this node freezes a pair
+        relation = None
     # conflict[x]: the candidates y that cannot join x, because x and y
-    # already have maxpair common neighbours; a vertex z with maxpair
-    # neighbours in the set blocks every further neighbour of z
+    # already have maxpair common neighbours or the sat relation forbids
+    # both; a vertex z with maxpair neighbours in the set blocks every
+    # further neighbour of z
     conflict = dict.fromkeys(forced + optional, 0)
     nbrs = {}
-    if maxp is not None:
+    tails = 0
+    if maxp is not None or relation is not None:
+        reach = 0
+        for x in conflict:
+            reach |= 1 << x
+        if maxp is not None:
+            # only a vertex with maxpair open neighbours can block any
+            hot = [z for z in range(r)
+                   if (rows[z] & reach).bit_count() >= maxp]
+        if relation is not None:
+            bad = search.bad
+            # require[x]: the candidates that must join whenever x does,
+            # for each open x of degree k-1, a tail
+            require = dict.fromkeys(conflict, 0)
+            tail_list = []
+            barred = 0
         for x in conflict:
             row = rows[x]
-            nbrs[x] = [z for z in range(r) if row >> z & 1]
-            for y in conflict:
-                if y != x and (row & rows[y]).bit_count() >= maxp:
-                    conflict[x] |= 1 << y
+            if maxp is not None:
+                nbrs[x] = [z for z in hot if row >> z & 1]
+            if relation is not None and deg[x] == k - 1:
+                # by[j]: the open y whose pair with x has relation j
+                by = [0, 0, 0, 0]
+                for y in conflict:
+                    if y != x:
+                        by[relation[(row & rows[y]).bit_count()]] |= 1 << y
+                if by[3]:
+                    barred |= 1 << x
+                    continue
+                tail_list.append(x)
+                tails |= 1 << x
+                require[x] = by[1]
+                conflict[x] |= by[2]
+                apart = by[2]
+                while apart:
+                    low = apart & -apart
+                    conflict[low.bit_length() - 1] |= 1 << x
+                    apart ^= low
+            elif maxp is not None and deg[x] >= maxp:
+                # a pair has at most min(deg x, deg y) common neighbours
+                for y in conflict:
+                    if y != x and (row & rows[y]).bit_count() >= maxp:
+                        conflict[x] |= 1 << y
+    if relation is not None:
+        if barred:
+            if any(barred >> x & 1 for x in forced):
+                return
+            optional = [x for x in optional if not barred >> x & 1]
+            reach &= ~barred
+        # the placed vertices whose pair with the new vertex a step of
+        # size k freezes, and the saturated ones, whose pair any step
+        # freezes; one with no open neighbour that can join keeps count 0,
+        # which needs no check when it is good
+        watched = list(range(r)) if hi == k else []
+        sat_watch = [y for y in range(r) if deg[y] == k]
+        if not bad & 1 and (watched or sat_watch):
+            watched = [y for y in watched if rows[y] & reach]
+            sat_watch = [y for y in sat_watch if rows[y] & reach]
+
+        def frozen_masks(prefix: int, watch: List[int], open_tails: int
+                         ) -> Tuple[int, int]:
+            # rules (i) and (iv) for each watched y, and rule (ii) for each
+            # tail y in prefix: the step freezes the pair of y and the new
+            # vertex at |N(y) & prefix|, plus one if the last pick is a
+            # neighbour of y; fix holds the y whose count is bad without
+            # that one, avoid those whose count is bad with it
+            fix = avoid = 0
+            for y in watch:
+                c = (rows[y] & prefix).bit_count()
+                fix |= (bad >> c & 1) << y
+                avoid |= (bad >> c + 1 & 1) << y
+            if prefix & open_tails:
+                for y in tail_list:
+                    if prefix >> y & 1:
+                        c = (rows[y] & prefix).bit_count()
+                        fix |= (bad >> c & 1) << y
+                        avoid |= (bad >> c + 1 & 1) << y
+            return fix, avoid
     base = 0
     blocked = 0
     for x in forced:
@@ -373,6 +488,10 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
             return
         base |= 1 << x
         blocked |= conflict[x]
+    base_need = 0
+    if tails:
+        for x in forced:
+            base_need |= require[x]
     if maxp is not None:
         for row in rows:
             c = (row & base).bit_count()
@@ -386,15 +505,27 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
         if size == top:
             pool = [x for x in optional if deg[x] != top]
         n = len(pool)
+        # below size k, a step freezes no pair unless some vertex is
+        # saturated or a tail joins; at size top = k-1 only forced tails can
+        checks = relation is not None and (
+            size == k or sat_watch
+            or (tails & base if size == top == k - 1 else tails))
+        if checks:
+            watch, open_tails = ((watched, 0) if size == k
+                                 else (sat_watch, tails))
+            if need <= 1:
+                fix, avoid = frozen_masks(base, watch, open_tails)
         if need == 0:
-            yield base
+            if not checks or not (base_need & ~base or fix):
+                yield base
             continue
         # lexicographic combinations of need members of pool, built one
-        # member at a time; masks[d] and blocks[d] hold the set and its
-        # blocked vertices after d picks
+        # member at a time; masks[d], blocks[d] and needs[d] hold the set,
+        # its blocked vertices and the vertices it requires after d picks
         picks = [0] * need
         masks = [base] * need
         blocks = [blocked] * need
+        needs = [base_need] * need
         d = 0
         i = 0
         while True:
@@ -409,17 +540,41 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
                 i = picks[d] + 1
                 continue
             picks[d] = i
-            if d + 1 == need:
-                yield masks[d] | 1 << pool[i]
-                i += 1
-                continue
             x = pool[i]
             mask = masks[d] | 1 << x
+            if d + 1 == need:
+                # the last pick completes the relations and rules (i),
+                # (ii) and (iv) on the set
+                if not checks or not (
+                        fix & ~rows[x] or avoid & rows[x]
+                        or (needs[d] | require[x]) & ~mask
+                        or open_tails >> x & 1
+                        and bad >> (rows[x] & masks[d]).bit_count() & 1):
+                    yield mask
+                i += 1
+                continue
             block |= conflict[x]
             if maxp is not None:
                 for z in nbrs[x]:
                     if (rows[z] & mask).bit_count() == maxp:
                         block |= rows[z]
+            if checks:
+                # the prefix is dead when a vertex it requires is blocked,
+                # already passed, or one too many for the picks left
+                wanted = needs[d] | require[x]
+                unmet = wanted & ~mask
+                if unmet:
+                    low = (unmet & -unmet).bit_length() - 1
+                    if (unmet & block or unmet.bit_count() > need - d - 1
+                            or low not in pool or pool.index(low) < i):
+                        i += 1
+                        continue
+                if d + 2 == need:
+                    fix, avoid = frozen_masks(mask, watch, open_tails)
+                    if fix & avoid:
+                        i += 1
+                        continue
+                needs[d + 1] = wanted
             d += 1
             masks[d] = mask
             blocks[d] = block
@@ -450,7 +605,9 @@ def _orbit_seen(s: int, seen: Set[int],
 
     On a miss the whole orbit of s is added to seen.  The filters of
     _candidate_sets read only what automorphisms preserve, so every
-    image is a set that candidate choice yields.
+    image is a set that candidate choice yields.  That holds for the sat
+    relations too: they read only degrees, pair counts and the spec, and
+    a set they drop has every image dropped with it.
     """
     if s in seen:
         return True
@@ -501,8 +658,9 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
     under node.gens, it passes the prunes, and its new vertex r lies in
     the canonical last orbit.  Cheap necessary conditions run first:
     _candidate_sets yields only sets that give r the maximum degree and
-    pass maxpair, add_vertex checks the frozen values and the intervals,
-    and _last_cell_possible and capacity_ok run before the root refine.
+    pass maxpair and sat, add_vertex checks the frozen values and the
+    intervals, and _last_cell_possible and capacity_ok run before the
+    root refine.
     Every test is invariant under the parent's automorphisms, so skipping
     orbits with _orbit_seen after the first ones keeps the same
     representatives.

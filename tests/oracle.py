@@ -123,6 +123,58 @@ def has_completion(node) -> bool:
     return False
 
 
+def reference_add_vertex(node, smask: int):
+    """A verbatim copy of the generator's step check, _Partial.add_vertex,
+    kept as the reference that every set candidate choice drops under
+    sat must fail: the child of a search node whose new vertex joins the
+    set smask, or None when the step breaks the frozen-value rules or the
+    interval rule.  A node whose search has interval set to False is
+    judged on its frozen values alone."""
+    search = node.search
+    seen = node.seen
+    rows = node.rows
+    if not search.vacuous:
+        k = search.k
+        left = search.v - len(rows) - 1
+        gap = search.gap if search.interval and left > 0 else None
+        dr = k - smask.bit_count()
+        after = [k - row.bit_count() - (smask >> y & 1)
+                 for y, row in enumerate(rows)]
+        for y, dy in enumerate(after):
+            c = (rows[y] & smask).bit_count()
+            if dr and dy:
+                if gap and gap[c] > min(dr, dy, left):
+                    return None
+            else:
+                seen |= 1 << c
+        if not search.frozen_ok(seen):
+            return None
+        for x, dx in enumerate(after):
+            # without the interval rule, an x that stays open has
+            # nothing to check: its frozen pairs are read from their
+            # other endpoint
+            if not smask >> x & 1 or (dx and not gap):
+                continue
+            row = rows[x]
+            for y, dy in enumerate(after):
+                # skip y saturated before the step
+                if y == x or not (dy or smask >> y & 1):
+                    continue
+                c = (row & rows[y]).bit_count() + (smask >> y & 1)
+                if dx and dy:
+                    if gap[c] > min(dx, dy, left):
+                        return None
+                else:
+                    seen |= 1 << c
+            if not search.frozen_ok(seen):
+                return None
+    bit = 1 << len(rows)
+    rows = [row | bit if smask >> y & 1 else row
+            for y, row in enumerate(rows)]
+    rows.append(smask)
+    return type(node)(search, tuple(rows), seen)
+
+
 def automorphisms(g: Graph) -> List[Tuple[int, ...]]:
     """Every automorphism of g, by backtracking over vertex images.
 

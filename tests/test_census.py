@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -39,7 +40,7 @@ from deza.graph6 import decode_graph6, encode_graph6
 from deza.graphs import GraphError, disjoint_union, make_graph
 from deza.sieve import deza_sieve
 from oracle import (automorphisms, count_regular_classes_naive, group_order,
-                    has_completion, reference_sets)
+                    has_completion, reference_add_vertex, reference_sets)
 
 # isomorphism-class counts of k-regular graphs, any connectivity; the
 # published cubic counts (6 at v=8, 21 at v=10) pin the generator to the
@@ -365,6 +366,86 @@ class TestPrunes:
                     walk(child)
 
         walk(search.root())
+
+    @pytest.mark.parametrize("v,k,prune", [
+        (8, 4, SAT_PRUNE), (10, 4, SAT_PRUNE), (9, 4, GAP3_PRUNE),
+        (10, 6, GAP3_PRUNE),
+        # no maxpair: the sat relations alone block pairs
+        (9, 4, "sat=0,k-3,k-2"),
+        # counts 0 and 1 are bad and 2 is good: a count two short of a sat
+        # value, with two picks left, must not end the prefix
+        (11, 6, GAP4_PRUNE),
+    ])
+    def test_sat_relations_keep_the_sets_the_reference_accepts(self, v, k,
+                                                               prune):
+        # at every node the search reaches, candidate choice must yield,
+        # in order, exactly the sets that the filters without sat yield
+        # and that the reference step check accepts on frozen values; the
+        # rule must drop sets, and every cell but (10,4) and (11,6) keeps
+        # graphs
+        search = _Search(v, k, prune)
+        assert search.relation is not None
+        plain = _Search(v, k, None if search.maxpair is None
+                        else f"maxpair={search.maxpair}")
+        frozen = copy.copy(search)
+        frozen.interval = False
+        dropped = 0
+        for node in _accepted_nodes(v, k, prune, v - 1):
+            before = list(_candidate_sets(node._replace(search=plain)))
+            judged = node._replace(search=frozen)
+            kept = list(_candidate_sets(node))
+            assert kept == [s for s in before
+                            if reference_add_vertex(judged, s) is not None]
+            dropped += len(before) - len(kept)
+        assert dropped > 0
+        assert any(True for _ in generate_regular(v, k, prune)) == (
+            (v, k) not in ((10, 4), (11, 6)))
+
+    def test_sat_relations_under_satdistinct_drop_only_refused_sets(self):
+        # with satdistinct beside sat, a set the relations drop must still
+        # be one the reference step check refuses on frozen values, while
+        # satdistinct refusals stay with add_vertex; three graphs remain
+        v, k, prune = 9, 4, "sat=0,1,2;satdistinct=2"
+        search = _Search(v, k, prune)
+        plain = _Search(v, k, None)
+        frozen = copy.copy(search)
+        frozen.interval = False
+        dropped = refused = 0
+        for node in _accepted_nodes(v, k, prune, v - 1):
+            kept = list(_candidate_sets(node))
+            kept_set = set(kept)
+            judged = node._replace(search=frozen)
+            before = list(_candidate_sets(node._replace(search=plain)))
+            assert kept == [s for s in before if s in kept_set]
+            for s in before:
+                ok = reference_add_vertex(judged, s) is not None
+                if s not in kept_set:
+                    dropped += 1
+                    assert not ok
+                else:
+                    refused += not ok
+        assert dropped > 0 and refused > 0
+        assert len(list(generate_regular(v, k, prune))) == 3
+
+    @pytest.mark.parametrize("v,k,prune,digest", [
+        # theorem 1 at k=3: vacuous, though sat leaves counts 2 and 3 bad
+        (12, 3, SAT_PRUNE, "6e6b5879ff8d0d5f932a9eb9691342fd"),
+        (10, 4, ANCHOR_PRUNE, "2809dc1791a966f20918832521cc7a12"),
+        (10, 4, None, "29d0a90af2550104a2f4e3b6cb8553b9"),
+        (11, 4, "maxpair=k-2", "c42dd922ac3ea08c07bcf1ad3cbd5645"),
+    ])
+    def test_specs_without_sat_relations_keep_their_candidates(
+            self, v, k, prune, digest):
+        # a vacuous spec, one without sat and no spec at all build no
+        # relation, and every node's candidate list is the one frozen
+        # before candidate choice enforced sat
+        search = _Search(v, k, prune)
+        assert search.relation is None
+        assert (search.bad != 0) == (prune == SAT_PRUNE)
+        h = hashlib.sha256()
+        for node in _accepted_nodes(v, k, prune, v - 1):
+            h.update(repr(list(_candidate_sets(node))).encode())
+        assert h.hexdigest()[:32] == digest
 
     def test_anchor_prune_subset(self):
         # anchored runs keep only graphs where some saturated pair hits k-2
