@@ -36,18 +36,17 @@ many later; the child's deficiency must cover the rest.  Capacity, under
 maxpair: a later vertex shares at most maxpair neighbours with a placed
 one, and two later vertices share at most maxpair placed neighbours.
 
-The sat clause is also enforced at candidate choice, which drops only
-sets that add_vertex would refuse, so it changes no output either.  A
-step with neighbour set s freezes exactly these pairs: the new vertex
-with every y saturated before it, with every x in s of degree k-1, and,
-when |s| = k, with every placed vertex, each at |N(y) & s|; and a
-saturating x in s with every other open y, at c_xy + [y in s].  Every
-other pair it touches stays open, and pairs frozen before the step
-keep their values.  So when sat is the only frozen-value rule, a set
-breaks it exactly when one of these frozen counts is bad, and candidate
-choice drops exactly the sets add_vertex refuses on frozen values; with
-satdistinct as well, a bad count still refuses the step, so every set
-dropped is still refused.  Only the interval rule is left to add_vertex.
+The sat clause is enforced at candidate choice alone; a pair frozen at
+a bad count stays bad, so that changes no output either.  A step with
+neighbour set s freezes exactly these pairs: the new vertex with every
+y saturated before it, with every x in s of degree k-1, and, when
+|s| = k, with every placed vertex, each at |N(y) & s|; and a saturating
+x in s with every other open y, at c_xy + [y in s].  Every other pair
+it touches stays open, and pairs frozen before the step keep their
+values.  So a set breaks sat exactly when one of these frozen counts is
+bad, and candidate choice drops exactly those sets.  satdistinct, anchor
+and the interval rule are left to add_vertex, which runs its pass only
+where one of them can refuse a step.
 """
 
 import hashlib
@@ -103,12 +102,12 @@ class _Search:
     above it (k+1 when there is none), so a pair with c common neighbours
     that can gain at most slack more is dead exactly when gap[c] > slack.
     A frozen pair has slack 0, so bad, the mask of the counts c with
-    gap[c] > 0, is the sat membership test.  interval says whether any
-    entry with slack >= 1 is dead for a count maxpair allows.  vacuous
-    says whether the frozen rules accept every value 0..min(maxpair, k).
-    The rules only get stricter on larger value sets, and such a spec has
-    gap 0 on all those values, so it can reject no step; then no frozen
-    value is computed at all and every node's mask stays 0.
+    gap[c] > 0, is the sat test of candidate choice.  interval says if
+    any entry with slack >= 1 is dead for a count maxpair allows.  vacuous
+    says whether no value 0..min(maxpair, k) is bad and frozen_ok accepts
+    them all.  The rules only get stricter on larger value sets, and such
+    a spec has gap 0 on all those values, so it can reject no step; then
+    no frozen value is computed at all and every node's mask stays 0.
 
     relation, for a spec with sat that is not vacuous, says what the
     pair count c of an open x of degree k-1 and another open y asks of
@@ -165,7 +164,8 @@ class _Search:
                             default=k + 1) for c in range(k + 1)]
             self.bad = sum(1 << c for c, g in enumerate(self.gap) if g)
         top = k if self.maxpair is None else min(self.maxpair, k)
-        self.vacuous = self.frozen_ok(sum(1 << c for c in range(top + 1)))
+        low = sum(1 << c for c in range(top + 1))
+        self.vacuous = not self.bad & low and self.frozen_ok(low)
         # a negative maxpair allows no count, so no interval is dead
         self.interval = (not self.vacuous and self.gap is not None
                          and max(self.gap[:top + 1], default=0) > 1)
@@ -175,10 +175,8 @@ class _Search:
                              for c in range(k)]
 
     def frozen_ok(self, seen: int) -> bool:
-        """Whether the frozen-value rules accept the values in the mask
+        """Whether satdistinct and anchor accept the values in the mask
         seen (bit c set when some frozen pair has c common neighbours)."""
-        if seen & self.bad:
-            return False
         most = self.distinct
         if most is not None:
             distinct = seen.bit_count()
@@ -207,7 +205,8 @@ class _Partial(NamedTuple):
     common neighbours.  A pair count is read off the bit rows as
     (rows[x] & rows[y]).bit_count().  Every frozen-value rule reads only
     which values occur, so bit c of seen is all a node keeps of the pairs
-    with count c.  add_vertex returns a child and never changes its node.
+    with count c; seen stays 0 in a search where add_vertex runs no pass.
+    add_vertex returns a child and never changes its node.
     """
 
     search: _Search
@@ -220,11 +219,11 @@ class _Partial(NamedTuple):
 
     def add_vertex(self, smask: int) -> Optional["_Partial"]:
         """The child whose new vertex r joins the set smask; None when the
-        step breaks the frozen-value rules or the interval rule of the spec.
+        step breaks satdistinct, anchor or the interval rule of the spec.
 
-        Callers pass sets of unsaturated vertices that already satisfy
-        maxpair (_candidate_sets drops every other one), so one pass over
-        the pairs the step touches checks the rest, and stops at the first
+        Callers pass sets of unsaturated vertices that keep maxpair and
+        sat (_candidate_sets drops every other one), so one pass over the
+        pairs the step touches checks the rest, and stops at the first
         rule broken: (r, y) for every placed y, and (x, y) for every x in
         s and every other placed y not saturated before.  Pairs frozen
         before the step are in neither list.  A pair with an endpoint
@@ -242,7 +241,8 @@ class _Partial(NamedTuple):
         search = self.search
         seen = self.seen
         rows = self.rows
-        if not search.vacuous:
+        if search.interval or (search.distinct is not None
+                               and not search.vacuous):
             k = search.k
             left = search.v - len(rows) - 1
             gap = search.gap if search.interval and left > 0 else None
@@ -658,7 +658,7 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
     under node.gens, it passes the prunes, and its new vertex r lies in
     the canonical last orbit.  Cheap necessary conditions run first:
     _candidate_sets yields only sets that give r the maximum degree and
-    pass maxpair and sat, add_vertex checks the frozen values and the
+    pass maxpair and sat, add_vertex checks satdistinct, anchor and the
     intervals, and _last_cell_possible and capacity_ok run before the
     root refine.
     Every test is invariant under the parent's automorphisms, so skipping

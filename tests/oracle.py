@@ -92,7 +92,7 @@ def reference_sets(node) -> List[int]:
 def has_completion(node) -> bool:
     """Whether a generator search node extends to a k-regular graph on v
     vertices by steps that each give the new vertex the child's maximum
-    degree, keep maxpair and pass add_vertex.
+    degree, keep maxpair and pass reference_add_vertex.
 
     A plain depth-first search over reference_sets, with no canonical
     form and no candidate filter beyond those three rules; it expects a
@@ -117,19 +117,24 @@ def has_completion(node) -> bool:
                        (row & smask).bit_count() > search.maxpair
                        for row in rows):
                 continue
-        child = node.add_vertex(smask)
+        child = reference_add_vertex(node, smask)
         if child is not None and has_completion(child):
             return True
     return False
 
 
 def reference_add_vertex(node, smask: int):
-    """A verbatim copy of the generator's step check, _Partial.add_vertex,
-    kept as the reference that every set candidate choice drops under
-    sat must fail: the child of a search node whose new vertex joins the
-    set smask, or None when the step breaks the frozen-value rules or the
-    interval rule.  A node whose search has interval set to False is
-    judged on its frozen values alone."""
+    """The generator's step check as it stood before candidate choice
+    became the only home of sat, kept as the reference that every set
+    candidate choice drops under sat must fail: the child of a search
+    node whose new vertex joins the set smask, or None when the step
+    breaks the frozen-value rules, sat included, or the interval rule.
+    It runs its pass under every spec that is not vacuous, and reads sat
+    from search.bad itself.  A node whose search has interval set to
+    False is judged on its frozen values alone.  A node the generator
+    built without a pass has seen 0, but its search has no satdistinct
+    and every value frozen in it is a sat value, so the verdict is the
+    same."""
     search = node.search
     seen = node.seen
     rows = node.rows
@@ -147,7 +152,7 @@ def reference_add_vertex(node, smask: int):
                     return None
             else:
                 seen |= 1 << c
-        if not search.frozen_ok(seen):
+        if seen & search.bad or not search.frozen_ok(seen):
             return None
         for x, dx in enumerate(after):
             # without the interval rule, an x that stays open has
@@ -166,7 +171,7 @@ def reference_add_vertex(node, smask: int):
                         return None
                 else:
                     seen |= 1 << c
-            if not search.frozen_ok(seen):
+            if seen & search.bad or not search.frozen_ok(seen):
                 return None
     bit = 1 << len(rows)
     rows = [row | bit if smask >> y & 1 else row

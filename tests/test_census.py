@@ -248,12 +248,13 @@ class TestPrunes:
     def test_candidate_filters_drop_only_rejected_sets(self, v, k, prune):
         # walk the whole pruned search; at every node the sets dropped
         # from the reference list must fail the degree rule, break maxpair
-        # on the child's rows, be sets add_vertex rejects, or, dropped by
-        # the birth-degree bound, give a child with no completion; the
-        # kept ones must pass the degree rule and maxpair and come in
-        # reference order; a child skipped by the degree rule or the
-        # last-cell test must have its new vertex outside the last root
-        # cell, and one the capacity counts refuse must have no completion
+        # on the child's rows, be sets the reference step check (sat
+        # included) rejects, or, dropped by the birth-degree bound, give a
+        # child with no completion; the kept ones must pass the degree
+        # rule and maxpair and come in reference order; a child skipped by
+        # the degree rule or the last-cell test must have its new vertex
+        # outside the last root cell, and one the capacity counts refuse
+        # must have no completion
         search = _Search(v, k, prune)
         maxpair = search.maxpair
         dropped = skipped = bounded = refused = 0
@@ -298,13 +299,13 @@ class TestPrunes:
                 dropped += 1
                 if not lower:
                     child = (None if breaks_maxpair(node, s)
-                             else node.add_vertex(s))
+                             else reference_add_vertex(node, s))
                     assert list(node.rows) == rows
                     if child is not None:
                         bounded += 1
                         assert not has_completion(child)
                     continue
-                child = node.add_vertex(s)
+                child = reference_add_vertex(node, s)
                 if child is not None:
                     assert outside_last_cell(child.rows)
             if r + 1 < v:
@@ -427,6 +428,29 @@ class TestPrunes:
         assert dropped > 0 and refused > 0
         assert len(list(generate_regular(v, k, prune))) == 3
 
+    def test_sat_is_enforced_only_at_candidate_choice(self):
+        # under a sat-only spec every set candidate choice yields keeps
+        # sat, so add_vertex runs no pass: each child is built with the
+        # mask 0 and none is refused; with satdistinct beside sat the two
+        # homes of the frozen-value rules still meet, the relations
+        # dropping sets and add_vertex refusing others
+        sets = 0
+        for node in _accepted_nodes(12, 4, SAT_PRUNE, 11):
+            for s in _candidate_sets(node):
+                sets += 1
+                child = node.add_vertex(s)
+                assert child is not None and child.seen == 0
+        assert sets > 0
+        v, k, prune = 9, 4, "sat=0,1,2;satdistinct=2"
+        plain = _Search(v, k, None)
+        dropped = refused = 0
+        for node in _accepted_nodes(v, k, prune, v - 1):
+            kept = list(_candidate_sets(node))
+            dropped += len(list(_candidate_sets(node._replace(
+                search=plain)))) - len(kept)
+            refused += sum(node.add_vertex(s) is None for s in kept)
+        assert dropped > 0 and refused > 0
+
     @pytest.mark.parametrize("v,k,prune,digest", [
         # theorem 1 at k=3: vacuous, though sat leaves counts 2 and 3 bad
         (12, 3, SAT_PRUNE, "6e6b5879ff8d0d5f932a9eb9691342fd"),
@@ -478,8 +502,11 @@ def _frozen_from_rows(rows, k):
 
 def _seen_from_rows(rows, k, search):
     """The frozen-value mask a node on these rows must hold: bit c for
-    each frozen count c, and 0 under a vacuous spec."""
-    if search.vacuous:
+    each frozen count c, and 0 where add_vertex runs no pass, under a
+    vacuous spec or one with neither satdistinct nor a live interval
+    rule."""
+    if search.vacuous or not (search.interval or
+                              search.distinct is not None):
         return 0
     return sum(1 << c for c in _frozen_from_rows(rows, k))
 
@@ -529,7 +556,10 @@ def _reachable(spec, k):
 def _vacuous(spec, k):
     """Whether the frozen-value rules accept every set of reachable
     values, by trying each one."""
-    values = _reachable(spec, k)
+    return _all_allowed(_reachable(spec, k), spec)
+
+
+def _all_allowed(values, spec):
     return all(_values_allowed(set(sub), spec)
                for size in range(len(values) + 1)
                for sub in itertools.combinations(values, size))
@@ -543,21 +573,27 @@ def _vacuous(spec, k):
                          ids=["sat", "anchor", "maxpair", "gap3", "gap4",
                               "distinct3"])
 def test_partial_matches_recomputation(v, k, prune):
-    # seeded random walks over sets that keep maxpair, as candidate choice
-    # guarantees, with a stack of ancestors to step back to: the verdict
-    # of add_vertex must equal the frozen-value rules on every pair with a
-    # saturated endpoint and the interval rule on the pairs the step
-    # touched, both recomputed from the rows; a child's rows and
-    # frozen-value mask must equal the recomputation (the mask 0 under a
-    # vacuous spec); and no step, accepted or rejected, may change the
-    # node it was taken from, nor any of its ancestors
+    # seeded random walks over sets that keep maxpair and whose child
+    # keeps sat on its frozen values, as candidate choice guarantees, with
+    # a stack of ancestors to step back to: the verdict of add_vertex
+    # must equal the frozen-value rules on every pair with a saturated
+    # endpoint and the interval rule on the pairs the step touched, both
+    # recomputed from the rows; a child's rows and frozen-value mask must
+    # equal the recomputation (the mask 0 where add_vertex runs no pass);
+    # and no step, accepted or rejected, may change the node it was taken
+    # from, nor any of its ancestors
     search = _Search(v, k, prune)
     vacuous = _vacuous(search, k)
     # a dead count at slack 1 among the reachable ones: only then can the
     # interval rule reject a step that the frozen-value rules pass
     interval = search.sat is not None and any(
         not {c, c + 1} & set(search.sat) for c in _reachable(search, k))
+    # satdistinct or anchor refuses some set of reachable sat values
+    distinct = not _all_allowed(
+        [c for c in _reachable(search, k)
+         if search.sat is None or c in search.sat], search)
     assert search.vacuous == vacuous
+    assert search.interval == (interval and not vacuous)
     rng = random.Random(f"{v}-{k}-{prune}")
     outcomes = Counter()
     for _ in range(40):
@@ -578,6 +614,11 @@ def test_partial_matches_recomputation(v, k, prune):
                     _pair_counts(child_rows).values(), default=0) > \
                     search.maxpair:
                 continue
+            # a step that freezes a count outside sat is a set candidate
+            # choice drops, so add_vertex never sees it
+            if search.sat is not None and not \
+                    _frozen_from_rows(child_rows, k) <= set(search.sat):
+                continue
             before = (node.rows, node.seen)
             child = node.add_vertex(smask)
             assert (node.rows, node.seen) == before
@@ -595,7 +636,7 @@ def test_partial_matches_recomputation(v, k, prune):
             if rng.random() >= 0.3:
                 path.append(child)
     assert outcomes[True] > 0
-    assert (outcomes[False] > 0) == (not vacuous)
+    assert (outcomes[False] > 0) == (interval or distinct)
     assert (outcomes["interval"] > 0) == interval
 
 
