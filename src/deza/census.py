@@ -36,17 +36,21 @@ many later; the child's deficiency must cover the rest.  Capacity, under
 maxpair: a later vertex shares at most maxpair neighbours with a placed
 one, and two later vertices share at most maxpair placed neighbours.
 
-The sat clause is enforced at candidate choice alone; a pair frozen at
-a bad count stays bad, so that changes no output either.  A step with
-neighbour set s freezes exactly these pairs: the new vertex with every
-y saturated before it, with every x in s of degree k-1, and, when
-|s| = k, with every placed vertex, each at |N(y) & s|; and a saturating
-x in s with every other open y, at c_xy + [y in s].  Every other pair
-it touches stays open, and pairs frozen before the step keep their
-values.  So a set breaks sat exactly when one of these frozen counts is
-bad, and candidate choice drops exactly those sets.  satdistinct, anchor
-and the interval rule are left to add_vertex, which runs its pass only
-where one of them can refuse a step.
+The sat clause, with its interval rule, is enforced at candidate
+choice alone; a pair that can no longer reach a sat value never will,
+so that changes no output either.  A step with neighbour set s touches
+the pair of the new vertex with every placed y, at |N(y) & s|, and the
+pair of every x in s with every other y not saturated before, at
+c_xy + [y in s]; pairs frozen before the step keep their values.  With
+degrees read after the step and m vertices still to come, a touched
+pair can gain at most min(k - deg x, k - deg y, m) more common
+neighbours: its slack, 0 when the step freezes it.  So a set breaks
+sat, or leaves a pair whose interval holds no sat value, exactly when a
+touched pair is dead at its slack, and candidate choice drops exactly
+those sets.  A pair the step does not touch, whose slack shrinks only
+with m, is not rechecked; that is weaker, never wrong.  satdistinct and
+anchor are left to add_vertex, which runs its pass only under
+satdistinct on a spec that is not vacuous.
 """
 
 import hashlib
@@ -98,28 +102,23 @@ class _Search:
     Since a regular graph freezes every pair, sat also rejects an unfrozen
     pair whose reachable interval holds none of its values.
 
-    gap[c] is how far a count c lies below the nearest sat value at or
-    above it (k+1 when there is none), so a pair with c common neighbours
-    that can gain at most slack more is dead exactly when gap[c] > slack.
-    A frozen pair has slack 0, so bad, the mask of the counts c with
-    gap[c] > 0, is the sat test of candidate choice.  interval says if
-    any entry with slack >= 1 is dead for a count maxpair allows.  vacuous
-    says whether no value 0..min(maxpair, k) is bad and frozen_ok accepts
-    them all.  The rules only get stricter on larger value sets, and such
-    a spec has gap 0 on all those values, so it can reject no step; then
-    no frozen value is computed at all and every node's mask stays 0.
-
-    relation, for a spec with sat that is not vacuous, says what the
-    pair count c of an open x of degree k-1 and another open y asks of
-    the next neighbour set, whose step freezes the pair at c + [y joins]
-    when x joins: bit 0 is set when c is bad, so y must join with x, and
-    bit 1 when c+1 is bad or above maxpair, so y must not; both bits bar
-    x.  It is None for every other spec, and candidate choice then builds
-    no relation.
+    A pair with c common neighbours that can still gain at most t more (its
+    slack) is dead when no sat value lies in [c, c + t].  dead[t] is the
+    mask of those counts c, for c at most maxpair and at most k - t (a
+    pair whose endpoints each lack t neighbours has at most k - t
+    common ones).  The masks only shrink as t grows, so dead[min(s, t)]
+    is dead[s] | dead[t].  A frozen pair has slack 0, so dead[0] is the
+    sat test, and the rest is the interval rule; candidate choice
+    applies both.  vacuous says whether no value 0..min(maxpair, k) is in
+    dead[0] and frozen_ok accepts them all.  The rules only get stricter
+    on larger value sets, so such a spec can reject no step; then no
+    frozen value is computed at all and every node's mask stays 0.  dead
+    is None for a spec without sat or without a dead count, so for every
+    vacuous one.
     """
 
-    __slots__ = ("v", "k", "maxpair", "sat", "distinct", "anchor", "gap",
-                 "bad", "interval", "vacuous", "relation")
+    __slots__ = ("v", "k", "maxpair", "sat", "distinct", "anchor",
+                 "vacuous", "dead")
 
     def __init__(self, v: int, k: int, prune: Optional[str]):
         self.v = v
@@ -157,22 +156,18 @@ class _Search:
         if self.anchor is not None and self.distinct is None:
             raise GraphError("bad prune spec: the anchor clause needs a "
                              "satdistinct clause")
-        self.gap: Optional[List[int]] = None
-        self.bad = 0
-        if self.sat is not None:
-            self.gap = [min((t - c for t in self.sat if t >= c),
-                            default=k + 1) for c in range(k + 1)]
-            self.bad = sum(1 << c for c, g in enumerate(self.gap) if g)
         top = k if self.maxpair is None else min(self.maxpair, k)
+        dead: Optional[Tuple[int, ...]] = None
+        if self.sat is not None:
+            # gap[c]: how far c lies below the nearest sat value at or
+            # above it, k+1 when there is none
+            gap = [min((t - c for t in self.sat if t >= c), default=k + 1)
+                   for c in range(top + 1)]
+            dead = tuple(sum(1 << c for c, g in enumerate(gap[:k - t + 1])
+                             if g > t) for t in range(k + 1))
+        self.dead = dead if dead and dead[0] else None
         low = sum(1 << c for c in range(top + 1))
-        self.vacuous = not self.bad & low and self.frozen_ok(low)
-        # a negative maxpair allows no count, so no interval is dead
-        self.interval = (not self.vacuous and self.gap is not None
-                         and max(self.gap[:top + 1], default=0) > 1)
-        self.relation: Optional[List[int]] = None
-        if self.sat is not None and not self.vacuous:
-            self.relation = [self.bad >> c & 3 | 2 * (top <= c)
-                             for c in range(k)]
+        self.vacuous = self.dead is None and self.frozen_ok(low)
 
     def frozen_ok(self, seen: int) -> bool:
         """Whether satdistinct and anchor accept the values in the mask
@@ -205,7 +200,8 @@ class _Partial(NamedTuple):
     common neighbours.  A pair count is read off the bit rows as
     (rows[x] & rows[y]).bit_count().  Every frozen-value rule reads only
     which values occur, so bit c of seen is all a node keeps of the pairs
-    with count c; seen stays 0 in a search where add_vertex runs no pass.
+    with count c; seen stays 0 in a search without satdistinct, where
+    add_vertex runs no pass.
     add_vertex returns a child and never changes its node.
     """
 
@@ -219,62 +215,42 @@ class _Partial(NamedTuple):
 
     def add_vertex(self, smask: int) -> Optional["_Partial"]:
         """The child whose new vertex r joins the set smask; None when the
-        step breaks satdistinct, anchor or the interval rule of the spec.
+        step breaks satdistinct or anchor.
 
-        Callers pass sets of unsaturated vertices that keep maxpair and
-        sat (_candidate_sets drops every other one), so one pass over the
-        pairs the step touches checks the rest, and stops at the first
-        rule broken: (r, y) for every placed y, and (x, y) for every x in
-        s and every other placed y not saturated before.  Pairs frozen
-        before the step are in neither list.  A pair with an endpoint
-        saturated after the step is frozen now, and its count goes into
-        seen, which is checked after the (r, y) pairs and after each x.
-
-        An unfrozen pair with c common neighbours after the step ends in
-        [c, c + slack], slack = min(k - deg x, k - deg y, v - n) with n
-        vertices placed: each later common neighbour is a later vertex
-        and uses one unit of each endpoint's deficiency.  Pairs where only
-        v - n shrank are not rechecked; that is weaker, never wrong.  Nor
-        is the last step, where an unfrozen pair means an unsaturated
-        vertex with no vertex left, which candidate choice never yields.
+        Callers pass sets that _candidate_sets yields, which keep maxpair,
+        sat and the interval rule, so only satdistinct and anchor are left
+        to check, and only on a spec that is not vacuous.  One pass reads
+        the pairs the step freezes, and stops at the first rule broken:
+        (r, y) for every placed y when |s| = k, or else for every y
+        saturated after the step; and (x, y) for every x in s that the
+        step saturates and every other placed y not saturated before.
+        Their counts go into seen, which is checked after the (r, y) pairs
+        and after each x.
         """
         search = self.search
         seen = self.seen
         rows = self.rows
-        if search.interval or (search.distinct is not None
-                               and not search.vacuous):
+        if search.distinct is not None and not search.vacuous:
             k = search.k
-            left = search.v - len(rows) - 1
-            gap = search.gap if search.interval and left > 0 else None
-            dr = k - smask.bit_count()
+            full = smask.bit_count() == k
             after = [k - row.bit_count() - (smask >> y & 1)
                      for y, row in enumerate(rows)]
             for y, dy in enumerate(after):
-                c = (rows[y] & smask).bit_count()
-                if dr and dy:
-                    if gap and gap[c] > min(dr, dy, left):
-                        return None
-                else:
-                    seen |= 1 << c
+                if full or not dy:
+                    seen |= 1 << (rows[y] & smask).bit_count()
             if not search.frozen_ok(seen):
                 return None
             for x, dx in enumerate(after):
-                # without the interval rule, an x that stays open has
-                # nothing to check: its frozen pairs are read from their
-                # other endpoint
-                if not smask >> x & 1 or (dx and not gap):
+                # an x that stays open freezes no pair of its own: those
+                # with a saturating y are read from y
+                if dx or not smask >> x & 1:
                     continue
                 row = rows[x]
                 for y, dy in enumerate(after):
                     # skip y saturated before the step
-                    if y == x or not (dy or smask >> y & 1):
-                        continue
-                    c = (row & rows[y]).bit_count() + (smask >> y & 1)
-                    if dx and dy:
-                        if gap[c] > min(dx, dy, left):
-                            return None
-                    else:
-                        seen |= 1 << c
+                    if y != x and (dy or smask >> y & 1):
+                        seen |= 1 << ((row & rows[y]).bit_count()
+                                      + (smask >> y & 1))
                 if not search.frozen_ok(seen):
                     return None
         bit = 1 << len(rows)
@@ -337,19 +313,25 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
       maxpair common neighbours, or an existing vertex has more than
       maxpair neighbours in it.  Both counts only grow with the set, so
       dropping at the first such prefix is exact;
-    - sat, when search.relation is set: a set is dropped when the step
-      would freeze a pair at a count outside sat (see the module
-      docstring).  For an open x of degree k-1 (a tail) and another open
-      y, the relation of their count bars x, makes y join with x, or
-      keeps the two apart, the last as a conflict like maxpair's; a
-      prefix is dropped once a vertex it requires is blocked or passed.
-      The counts of the new vertex with the watched vertices (the
-      saturated ones, and at size k all of them) and with the tails in
-      the set are checked when the last member is picked: for the prefix
-      before it, fix holds the vertices whose count is bad unless the
-      last member is their neighbour, and avoid those whose count is bad
-      if it is.  Below size k, a node with no tail and no saturated
-      vertex freezes no pair, and builds no relation.
+    - dead pairs, when search.dead is set: a set is dropped when a pair
+      its step touches would be dead at its slack after the step (see
+      _Search and the module docstring).  For an open x and another open
+      y with count c, the step keeps c at slack min(k - deg x - 1,
+      k - deg y, m) when x joins alone, and makes it c + 1 at
+      min(k - deg x - 1, k - deg y - 1, m) when both join.  A dead count
+      in the first case makes y join with x, and a dead count or one
+      above maxpair in the second keeps the two apart, as a conflict
+      like maxpair's; both bar x.  These relations are built for the
+      open x of degree k-1 (tails), and for every open x once dead[1] is
+      not 0; a prefix is dropped once a vertex it requires is blocked or
+      passed.  The new vertex and a placed y get |N(y) & s| at slack
+      min(k - size, k - deg y - [y in s], m).  Each size watches the y
+      where that can be dead, and checks them when the last member is
+      picked: for the prefix before it, fix holds the y whose count is
+      dead unless the last member is their neighbour, and avoid those
+      whose count is dead if it is; the last member's own count is then
+      read at its slack inside the set.  A node where no step can leave
+      a touched pair with a slack that has a dead count builds nothing.
 
     The surviving sets keep their relative order.
     """
@@ -392,19 +374,20 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
     if lo > hi:
         return
     maxp = search.maxpair
-    relation = search.relation
-    if relation is not None and hi < k and k - 1 not in deg \
-            and k not in deg:
-        # no step of this node freezes a pair
-        relation = None
+    dead = search.dead
+    # every pair a step touches keeps at least this slack, as no placed
+    # vertex has more than top neighbours
+    if dead is not None and not dead[max(0, min(k - hi, rem_after,
+                                                 k - 1 - top))]:
+        dead = None
     # conflict[x]: the candidates y that cannot join x, because x and y
-    # already have maxpair common neighbours or the sat relation forbids
-    # both; a vertex z with maxpair neighbours in the set blocks every
+    # already have maxpair common neighbours or their pair would die if
+    # both did; a vertex z with maxpair neighbours in the set blocks every
     # further neighbour of z
     conflict = dict.fromkeys(forced + optional, 0)
     nbrs = {}
-    tails = 0
-    if maxp is not None or relation is not None:
+    requiring = 0
+    if maxp is not None or dead is not None:
         reach = 0
         for x in conflict:
             reach |= 1 << x
@@ -412,29 +395,39 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
             # only a vertex with maxpair open neighbours can block any
             hot = [z for z in range(r)
                    if (rows[z] & reach).bit_count() >= maxp]
-        if relation is not None:
-            bad = search.bad
-            # require[x]: the candidates that must join whenever x does,
-            # for each open x of degree k-1, a tail
+        if dead is not None:
+            # the dead counts at the vertices left after the step, and the
+            # count that joining both takes above maxpair
+            later = dead[min(rem_after, k)]
+            over = 1 << (k if maxp is None else min(maxp, k)) + 1
+            every = dead[1]
+            # require[x]: the candidates that must join whenever x does
             require = dict.fromkeys(conflict, 0)
-            tail_list = []
             barred = 0
         for x in conflict:
             row = rows[x]
             if maxp is not None:
                 nbrs[x] = [z for z in hot if row >> z & 1]
-            if relation is not None and deg[x] == k - 1:
-                # by[j]: the open y whose pair with x has relation j
+            if dead is not None and (every or deg[x] == k - 1):
+                mine = dead[k - deg[x] - 1] | later | over
+                # by[j]: the open y whose pair with x has relation j, bit
+                # 0 when y must join with x and bit 1 when it must not
                 by = [0, 0, 0, 0]
                 for y in conflict:
                     if y != x:
-                        by[relation[(row & rows[y]).bit_count()]] |= 1 << y
+                        c = (row & rows[y]).bit_count()
+                        j = mine >> c & 3
+                        if every:
+                            # the slack of y, when x is not a tail
+                            d = k - deg[y]
+                            j |= dead[d] >> c & 1 | dead[d - 1] >> c & 2
+                        by[j] |= 1 << y
                 if by[3]:
                     barred |= 1 << x
                     continue
-                tail_list.append(x)
-                tails |= 1 << x
-                require[x] = by[1]
+                if by[1]:
+                    require[x] = by[1]
+                    requiring |= 1 << x
                 conflict[x] |= by[2]
                 apart = by[2]
                 while apart:
@@ -446,41 +439,11 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
                 for y in conflict:
                     if y != x and (row & rows[y]).bit_count() >= maxp:
                         conflict[x] |= 1 << y
-    if relation is not None:
-        if barred:
-            if any(barred >> x & 1 for x in forced):
-                return
-            optional = [x for x in optional if not barred >> x & 1]
-            reach &= ~barred
-        # the placed vertices whose pair with the new vertex a step of
-        # size k freezes, and the saturated ones, whose pair any step
-        # freezes; one with no open neighbour that can join keeps count 0,
-        # which needs no check when it is good
-        watched = list(range(r)) if hi == k else []
-        sat_watch = [y for y in range(r) if deg[y] == k]
-        if not bad & 1 and (watched or sat_watch):
-            watched = [y for y in watched if rows[y] & reach]
-            sat_watch = [y for y in sat_watch if rows[y] & reach]
-
-        def frozen_masks(prefix: int, watch: List[int], open_tails: int
-                         ) -> Tuple[int, int]:
-            # rules (i) and (iv) for each watched y, and rule (ii) for each
-            # tail y in prefix: the step freezes the pair of y and the new
-            # vertex at |N(y) & prefix|, plus one if the last pick is a
-            # neighbour of y; fix holds the y whose count is bad without
-            # that one, avoid those whose count is bad with it
-            fix = avoid = 0
-            for y in watch:
-                c = (rows[y] & prefix).bit_count()
-                fix |= (bad >> c & 1) << y
-                avoid |= (bad >> c + 1 & 1) << y
-            if prefix & open_tails:
-                for y in tail_list:
-                    if prefix >> y & 1:
-                        c = (rows[y] & prefix).bit_count()
-                        fix |= (bad >> c & 1) << y
-                        avoid |= (bad >> c + 1 & 1) << y
-            return fix, avoid
+    if dead is not None and barred:
+        if any(barred >> x & 1 for x in forced):
+            return
+        optional = [x for x in optional if not barred >> x & 1]
+        reach &= ~barred
     base = 0
     blocked = 0
     for x in forced:
@@ -489,7 +452,7 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
         base |= 1 << x
         blocked |= conflict[x]
     base_need = 0
-    if tails:
+    if requiring:
         for x in forced:
             base_need |= require[x]
     if maxp is not None:
@@ -505,16 +468,30 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
         if size == top:
             pool = [x for x in optional if deg[x] != top]
         n = len(pool)
-        # below size k, a step freezes no pair unless some vertex is
-        # saturated or a tail joins; at size top = k-1 only forced tails can
-        checks = relation is not None and (
-            size == k or sat_watch
-            or (tails & base if size == top == k - 1 else tails))
-        if checks:
-            watch, open_tails = ((watched, 0) if size == k
-                                 else (sat_watch, tails))
-            if need <= 1:
-                fix, avoid = frozen_masks(base, watch, open_tails)
+        checks = False
+        if dead is not None:
+            joinable = reach
+            if size == top:
+                joinable = base
+                for x in pool:
+                    joinable |= 1 << x
+            # the placed y whose pair with the new vertex can be dead, with
+            # its dead counts when y stays out and when it joins; one with
+            # no neighbour that can join keeps count 0
+            now = dead[k - size] | later
+            watch = []
+            last = 0
+            for y, row in enumerate(rows):
+                out = now | dead[k - deg[y]]
+                inn = (now | dead[k - deg[y] - 1] if joinable >> y & 1
+                       else out)
+                if inn and (row & joinable or inn & 1):
+                    watch.append((y, row, out, inn))
+                    if inn != out:
+                        last |= 1 << y
+            checks = bool(watch or requiring & joinable)
+            if checks and need <= 1:
+                fix, avoid = _dead_masks(base, watch)
         if need == 0:
             if not checks or not (base_need & ~base or fix):
                 yield base
@@ -530,10 +507,10 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
         i = 0
         while True:
             block = blocks[d]
-            last = n - need + d
-            while i <= last and block >> pool[i] & 1:
+            end = n - need + d
+            while i <= end and block >> pool[i] & 1:
                 i += 1
-            if i > last:
+            if i > end:
                 if d == 0:
                     break
                 d -= 1
@@ -543,13 +520,13 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
             x = pool[i]
             mask = masks[d] | 1 << x
             if d + 1 == need:
-                # the last pick completes the relations and rules (i),
-                # (ii) and (iv) on the set
+                # the last pick completes the relations and the counts of
+                # the new vertex, its own read at its slack in the set
                 if not checks or not (
                         fix & ~rows[x] or avoid & rows[x]
                         or (needs[d] | require[x]) & ~mask
-                        or open_tails >> x & 1
-                        and bad >> (rows[x] & masks[d]).bit_count() & 1):
+                        or last >> x & 1 and (now | dead[k - deg[x] - 1]) >> (
+                            rows[x] & masks[d]).bit_count() & 1):
                     yield mask
                 i += 1
                 continue
@@ -570,7 +547,7 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
                         i += 1
                         continue
                 if d + 2 == need:
-                    fix, avoid = frozen_masks(mask, watch, open_tails)
+                    fix, avoid = _dead_masks(mask, watch)
                     if fix & avoid:
                         i += 1
                         continue
@@ -579,6 +556,24 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
             masks[d] = mask
             blocks[d] = block
             i += 1
+
+
+def _dead_masks(prefix: int, watch: Sequence[Tuple[int, int, int, int]]
+                ) -> Tuple[int, int]:
+    """fix and avoid of _candidate_sets for a set whose members but the
+    last are in prefix: for each watched (y, row, out, inn), the pair of
+    y and the new vertex gets |N(y) & prefix|, plus one when the last
+    member is a neighbour of y, and its dead counts are inn when y is in
+    prefix and out otherwise; fix holds the y whose count is dead
+    without that one, and avoid those whose count is dead with it."""
+    fix = avoid = 0
+    for y, row, out, inn in watch:
+        dead = inn if prefix >> y & 1 else out
+        if dead:
+            c = (row & prefix).bit_count()
+            fix |= (dead >> c & 1) << y
+            avoid |= (dead >> c + 1 & 1) << y
+    return fix, avoid
 
 
 def _last_cell_possible(rows: Sequence[int]) -> bool:
@@ -605,9 +600,9 @@ def _orbit_seen(s: int, seen: Set[int],
 
     On a miss the whole orbit of s is added to seen.  The filters of
     _candidate_sets read only what automorphisms preserve, so every
-    image is a set that candidate choice yields.  That holds for the sat
-    relations too: they read only degrees, pair counts and the spec, and
-    a set they drop has every image dropped with it.
+    image is a set that candidate choice yields.  That holds for the
+    dead-pair rule too: it reads only degrees, pair counts and the spec,
+    and a set it drops has every image dropped with it.
     """
     if s in seen:
         return True
@@ -658,9 +653,9 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
     under node.gens, it passes the prunes, and its new vertex r lies in
     the canonical last orbit.  Cheap necessary conditions run first:
     _candidate_sets yields only sets that give r the maximum degree and
-    pass maxpair and sat, add_vertex checks satdistinct, anchor and the
-    intervals, and _last_cell_possible and capacity_ok run before the
-    root refine.
+    pass maxpair, sat and the interval rule, add_vertex checks
+    satdistinct and anchor, and _last_cell_possible and capacity_ok run
+    before the root refine.
     Every test is invariant under the parent's automorphisms, so skipping
     orbits with _orbit_seen after the first ones keeps the same
     representatives.

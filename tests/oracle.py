@@ -123,15 +123,28 @@ def has_completion(node) -> bool:
     return False
 
 
+def reference_gap(search) -> Optional[List[int]]:
+    """gap[c] for c = 0..k under the sat clause of a search, or None
+    without one: how far c lies below the nearest sat value at or above
+    it, k+1 when there is none.  A pair with c common neighbours that can
+    gain at most slack more is dead when gap[c] > slack, and bad, at
+    slack 0, when gap[c] > 0."""
+    if search.sat is None:
+        return None
+    k = search.k
+    return [min((t - c for t in search.sat if t >= c), default=k + 1)
+            for c in range(k + 1)]
+
+
 def reference_add_vertex(node, smask: int):
     """The generator's step check as it stood before candidate choice
-    became the only home of sat, kept as the reference that every set
-    candidate choice drops under sat must fail: the child of a search
-    node whose new vertex joins the set smask, or None when the step
-    breaks the frozen-value rules, sat included, or the interval rule.
-    It runs its pass under every spec that is not vacuous, and reads sat
-    from search.bad itself.  A node whose search has interval set to
-    False is judged on its frozen values alone.  A node the generator
+    became the only home of sat and of the interval rule, kept as the
+    reference that every set candidate choice drops under sat must fail:
+    the child of a search node whose new vertex joins the set smask, or
+    None when the step breaks the frozen-value rules, sat included, or
+    the interval rule.  It runs its pass under every spec that is not
+    vacuous, and derives gap, the bad counts and whether the interval
+    rule is live from sat, maxpair and k itself.  A node the generator
     built without a pass has seen 0, but its search has no satdistinct
     and every value frozen in it is a sat value, so the verdict is the
     same."""
@@ -140,8 +153,18 @@ def reference_add_vertex(node, smask: int):
     rows = node.rows
     if not search.vacuous:
         k = search.k
+        gap = reference_gap(search)
+        bad = 0
+        if gap is not None:
+            bad = sum(1 << c for c, g in enumerate(gap) if g)
+            top = k if search.maxpair is None else min(search.maxpair, k)
+            # only a count maxpair allows with a gap above 1 can die at
+            # slack 1 or more
+            if max(gap[:top + 1], default=0) <= 1:
+                gap = None
         left = search.v - len(rows) - 1
-        gap = search.gap if search.interval and left > 0 else None
+        if left <= 0:
+            gap = None
         dr = k - smask.bit_count()
         after = [k - row.bit_count() - (smask >> y & 1)
                  for y, row in enumerate(rows)]
@@ -152,7 +175,7 @@ def reference_add_vertex(node, smask: int):
                     return None
             else:
                 seen |= 1 << c
-        if seen & search.bad or not search.frozen_ok(seen):
+        if seen & bad or not search.frozen_ok(seen):
             return None
         for x, dx in enumerate(after):
             # without the interval rule, an x that stays open has
@@ -171,7 +194,7 @@ def reference_add_vertex(node, smask: int):
                         return None
                 else:
                     seen |= 1 << c
-            if seen & search.bad or not search.frozen_ok(seen):
+            if seen & bad or not search.frozen_ok(seen):
                 return None
     bit = 1 << len(rows)
     rows = [row | bit if smask >> y & 1 else row

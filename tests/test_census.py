@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import itertools
 import json
@@ -40,7 +39,8 @@ from deza.graph6 import decode_graph6, encode_graph6
 from deza.graphs import GraphError, disjoint_union, make_graph
 from deza.sieve import deza_sieve
 from oracle import (automorphisms, count_regular_classes_naive, group_order,
-                    has_completion, reference_add_vertex, reference_sets)
+                    has_completion, reference_add_vertex, reference_gap,
+                    reference_sets)
 
 # isomorphism-class counts of k-regular graphs, any connectivity; the
 # published cubic counts (6 at v=8, 21 at v=10) pin the generator to the
@@ -195,6 +195,10 @@ class TestPrunes:
         # no sat clause: only the maxpair prune of candidate generation
         # and add_vertex fires
         pytest.param(10, 4, "maxpair=k-2", id="10-4-maxpair"),
+        # no maxpair, and the interval rule is live: candidate choice
+        # drops sets whose pairs can no longer reach a sat value, and two
+        # graphs remain
+        pytest.param(10, 5, "sat=0,k-3,k-2", id="10-5-sat-only"),
     ])
     def test_prune_equals_post_filter(self, v, k, prune):
         # a pruned run must produce exactly the unpruned graphs whose pair
@@ -204,7 +208,7 @@ class TestPrunes:
         def obeys(g):
             values = {(g.rows[u] & g.rows[w]).bit_count()
                       for u in range(g.v) for w in range(u + 1, g.v)}
-            if max(values) > spec.maxpair:
+            if spec.maxpair is not None and max(values) > spec.maxpair:
                 return False
             if spec.sat is not None:
                 return values <= set(spec.sat)
@@ -221,26 +225,37 @@ class TestPrunes:
         # choice and the counting bounds let through, and three graphs
         # remain; at (8,4) no step is left for add_vertex to reject
         (9, 4, ANCHOR_PRUNE, "add_vertex"),
-        # the interval rule refuses steps whose child rows the frozen-value
+        # the interval rule drops sets whose child rows the frozen-value
         # rules accept, and srg(10,6,3,4) remains
         (10, 6, GAP3_PRUNE, "interval"),
     ])
     def test_post_filter_cells_fire(self, monkeypatch, v, k, prune, rule):
         # the post-filter cases above stand for a rule only where it
-        # rejects a step and output remains; an add_vertex refusal is an
-        # interval refusal when the frozen-value rules pass the child rows
-        real = _Partial.add_vertex
+        # rejects a step and output remains; satdistinct and anchor refuse
+        # steps in add_vertex, while the interval rule drops sets at
+        # candidate choice: those whose child rows the frozen-value rules
+        # accept and the reference step check refuses
         refused = 0
+        if rule == "add_vertex":
+            real = _Partial.add_vertex
 
-        def counted(self, smask):
-            nonlocal refused
-            child = real(self, smask)
-            if child is None:
-                refused += (rule == "add_vertex" or _frozen_rules_allow(
-                    _step_rows(self.rows, smask), k, self.search))
-            return child
+            def counted(self, smask):
+                nonlocal refused
+                child = real(self, smask)
+                refused += child is None
+                return child
 
-        monkeypatch.setattr(_Partial, "add_vertex", counted)
+            monkeypatch.setattr(_Partial, "add_vertex", counted)
+        else:
+            search = _Search(v, k, prune)
+            plain = _Search(v, k, f"maxpair={search.maxpair}")
+            for node in _accepted_nodes(v, k, prune, v - 1):
+                kept = set(_candidate_sets(node))
+                refused += sum(
+                    1 for s in _candidate_sets(node._replace(search=plain))
+                    if s not in kept and _frozen_rules_allow(
+                        _step_rows(node.rows, s), k, search)
+                    and reference_add_vertex(node, s) is None)
         assert list(generate_regular(v, k, prune))
         assert refused > 0
 
@@ -370,6 +385,8 @@ class TestPrunes:
 
     @pytest.mark.parametrize("v,k,prune", [
         (8, 4, SAT_PRUNE), (10, 4, SAT_PRUNE), (9, 4, GAP3_PRUNE),
+        # the interval rule is live at k = 6: counts dead at slack 1 or
+        # more must end sets too
         (10, 6, GAP3_PRUNE),
         # no maxpair: the sat relations alone block pairs
         (9, 4, "sat=0,k-3,k-2"),
@@ -381,22 +398,19 @@ class TestPrunes:
                                                                prune):
         # at every node the search reaches, candidate choice must yield,
         # in order, exactly the sets that the filters without sat yield
-        # and that the reference step check accepts on frozen values; the
-        # rule must drop sets, and every cell but (10,4) and (11,6) keeps
-        # graphs
+        # and that the reference step check accepts, on frozen values and
+        # on the interval rule; the rule must drop sets, and every cell
+        # but (10,4) and (11,6) keeps graphs
         search = _Search(v, k, prune)
-        assert search.relation is not None
+        assert search.dead is not None
         plain = _Search(v, k, None if search.maxpair is None
                         else f"maxpair={search.maxpair}")
-        frozen = copy.copy(search)
-        frozen.interval = False
         dropped = 0
         for node in _accepted_nodes(v, k, prune, v - 1):
             before = list(_candidate_sets(node._replace(search=plain)))
-            judged = node._replace(search=frozen)
             kept = list(_candidate_sets(node))
             assert kept == [s for s in before
-                            if reference_add_vertex(judged, s) is not None]
+                            if reference_add_vertex(node, s) is not None]
             dropped += len(before) - len(kept)
         assert dropped > 0
         assert any(True for _ in generate_regular(v, k, prune)) == (
@@ -404,52 +418,47 @@ class TestPrunes:
 
     def test_sat_relations_under_satdistinct_drop_only_refused_sets(self):
         # with satdistinct beside sat, a set the relations drop must still
-        # be one the reference step check refuses on frozen values, while
-        # satdistinct refusals stay with add_vertex; three graphs remain
+        # be one the reference step check refuses, while satdistinct
+        # refusals stay with add_vertex, which must refuse exactly the
+        # kept sets the reference refuses: the two homes of the pair-count
+        # rules meet here; three graphs remain
         v, k, prune = 9, 4, "sat=0,1,2;satdistinct=2"
-        search = _Search(v, k, prune)
         plain = _Search(v, k, None)
-        frozen = copy.copy(search)
-        frozen.interval = False
         dropped = refused = 0
         for node in _accepted_nodes(v, k, prune, v - 1):
             kept = list(_candidate_sets(node))
             kept_set = set(kept)
-            judged = node._replace(search=frozen)
             before = list(_candidate_sets(node._replace(search=plain)))
             assert kept == [s for s in before if s in kept_set]
             for s in before:
-                ok = reference_add_vertex(judged, s) is not None
+                ok = reference_add_vertex(node, s) is not None
                 if s not in kept_set:
                     dropped += 1
                     assert not ok
                 else:
+                    assert (node.add_vertex(s) is not None) == ok
                     refused += not ok
         assert dropped > 0 and refused > 0
         assert len(list(generate_regular(v, k, prune))) == 3
 
-    def test_sat_is_enforced_only_at_candidate_choice(self):
+    @pytest.mark.parametrize("v,k,prune", [
+        (12, 4, SAT_PRUNE),
+        # the interval rule is live in these: a pair that can no longer
+        # reach a sat value is dropped with its set, not refused after
+        (10, 6, GAP3_PRUNE), (11, 6, GAP3_PRUNE),
+        (10, 5, "sat=0,k-3,k-2"),
+    ])
+    def test_sat_is_enforced_only_at_candidate_choice(self, v, k, prune):
         # under a sat-only spec every set candidate choice yields keeps
-        # sat, so add_vertex runs no pass: each child is built with the
-        # mask 0 and none is refused; with satdistinct beside sat the two
-        # homes of the frozen-value rules still meet, the relations
-        # dropping sets and add_vertex refusing others
+        # sat and the interval rule, so add_vertex runs no pass: each
+        # child is built with the mask 0 and none is refused
         sets = 0
-        for node in _accepted_nodes(12, 4, SAT_PRUNE, 11):
+        for node in _accepted_nodes(v, k, prune, v - 1):
             for s in _candidate_sets(node):
                 sets += 1
                 child = node.add_vertex(s)
                 assert child is not None and child.seen == 0
         assert sets > 0
-        v, k, prune = 9, 4, "sat=0,1,2;satdistinct=2"
-        plain = _Search(v, k, None)
-        dropped = refused = 0
-        for node in _accepted_nodes(v, k, prune, v - 1):
-            kept = list(_candidate_sets(node))
-            dropped += len(list(_candidate_sets(node._replace(
-                search=plain)))) - len(kept)
-            refused += sum(node.add_vertex(s) is None for s in kept)
-        assert dropped > 0 and refused > 0
 
     @pytest.mark.parametrize("v,k,prune,digest", [
         # theorem 1 at k=3: vacuous, though sat leaves counts 2 and 3 bad
@@ -460,12 +469,13 @@ class TestPrunes:
     ])
     def test_specs_without_sat_relations_keep_their_candidates(
             self, v, k, prune, digest):
-        # a vacuous spec, one without sat and no spec at all build no
-        # relation, and every node's candidate list is the one frozen
-        # before candidate choice enforced sat
+        # a vacuous spec, one without sat and no spec at all have no dead
+        # counts to enforce, and every node's candidate list is the one
+        # frozen before candidate choice enforced sat
         search = _Search(v, k, prune)
-        assert search.relation is None
-        assert (search.bad != 0) == (prune == SAT_PRUNE)
+        assert search.dead is None
+        gap = reference_gap(search)
+        assert (gap is not None and any(gap)) == (prune == SAT_PRUNE)
         h = hashlib.sha256()
         for node in _accepted_nodes(v, k, prune, v - 1):
             h.update(repr(list(_candidate_sets(node))).encode())
@@ -503,10 +513,8 @@ def _frozen_from_rows(rows, k):
 def _seen_from_rows(rows, k, search):
     """The frozen-value mask a node on these rows must hold: bit c for
     each frozen count c, and 0 where add_vertex runs no pass, under a
-    vacuous spec or one with neither satdistinct nor a live interval
-    rule."""
-    if search.vacuous or not (search.interval or
-                              search.distinct is not None):
+    vacuous spec or one without satdistinct."""
+    if search.vacuous or search.distinct is None:
         return 0
     return sum(1 << c for c in _frozen_from_rows(rows, k))
 
@@ -573,15 +581,15 @@ def _all_allowed(values, spec):
                          ids=["sat", "anchor", "maxpair", "gap3", "gap4",
                               "distinct3"])
 def test_partial_matches_recomputation(v, k, prune):
-    # seeded random walks over sets that keep maxpair and whose child
-    # keeps sat on its frozen values, as candidate choice guarantees, with
-    # a stack of ancestors to step back to: the verdict of add_vertex
-    # must equal the frozen-value rules on every pair with a saturated
-    # endpoint and the interval rule on the pairs the step touched, both
-    # recomputed from the rows; a child's rows and frozen-value mask must
-    # equal the recomputation (the mask 0 where add_vertex runs no pass);
-    # and no step, accepted or rejected, may change the node it was taken
-    # from, nor any of its ancestors
+    # seeded random walks over sets that keep maxpair, whose child keeps
+    # sat on its frozen values, and whose touched pairs keep the interval
+    # rule, as candidate choice guarantees, with a stack of ancestors to
+    # step back to: the verdict of add_vertex must equal the frozen-value
+    # rules on every pair with a saturated endpoint, recomputed from the
+    # rows; a child's rows and frozen-value mask must equal the
+    # recomputation (the mask 0 where add_vertex runs no pass); and no
+    # step, accepted or rejected, may change the node it was taken from,
+    # nor any of its ancestors
     search = _Search(v, k, prune)
     vacuous = _vacuous(search, k)
     # a dead count at slack 1 among the reachable ones: only then can the
@@ -593,7 +601,8 @@ def test_partial_matches_recomputation(v, k, prune):
         [c for c in _reachable(search, k)
          if search.sat is None or c in search.sat], search)
     assert search.vacuous == vacuous
-    assert search.interval == (interval and not vacuous)
+    assert (search.dead is not None and search.dead[1] != 0) == (
+        interval and not vacuous)
     rng = random.Random(f"{v}-{k}-{prune}")
     outcomes = Counter()
     for _ in range(40):
@@ -614,21 +623,21 @@ def test_partial_matches_recomputation(v, k, prune):
                     _pair_counts(child_rows).values(), default=0) > \
                     search.maxpair:
                 continue
-            # a step that freezes a count outside sat is a set candidate
-            # choice drops, so add_vertex never sees it
+            # a step that freezes a count outside sat, or leaves a touched
+            # pair unable to reach one, is a set candidate choice drops,
+            # so add_vertex never sees it
             if search.sat is not None and not \
                     _frozen_from_rows(child_rows, k) <= set(search.sat):
+                continue
+            if not _intervals_allow(child_rows, v, k, search, set(s) | {r}):
+                outcomes["interval"] += 1
                 continue
             before = (node.rows, node.seen)
             child = node.add_vertex(smask)
             assert (node.rows, node.seen) == before
             ok = child is not None
             outcomes[ok] += 1
-            frozen_ok = _frozen_rules_allow(child_rows, k, search)
-            intervals_ok = _intervals_allow(child_rows, v, k, search,
-                                            set(s) | {r})
-            outcomes["interval"] += frozen_ok and not intervals_ok
-            assert ok == (frozen_ok and intervals_ok)
+            assert ok == _frozen_rules_allow(child_rows, k, search)
             if not ok:
                 continue
             assert list(child.rows) == child_rows
@@ -636,7 +645,7 @@ def test_partial_matches_recomputation(v, k, prune):
             if rng.random() >= 0.3:
                 path.append(child)
     assert outcomes[True] > 0
-    assert (outcomes[False] > 0) == (interval or distinct)
+    assert (outcomes[False] > 0) == distinct
     assert (outcomes["interval"] > 0) == interval
 
 
