@@ -441,24 +441,22 @@ class TestPrunes:
         assert dropped > 0 and refused > 0
         assert len(list(generate_regular(v, k, prune))) == 3
 
+    def test_sat_is_enforced_only_at_candidate_choice(self):
+        # under a sat-only spec every set candidate choice yields keeps
+        # sat, so add_vertex runs no pass: each child is built with the
+        # mask 0 and none is refused
+        _assert_children_unrefused(12, 4, SAT_PRUNE)
+
     @pytest.mark.parametrize("v,k,prune", [
-        (12, 4, SAT_PRUNE),
-        # the interval rule is live in these: a pair that can no longer
-        # reach a sat value is dropped with its set, not refused after
         (10, 6, GAP3_PRUNE), (11, 6, GAP3_PRUNE),
         (10, 5, "sat=0,k-3,k-2"),
     ])
-    def test_sat_is_enforced_only_at_candidate_choice(self, v, k, prune):
-        # under a sat-only spec every set candidate choice yields keeps
-        # sat and the interval rule, so add_vertex runs no pass: each
-        # child is built with the mask 0 and none is refused
-        sets = 0
-        for node in _accepted_nodes(v, k, prune, v - 1):
-            for s in _candidate_sets(node):
-                sets += 1
-                child = node.add_vertex(s)
-                assert child is not None and child.seen == 0
-        assert sets > 0
+    def test_interval_rule_is_enforced_only_at_candidate_choice(self, v, k,
+                                                                prune):
+        # the interval rule is live in these: a pair that can no longer
+        # reach a sat value is dropped with its set, not refused after, so
+        # add_vertex refuses no set candidate choice yields
+        _assert_children_unrefused(v, k, prune)
 
     @pytest.mark.parametrize("v,k,prune,digest", [
         # theorem 1 at k=3: vacuous, though sat leaves counts 2 and 3 bad
@@ -488,6 +486,18 @@ class TestPrunes:
         everything = _g6_set(generate_regular(8, 4))
         assert set(anchored) <= set(everything)
         assert "GQzTrg" in anchored      # the 4x2 grid survives
+
+
+def _assert_children_unrefused(v, k, prune):
+    """Every set candidate choice yields at every node the search reaches
+    builds a child, with the frozen-value mask 0."""
+    sets = 0
+    for node in _accepted_nodes(v, k, prune, v - 1):
+        for s in _candidate_sets(node):
+            sets += 1
+            child = node.add_vertex(s)
+            assert child is not None and child.seen == 0
+    assert sets > 0
 
 
 def _step_rows(rows, smask):
