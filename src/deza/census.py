@@ -32,9 +32,13 @@ Two counting rules drop children that no later vertices can complete,
 so they change no output.  Birth degrees, for every spec: the maximum
 degree never falls, so each of the m later vertices is born with at
 least as many neighbours as the new one and gains at most k minus that
-many later; the child's deficiency must cover the rest.  Capacity, under
-maxpair: a later vertex shares at most maxpair neighbours with a placed
-one, and two later vertices share at most maxpair placed neighbours.
+many later; the child's deficiency must cover the rest.  The counting
+check, before the root refine, bounds what the later vertices add to
+the pair counts: from above under maxpair, as a later vertex shares at
+most maxpair neighbours with a placed one and two later vertices share
+at most maxpair placed neighbours; from below under sat, as each later
+neighbour of an open x adds at most k - 1 to the pair counts of x,
+which must still reach sat values.
 
 The sat clause, with its interval rule, is enforced at candidate
 choice alone; a pair that can no longer reach a sat value never will,
@@ -115,10 +119,16 @@ class _Search:
     frozen value is computed at all and every node's mask stays 0.  dead
     is None for a spec without sat or without a dead count, so for every
     vacuous one.
+
+    gap[c], for c at most maxpair and k, is how far c lies below the
+    nearest sat value at or above it, k+1 when there is none; the
+    pair-sum bound of counts_ok reads it.  gap is None unless some count
+    below the largest sat value has a gap, as only such a count can make
+    the bound refuse a child that the dead-pair rule lets through.
     """
 
     __slots__ = ("v", "k", "maxpair", "sat", "distinct", "anchor",
-                 "vacuous", "dead")
+                 "vacuous", "dead", "gap")
 
     def __init__(self, v: int, k: int, prune: Optional[str]):
         self.v = v
@@ -158,14 +168,18 @@ class _Search:
                              "satdistinct clause")
         top = k if self.maxpair is None else min(self.maxpair, k)
         dead: Optional[Tuple[int, ...]] = None
+        gap: Optional[Tuple[int, ...]] = None
         if self.sat is not None:
             # gap[c]: how far c lies below the nearest sat value at or
             # above it, k+1 when there is none
-            gap = [min((t - c for t in self.sat if t >= c), default=k + 1)
-                   for c in range(top + 1)]
+            gap = tuple(min((t - c for t in self.sat if t >= c),
+                            default=k + 1) for c in range(top + 1))
             dead = tuple(sum(1 << c for c, g in enumerate(gap[:k - t + 1])
                              if g > t) for t in range(k + 1))
+            if not any(gap[:max(self.sat[-1], 0)]):
+                gap = None
         self.dead = dead if dead and dead[0] else None
+        self.gap = gap
         low = sum(1 << c for c in range(top + 1))
         self.vacuous = self.dead is None and self.frozen_ok(low)
 
@@ -259,33 +273,73 @@ class _Partial(NamedTuple):
         rows.append(smask)
         return _Partial(search, tuple(rows), seen)
 
-    def capacity_ok(self) -> bool:
+    def counts_ok(self) -> bool:
         """Whether the m = v - n later vertices can fill every deficiency
-        d_y = k - deg y within maxpair; True when the spec has none.
+        d_y = k - deg y within the pair-count bounds of the spec.
 
-        A later vertex has at most maxpair neighbours among those of a
-        placed z, so the d_u of the placed neighbours u of z sum to at
-        most m*maxpair; and two later vertices share at most maxpair
-        placed neighbours, so the C(d_y, 2) sum to at most
-        maxpair*C(m, 2).
+        sat gives a lower bound, when search.gap is set.  A pair of open
+        vertices x and y must still gain gap[c_xy] common neighbours, all
+        of them later neighbours of x; each of the d_x later neighbours
+        of x has k - 1 other neighbours, so the gaps of x with the other
+        open y sum to at most d_x*(k - 1).  This is the partial form of
+        the Deza row-sum identity, the sum over y of c_xy being k(k - 1).
+        It refuses more children than the other half, so it runs first.
+
+        maxpair gives upper bounds.  A later vertex has at most maxpair
+        neighbours among those of a placed z, so the d_u of the placed
+        neighbours u of z sum to at most m*maxpair; and two later
+        vertices share at most maxpair placed neighbours, so the
+        C(d_y, 2) sum to at most maxpair*C(m, 2).
         """
         search = self.search
-        most = search.maxpair
-        if most is None:
-            return True
         k = search.k
-        m = search.v - len(self.rows)
-        # masks[d]: the placed vertices with deficiency d
-        masks = [0] * (k + 1)
-        for y, row in enumerate(self.rows):
-            masks[k - row.bit_count()] |= 1 << y
-        weights = [(d, mask) for d, mask in enumerate(masks) if d and mask]
-        if sum(d * (d - 1) * mask.bit_count()
-               for d, mask in weights) > most * m * (m - 1):
-            return False
-        cap = m * most
-        return all(sum(d * (row & mask).bit_count() for d, mask in weights)
-                   <= cap for row in self.rows)
+        rows = self.rows
+        gap = search.gap
+        if gap is not None:
+            open_rows = []
+            for row in rows:
+                if row.bit_count() < k:
+                    open_rows.append(row)
+            # the most the other open vertices can add to one sum
+            ceiling = (len(open_rows) - 1) * max(gap)
+            for x, row in enumerate(open_rows):
+                room = (k - row.bit_count()) * (k - 1)
+                if room >= ceiling:
+                    continue
+                for y, other in enumerate(open_rows):
+                    if y != x:
+                        room -= gap[(row & other).bit_count()]
+                        if room < 0:
+                            return False
+        most = search.maxpair
+        if most is not None:
+            m = search.v - len(rows)
+            # masks[d]: the placed vertices with deficiency d
+            masks = [0] * (k + 1)
+            pairs = 0
+            for y, row in enumerate(rows):
+                d = k - row.bit_count()
+                masks[d] |= 1 << y
+                pairs += d * (d - 1)
+            if pairs > most * m * (m - 1):
+                return False
+            # above: for each j below the largest deficiency, the vertices
+            # with deficiency above j; a vertex with deficiency d is in d
+            # of these masks, so a row's popcounts with them sum its d_u
+            above = []
+            mask = 0
+            for d in range(k, 0, -1):
+                mask |= masks[d]
+                if mask:
+                    above.append(mask)
+            cap = m * most
+            for row in rows:
+                total = 0
+                for mask in above:
+                    total += (row & mask).bit_count()
+                if total > cap:
+                    return False
+        return True
 
 
 def _candidate_sets(node: _Partial) -> Iterator[int]:
@@ -585,13 +639,17 @@ def _last_cell_possible(rows: Sequence[int]) -> bool:
     only members of D with the most neighbours in D, and r must be one;
     candidate choice already put r in D, so the maximum degree is r's.
     """
-    top = rows[-1].bit_count()
-    members = [x for x, row in enumerate(rows) if row.bit_count() == top]
+    last = rows[-1]
+    top = last.bit_count()
     dmask = 0
-    for x in members:
-        dmask |= 1 << x
-    mine = (rows[-1] & dmask).bit_count()
-    return all((rows[x] & dmask).bit_count() <= mine for x in members)
+    for x, row in enumerate(rows):
+        if row.bit_count() == top:
+            dmask |= 1 << x
+    mine = (last & dmask).bit_count()
+    for row in rows:
+        if row.bit_count() == top and (row & dmask).bit_count() > mine:
+            return False
+    return True
 
 
 def _orbit_seen(s: int, seen: Set[int],
@@ -654,8 +712,8 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
     the canonical last orbit.  Cheap necessary conditions run first:
     _candidate_sets yields only sets that give r the maximum degree and
     pass maxpair, sat and the interval rule, add_vertex checks
-    satdistinct and anchor, and _last_cell_possible and capacity_ok run
-    before the root refine.
+    satdistinct and anchor, and _last_cell_possible and counts_ok, which
+    drops children with no completion, run before the root refine.
     Every test is invariant under the parent's automorphisms, so skipping
     orbits with _orbit_seen after the first ones keeps the same
     representatives.
@@ -668,7 +726,7 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
             continue
         child = node.add_vertex(s)
         if (child is None or not _last_cell_possible(child.rows)
-                or not child.capacity_ok()):
+                or not child.counts_ok()):
             continue
         cells = refine(child.rows, [list(range(r + 1))])
         if r in cells[-1]:

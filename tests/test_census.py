@@ -63,9 +63,12 @@ SAT_PRUNE = "maxpair=k-2;sat=0,k-2"
 ANCHOR_PRUNE = "maxpair=k-2;satdistinct=2;anchor=k-2"
 GAP3_PRUNE = "maxpair=k-2;sat=k-3,k-2"
 GAP4_PRUNE = "maxpair=k-2;sat=k-4,k-2"
-# cells whose whole pruned search the candidate-choice tests walk
+# cells whose whole pruned search the candidate-choice tests walk; under
+# sat=0,2,3 at (10,4), with no maxpair, the sat pair-sum bound alone
+# refuses children and two graphs remain
 FILTER_CELLS = [(10, 4, SAT_PRUNE), (9, 4, ANCHOR_PRUNE), (10, 4, None),
-                (11, 4, "maxpair=k-2"), (12, 3, SAT_PRUNE)]
+                (11, 4, "maxpair=k-2"), (12, 3, SAT_PRUNE),
+                (10, 4, "sat=0,2,3")]
 
 
 def _g6_set(graphs):
@@ -199,6 +202,9 @@ class TestPrunes:
         # drops sets whose pairs can no longer reach a sat value, and two
         # graphs remain
         pytest.param(10, 5, "sat=0,k-3,k-2", id="10-5-sat-only"),
+        # no maxpair, and the sat pair-sum bound refuses children: count 1
+        # must grow to 2, and two graphs remain
+        pytest.param(10, 4, "sat=0,2,3", id="10-4-pair-sum"),
     ])
     def test_prune_equals_post_filter(self, v, k, prune):
         # a pruned run must produce exactly the unpruned graphs whose pair
@@ -268,7 +274,7 @@ class TestPrunes:
         # child with no completion; the kept ones must pass the degree
         # rule and maxpair and come in reference order; a child skipped by
         # the degree rule or the last-cell test must have its new vertex
-        # outside the last root cell, and one the capacity counts refuse
+        # outside the last root cell, and one the counting check refuses
         # must have no completion
         search = _Search(v, k, prune)
         maxpair = search.maxpair
@@ -307,7 +313,7 @@ class TestPrunes:
                     if not _last_cell_possible(child.rows):
                         skipped += 1
                         assert outside_last_cell(child.rows)
-                    if not child.capacity_ok():
+                    if not child.counts_ok():
                         refused += 1
                         assert not has_completion(child)
                     continue
@@ -332,7 +338,11 @@ class TestPrunes:
         # the oracle finds a completion where the generator finds a graph
         if any(True for _ in generate_regular(v, k, prune)):
             assert has_completion(search.root())
-        assert (refused > 0) == (maxpair is not None)
+        # the capacity counts need maxpair, and the pair-sum bound a live
+        # gap table; with neither the check can refuse nothing, and each
+        # cell here with one of them has children it refuses
+        assert (refused > 0) == (maxpair is not None
+                                 or search.gap is not None)
 
     @pytest.mark.parametrize("v,k,prune", FILTER_CELLS)
     def test_candidate_choice_keeps_its_implied_bounds(self, v, k, prune):
@@ -681,6 +691,30 @@ def test_vacuity_verdict(prune, k, vacuous):
     search = _Search(12, k, prune)
     assert search.vacuous == vacuous
     assert _vacuous(search, k) == vacuous
+
+
+@pytest.mark.parametrize("prune,k,live", [
+    # theorem 1 at k = 3: counts 0 and 1 are both sat values
+    (SAT_PRUNE, 3, False),
+    # counts 0, 1 and 2 are all sat values, and 3 and 4 lie above them
+    ("sat=0,k-3,k-2", 4, False),
+    # no sat clause
+    (ANCHOR_PRUNE, 4, False),
+    (None, 4, False),
+    # theorem 1 at k = 4: count 1 must grow to 2
+    (SAT_PRUNE, 4, True),
+    # theorem 2 at k = 6: counts 0, 1 and 3 must grow
+    (GAP4_PRUNE, 6, True),
+])
+def test_gap_table_gate(prune, k, live):
+    # the pair-sum bound runs only when some count that maxpair allows,
+    # below the largest sat value, must still grow to reach one; its gap
+    # table then agrees with the oracle's on every such count
+    search = _Search(12, k, prune)
+    assert (search.gap is not None) == live
+    if live:
+        top = min(search.maxpair, k)
+        assert list(search.gap) == reference_gap(search)[:top + 1]
 
 
 def _accepted_nodes(v, k, prune, vmax):
