@@ -4,7 +4,8 @@ Every rule is a necessary condition: "feasible" never claims a graph
 exists, it only means no counting, parity, divisibility or eigenvalue
 argument rules the tuple out.  Each rule reports pass/fail/skip (plus a
 warning status for the one genuinely undecided degenerate case) so a
-verdict's trace can be read as a proof sketch.
+verdict's trace can be read as a proof sketch.  The DDG rules D1-D8 live
+in `_ddg_rules` alone; `ddg_sieve` and `deza sieve scan` both read them.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from .graphs import GraphError
 from .spectra import _balanced_attributions, _prime_factors
 
 DdgParams = Tuple[int, int, int, int, int, int]
+Rule = Tuple[str, str, Optional[dict]]   # (rule, status, witness)
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,82 @@ def deza_sieve(v: int, k: int, b: int, a: int) -> SieveVerdict:
     return _verdict(trace)
 
 
+def _ddg_rules(v: int, k: int, lam1: int, lam2: int,
+               m: int, n: int) -> List[Rule]:
+    """The one home of D1-D8: the input check, then each rule's
+    (rule, status, witness) in trace order.  `ddg_sieve` wraps them in a
+    verdict; `deza sieve scan` reads its failing rule names off them."""
+    if not (1 <= m <= v and 1 <= n <= v
+            and 0 <= lam1 <= k and 0 <= lam2 <= k and k < v):
+        raise GraphError(
+            f"need 0 <= lam1, lam2 <= k < v and 1 <= m, n <= v, "
+            f"got {(v, k, lam1, lam2, m, n)}")
+    trace: List[Rule] = []
+
+    trace.append(("D1", "pass" if v == m * n else "fail",
+                  {"v": v, "mn": m * n}))
+
+    rhs = k + lam1 * (n - 1) + lam2 * n * (m - 1)
+    trace.append(("D2", "pass" if k * k == rhs else "fail",
+                  {"k2": k * k, "rhs": rhs}))
+
+    d1 = k - lam1
+    d2 = k * k - lam2 * v
+    trace.append(("D3", "pass" if d1 >= 0 and d2 >= 0 else "fail",
+                  {"d1": d1, "d2": d2}))
+
+    if d1 >= 0 and d2 >= 0 and v == m * n:
+        sol = next(_balanced_attributions(k, d1, d2, v - m, m - 1), None)
+        if sol is None:
+            trace.append(("D4", "fail", {"d1": d1, "d2": d2}))
+        else:
+            f1, f2, g1, g2 = sol
+            trace.append(("D4", "pass",
+                          {"f1": f1, "f2": f2, "g1": g1, "g2": g2}))
+    else:
+        trace.append(("D4", "skip", {"note": "needs D1 and D3"}))
+
+    if k - 2 not in (lam1, lam2) or lam1 == lam2:
+        trace.append(("D5", "skip", None))
+    elif lam1 == k - 2:
+        trace.append(("D5", "pass", None))
+    elif lam1 > k - 2:
+        # k-2 is the smaller of the two constants; the forcing argument
+        # presumes it is the larger, so nothing can be concluded
+        trace.append(("D5", "pass",
+                      {"note": "k-2 is the smaller constant"}))
+    elif k < 4:
+        # the contradiction window v < k+2+4/(k-2) <= 2k-b+2 closes
+        # only from degree 4 on
+        trace.append(("D5", "pass",
+                      {"note": "bound window open below k=4"}))
+    elif k * k > lam2 * v:
+        trace.append(("D5", "fail",
+                      {"note": "within-class constant forced to k-2"}))
+    elif k * k == lam2 * v:
+        trace.append(("D5", "warn",
+                      {"note": "degenerate equality k^2 = "
+                               "lam2 * v left undecided"}))
+    else:
+        trace.append(("D5", "pass", None))
+
+    if lam1 == k - 2:
+        trace.append(("D6", "pass" if (k * k - 2) % n == 0 else "fail",
+                      {"k2_minus_2": k * k - 2, "n": n}))
+        trace.append(("D7", "pass" if _two_is_square(n) else "fail",
+                      {"n": n}))
+        if n == 2 and lam2 > 0:
+            trace.append(("D8", "fail", {"lam2": lam2, "n": n}))
+        else:
+            trace.append(("D8", "pass" if n == 2 else "skip", None))
+    else:
+        trace.append(("D6", "skip", None))
+        trace.append(("D7", "skip", None))
+        trace.append(("D8", "skip", None))
+
+    return trace
+
+
 def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
               m: int, n: int) -> SieveVerdict:
     """Feasibility of a divisible design tuple (v, k, lam1, lam2, m, n).
@@ -108,83 +186,36 @@ def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
     f1+f2 = v-m and g1+g2 = m-1; D5 the orientation forcing when k-2 is
     the larger of the two constants; D6/D7/D8 the divisibility, quadratic
     residue and n=2 consequences of lam1 = k-2.  D7 (2 is a square mod n)
-    passes whenever D6 does, with witness x = k.
+    passes whenever D6 does, with witness x = k.  The rules themselves
+    live in `_ddg_rules` alone.
     """
-    if not (1 <= m <= v and 1 <= n <= v
-            and 0 <= lam1 <= k and 0 <= lam2 <= k and k < v):
-        raise GraphError(
-            f"need 0 <= lam1, lam2 <= k < v and 1 <= m, n <= v, "
-            f"got {(v, k, lam1, lam2, m, n)}")
-    trace: List[RuleResult] = []
+    return _verdict([RuleResult(*r)
+                     for r in _ddg_rules(v, k, lam1, lam2, m, n)])
 
-    trace.append(RuleResult("D1", "pass" if v == m * n else "fail",
-                            {"v": v, "mn": m * n}))
 
-    rhs = k + lam1 * (n - 1) + lam2 * n * (m - 1)
-    trace.append(RuleResult("D2", "pass" if k * k == rhs else "fail",
-                            {"k2": k * k, "rhs": rhs}))
+def _n2_params(kmax: int) -> Iterator[DdgParams]:
+    for k in range(2, kmax + 1):
+        target = k * k - 2 * k + 2
+        if target % 2:
+            continue
+        half = target // 2
+        for a in range(1, k + 1):
+            if half % a:
+                continue
+            # a <= k gives v = 2m >= 2 + (k^2 - 2k + 2)/k = k + 2/k > k
+            m = half // a + 1
+            yield (2 * m, k, k - 2, a, m, 2)
 
-    d1 = k - lam1
-    d2 = k * k - lam2 * v
-    trace.append(RuleResult("D3", "pass" if d1 >= 0 and d2 >= 0 else "fail",
-                            {"d1": d1, "d2": d2}))
 
-    if d1 >= 0 and d2 >= 0 and v == m * n:
-        sol = next(_balanced_attributions(k, d1, d2, v - m, m - 1), None)
-        if sol is None:
-            trace.append(RuleResult("D4", "fail", {"d1": d1, "d2": d2}))
-        else:
-            f1, f2, g1, g2 = sol
-            trace.append(RuleResult("D4", "pass",
-                                    {"f1": f1, "f2": f2,
-                                     "g1": g1, "g2": g2}))
-    else:
-        trace.append(RuleResult("D4", "skip",
-                                {"note": "needs D1 and D3"}))
-
-    if k - 2 not in (lam1, lam2) or lam1 == lam2:
-        trace.append(RuleResult("D5", "skip", None))
-    elif lam1 == k - 2:
-        trace.append(RuleResult("D5", "pass", None))
-    elif lam1 > k - 2:
-        # k-2 is the smaller of the two constants; the forcing argument
-        # presumes it is the larger, so nothing can be concluded
-        trace.append(RuleResult("D5", "pass",
-                                {"note": "k-2 is the smaller constant"}))
-    elif k < 4:
-        # the contradiction window v < k+2+4/(k-2) <= 2k-b+2 closes
-        # only from degree 4 on
-        trace.append(RuleResult("D5", "pass",
-                                {"note": "bound window open below k=4"}))
-    elif k * k > lam2 * v:
-        trace.append(RuleResult("D5", "fail",
-                                {"note": "within-class constant forced "
-                                         "to k-2"}))
-    elif k * k == lam2 * v:
-        trace.append(RuleResult("D5", "warn",
-                                {"note": "degenerate equality k^2 = "
-                                         "lam2 * v left undecided"}))
-    else:
-        trace.append(RuleResult("D5", "pass", None))
-
-    if lam1 == k - 2:
-        trace.append(RuleResult(
-            "D6", "pass" if (k * k - 2) % n == 0 else "fail",
-            {"k2_minus_2": k * k - 2, "n": n}))
-        trace.append(RuleResult(
-            "D7", "pass" if _two_is_square(n) else "fail", {"n": n}))
-        if n == 2 and lam2 > 0:
-            trace.append(RuleResult("D8", "fail",
-                                    {"lam2": lam2, "n": n}))
-        else:
-            trace.append(RuleResult("D8", "pass" if n == 2 else "skip",
-                                    None))
-    else:
-        trace.append(RuleResult("D6", "skip", None))
-        trace.append(RuleResult("D7", "skip", None))
-        trace.append(RuleResult("D8", "skip", None))
-
-    return _verdict(trace)
+def _small_n_params(kmax: int, mmax: int) -> Iterator[DdgParams]:
+    for n in (3, 4, 5, 6):
+        for k in range(2, kmax + 1):
+            for m in range(2, mmax + 1):
+                v = m * n
+                if k >= v:
+                    continue
+                for lam2 in range(0, k + 1):
+                    yield (v, k, k - 2, lam2, m, n)
 
 
 def scan_n2_tuples(kmax: int) -> Iterator[Tuple[DdgParams, SieveVerdict]]:
@@ -196,31 +227,13 @@ def scan_n2_tuples(kmax: int) -> Iterator[Tuple[DdgParams, SieveVerdict]]:
     then has at most one m per divisor a.  All other m fail D2 outright,
     so these are the interesting slice of the infinite family.
     """
-    for k in range(2, kmax + 1):
-        target = k * k - 2 * k + 2
-        if target % 2:
-            continue
-        half = target // 2
-        for a in range(1, k + 1):
-            if half % a:
-                continue
-            # a <= k gives v = 2m >= 2 + (k^2 - 2k + 2)/k = k + 2/k > k
-            m = half // a + 1
-            v = 2 * m
-            params: DdgParams = (v, k, k - 2, a, m, 2)
-            yield params, ddg_sieve(*params)
+    for params in _n2_params(kmax):
+        yield params, ddg_sieve(*params)
 
 
 def scan_small_n_tuples(kmax: int, mmax: int
                         ) -> Iterator[Tuple[DdgParams, SieveVerdict]]:
     """Yield (params, verdict) for the tuples with lam1 = k-2, class size
     n in 3..6, k <= kmax and m <= mmax."""
-    for n in (3, 4, 5, 6):
-        for k in range(2, kmax + 1):
-            for m in range(2, mmax + 1):
-                v = m * n
-                if k >= v:
-                    continue
-                for lam2 in range(0, k + 1):
-                    params: DdgParams = (v, k, k - 2, lam2, m, n)
-                    yield params, ddg_sieve(*params)
+    for params in _small_n_params(kmax, mmax):
+        yield params, ddg_sieve(*params)

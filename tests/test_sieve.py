@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from deza import cli
 from deza.sieve import (
     _two_is_square,
     ddg_sieve,
@@ -337,3 +338,60 @@ def test_ddg_sieve_golden(family, count, digest):
                       separators=(",", ":"), default=dataclasses.asdict)
     assert len(params) == count
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,kmax", [("n2", 40), ("n2", 60),
+                                         ("small-n", 40), ("small-n", 60)])
+def test_scan_rows_match_verdicts(capsys, family, kmax):
+    # `sieve scan` reads failing rule names off the rules with no verdict;
+    # its rows must be what the public scans' verdicts say, in order
+    assert cli.main(["sieve", "scan", "--family", family,
+                     "--max", str(kmax), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    scan = (scan_n2_tuples(kmax) if family == "n2"
+            else scan_small_n_tuples(kmax, kmax // 3))
+    want = [(params, v.feasible, v.failures()) for params, v in scan]
+    rows = [(tuple(r["params"]), r["feasible"], tuple(r["failures"]))
+            for r in got["results"]]
+    assert rows == want
+    assert got["count"] == len(want)
+    assert got["feasible"] == sum(f for _, f, _ in want)
+
+
+# tuples that between them reach every branch of D1 and D3-D8
+DDG_BRANCH_TUPLES = [
+    (10, 3, 1, 0, 3, 3), (9, 4, 2, 3, 3, 3), (6, 2, 0, 0, 3, 2),
+    (14, 4, 2, 0, 2, 7), (8, 3, 2, 0, 2, 4), (9, 4, 2, 2, 3, 3),
+    (8, 4, 3, 2, 4, 2), (8, 3, 0, 1, 4, 2), (6, 4, 0, 2, 3, 2),
+    (8, 4, 0, 2, 4, 2), (12, 4, 0, 2, 6, 2), (8, 4, 2, 1, 4, 2),
+    (14, 4, 2, 0, 7, 2), (9, 4, 2, 1, 3, 3),
+]
+
+# SHA-256 of `sieve ddg <tuple> --json` over DDG_BRANCH_TUPLES, frozen
+# before D1-D8 moved into one rule function
+DDG_BRANCH_GOLDEN = (
+    "89acafc964ab8ecaa1f76683704fc3728821570f4044d268756b654c070247c6")
+
+
+def test_ddg_branch_golden(capsys):
+    digest = hashlib.sha256()
+    reached = set()
+    for params in DDG_BRANCH_TUPLES:
+        argv = ("sieve", "ddg", *map(str, params), "--json")
+        assert cli.main(list(argv)) == 0
+        digest.update(f"{argv}\n{capsys.readouterr().out}".encode())
+        reached |= {(r.rule, r.status, (r.witness or {}).get("note"))
+                    for r in ddg_sieve(*params).trace if r.rule != "D2"}
+    assert digest.hexdigest() == DDG_BRANCH_GOLDEN
+    d5 = {(s, note) for rule, s, note in reached if rule == "D5"}
+    assert d5 == {("skip", None), ("pass", None),
+                  ("pass", "k-2 is the smaller constant"),
+                  ("pass", "bound window open below k=4"),
+                  ("fail", "within-class constant forced to k-2"),
+                  ("warn", "degenerate equality k^2 = lam2 * v left "
+                           "undecided")}
+    statuses = {(rule, s) for rule, s, _ in reached}
+    for rule, want in (("D1", "pass fail"), ("D3", "pass fail"),
+                       ("D4", "pass fail skip"), ("D6", "pass fail skip"),
+                       ("D7", "pass fail skip"), ("D8", "pass fail skip")):
+        assert {s for r, s in statuses if r == rule} == set(want.split())
