@@ -46,15 +46,16 @@ so that changes no output either.  A step with neighbour set s touches
 the pair of the new vertex with every placed y, at |N(y) & s|, and the
 pair of every x in s with every other y not saturated before, at
 c_xy + [y in s]; pairs frozen before the step keep their values.  With
-degrees read after the step and m vertices still to come, a touched
-pair can gain at most min(k - deg x, k - deg y, m) more common
-neighbours: its slack, 0 when the step freezes it.  So a set breaks
-sat, or leaves a pair whose interval holds no sat value, exactly when a
-touched pair is dead at its slack, and candidate choice drops exactly
-those sets.  A pair the step does not touch, whose slack shrinks only
-with m, is not rechecked; that is weaker, never wrong.  satdistinct and
-anchor are left to add_vertex, which runs its pass only under
-satdistinct on a spec that is not vacuous.
+degrees read after the step, a touched pair can gain at most
+min(k - deg x, k - deg y) more common neighbours: its slack, 0 when the
+step freezes it.  The m vertices still to come bound it no further, as
+the forced-vertex rule keeps every deficiency after the step at most m.
+So a set breaks sat, or leaves a pair whose interval holds no sat
+value, exactly when a touched pair is dead at its slack, and candidate
+choice drops exactly those sets.  A pair the step does not touch keeps
+its count and its slack, so it stays alive.  satdistinct and anchor are
+left to add_vertex, which runs its pass only under satdistinct on a
+spec that is not vacuous.
 """
 
 import hashlib
@@ -371,21 +372,24 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
       its step touches would be dead at its slack after the step (see
       _Search and the module docstring).  For an open x and another open
       y with count c, the step keeps c at slack min(k - deg x - 1,
-      k - deg y, m) when x joins alone, and makes it c + 1 at
-      min(k - deg x - 1, k - deg y - 1, m) when both join.  A dead count
+      k - deg y) when x joins alone, and makes it c + 1 at
+      min(k - deg x - 1, k - deg y - 1) when both join.  A dead count
       in the first case makes y join with x, and a dead count or one
       above maxpair in the second keeps the two apart, as a conflict
-      like maxpair's; both bar x.  These relations are built for the
-      open x of degree k-1 (tails), and for every open x once dead[1] is
-      not 0; a prefix is dropped once a vertex it requires is blocked or
-      passed.  The new vertex and a placed y get |N(y) & s| at slack
-      min(k - size, k - deg y - [y in s], m).  Each size watches the y
-      where that can be dead, and checks them when the last member is
-      picked: for the prefix before it, fix holds the y whose count is
-      dead unless the last member is their neighbour, and avoid those
-      whose count is dead if it is; the last member's own count is then
-      read at its slack inside the set.  A node where no step can leave
-      a touched pair with a slack that has a dead count builds nothing.
+      like maxpair's; a y with both relations keeps x out of every set.
+      These relations are built for the open x of degree k-1 (tails),
+      and for every open x once dead[1] is not 0; a prefix is dropped
+      once a vertex it requires is blocked or passed.  The new vertex
+      and a placed y get |N(y) & s|, and every such pair has slack
+      k - size: size is at least deg y, and above it when y is in s, as
+      at size = top the degree filter leaves out the optional vertices of
+      degree top, and a forced one of degree top makes lo > top.  Each
+      size watches the y where that count can be dead, and checks them
+      when the last member is picked: for the prefix before it, fix
+      holds the y whose count is dead unless the last member is their
+      neighbour, and avoid those whose count is dead if it is.  A node
+      where no step can leave a touched pair with a slack that has a
+      dead count builds nothing.
 
     The surviving sets keep their relative order.
     """
@@ -431,8 +435,7 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
     dead = search.dead
     # every pair a step touches keeps at least this slack, as no placed
     # vertex has more than top neighbours
-    if dead is not None and not dead[max(0, min(k - hi, rem_after,
-                                                 k - 1 - top))]:
+    if dead is not None and not dead[max(0, min(k - hi, k - 1 - top))]:
         dead = None
     # conflict[x]: the candidates y that cannot join x, because x and y
     # already have maxpair common neighbours or their pair would die if
@@ -450,20 +453,17 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
             hot = [z for z in range(r)
                    if (rows[z] & reach).bit_count() >= maxp]
         if dead is not None:
-            # the dead counts at the vertices left after the step, and the
-            # count that joining both takes above maxpair
-            later = dead[min(rem_after, k)]
+            # the count that joining both takes above maxpair
             over = 1 << (k if maxp is None else min(maxp, k)) + 1
             every = dead[1]
             # require[x]: the candidates that must join whenever x does
             require = dict.fromkeys(conflict, 0)
-            barred = 0
         for x in conflict:
             row = rows[x]
             if maxp is not None:
                 nbrs[x] = [z for z in hot if row >> z & 1]
             if dead is not None and (every or deg[x] == k - 1):
-                mine = dead[k - deg[x] - 1] | later | over
+                mine = dead[k - deg[x] - 1] | over
                 # by[j]: the open y whose pair with x has relation j, bit
                 # 0 when y must join with x and bit 1 when it must not
                 by = [0, 0, 0, 0]
@@ -472,18 +472,17 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
                         c = (row & rows[y]).bit_count()
                         j = mine >> c & 3
                         if every:
-                            # the slack of y, when x is not a tail
-                            d = k - deg[y]
-                            j |= dead[d] >> c & 1 | dead[d - 1] >> c & 2
+                            # the slack of y after both join, when x is
+                            # not a tail; with y out the pair keeps the
+                            # slack of y, at which it is alive
+                            j |= dead[k - deg[y] - 1] >> c & 2
                         by[j] |= 1 << y
-                if by[3]:
-                    barred |= 1 << x
-                    continue
-                if by[1]:
-                    require[x] = by[1]
+                # a y with both relations keeps x out of every set
+                require[x] = by[1] | by[3]
+                if require[x]:
                     requiring |= 1 << x
-                conflict[x] |= by[2]
-                apart = by[2]
+                apart = by[2] | by[3]
+                conflict[x] |= apart
                 while apart:
                     low = apart & -apart
                     conflict[low.bit_length() - 1] |= 1 << x
@@ -493,11 +492,6 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
                 for y in conflict:
                     if y != x and (row & rows[y]).bit_count() >= maxp:
                         conflict[x] |= 1 << y
-    if dead is not None and barred:
-        if any(barred >> x & 1 for x in forced):
-            return
-        optional = [x for x in optional if not barred >> x & 1]
-        reach &= ~barred
     base = 0
     blocked = 0
     for x in forced:
@@ -529,23 +523,15 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
                 joinable = base
                 for x in pool:
                     joinable |= 1 << x
-            # the placed y whose pair with the new vertex can be dead, with
-            # its dead counts when y stays out and when it joins; one with
-            # no neighbour that can join keeps count 0
-            now = dead[k - size] | later
-            watch = []
-            last = 0
-            for y, row in enumerate(rows):
-                out = now | dead[k - deg[y]]
-                inn = (now | dead[k - deg[y] - 1] if joinable >> y & 1
-                       else out)
-                if inn and (row & joinable or inn & 1):
-                    watch.append((y, row, out, inn))
-                    if inn != out:
-                        last |= 1 << y
+            # the dead counts of every pair of the new vertex, and the
+            # placed y whose pair can be dead: one with no neighbour that
+            # can join keeps count 0
+            now = dead[k - size]
+            watch = [(y, row) for y, row in enumerate(rows)
+                     if now and (row & joinable or now & 1)]
             checks = bool(watch or requiring & joinable)
             if checks and need <= 1:
-                fix, avoid = _dead_masks(base, watch)
+                fix, avoid = _dead_masks(base, watch, now)
         if need == 0:
             if not checks or not (base_need & ~base or fix):
                 yield base
@@ -575,12 +561,10 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
             mask = masks[d] | 1 << x
             if d + 1 == need:
                 # the last pick completes the relations and the counts of
-                # the new vertex, its own read at its slack in the set
+                # the new vertex, its own among them
                 if not checks or not (
                         fix & ~rows[x] or avoid & rows[x]
-                        or (needs[d] | require[x]) & ~mask
-                        or last >> x & 1 and (now | dead[k - deg[x] - 1]) >> (
-                            rows[x] & masks[d]).bit_count() & 1):
+                        or (needs[d] | require[x]) & ~mask):
                     yield mask
                 i += 1
                 continue
@@ -601,7 +585,7 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
                         i += 1
                         continue
                 if d + 2 == need:
-                    fix, avoid = _dead_masks(mask, watch)
+                    fix, avoid = _dead_masks(mask, watch, now)
                     if fix & avoid:
                         i += 1
                         continue
@@ -612,21 +596,19 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
             i += 1
 
 
-def _dead_masks(prefix: int, watch: Sequence[Tuple[int, int, int, int]]
+def _dead_masks(prefix: int, watch: Sequence[Tuple[int, int]], dead: int
                 ) -> Tuple[int, int]:
     """fix and avoid of _candidate_sets for a set whose members but the
-    last are in prefix: for each watched (y, row, out, inn), the pair of
-    y and the new vertex gets |N(y) & prefix|, plus one when the last
-    member is a neighbour of y, and its dead counts are inn when y is in
-    prefix and out otherwise; fix holds the y whose count is dead
-    without that one, and avoid those whose count is dead with it."""
+    last are in prefix: for each watched (y, row), the pair of y and the
+    new vertex gets |N(y) & prefix|, plus one when the last member is a
+    neighbour of y, and every such pair has the dead counts dead; fix
+    holds the y whose count is dead without that one, and avoid those
+    whose count is dead with it."""
     fix = avoid = 0
-    for y, row, out, inn in watch:
-        dead = inn if prefix >> y & 1 else out
-        if dead:
-            c = (row & prefix).bit_count()
-            fix |= (dead >> c & 1) << y
-            avoid |= (dead >> c + 1 & 1) << y
+    for y, row in watch:
+        c = (row & prefix).bit_count()
+        fix |= (dead >> c & 1) << y
+        avoid |= (dead >> c + 1 & 1) << y
     return fix, avoid
 
 

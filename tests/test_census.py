@@ -63,6 +63,8 @@ SAT_PRUNE = "maxpair=k-2;sat=0,k-2"
 ANCHOR_PRUNE = "maxpair=k-2;satdistinct=2;anchor=k-2"
 GAP3_PRUNE = "maxpair=k-2;sat=k-3,k-2"
 GAP4_PRUNE = "maxpair=k-2;sat=k-4,k-2"
+# a sat value above maxpair: an open pair can have both sat relations
+BOTH_PRUNE = "maxpair=3;sat=0,1,2,4"
 # cells whose whole pruned search the candidate-choice tests walk; under
 # sat=0,2,3 at (10,4), with no maxpair, the sat pair-sum bound alone
 # refuses children and two graphs remain
@@ -205,6 +207,10 @@ class TestPrunes:
         # no maxpair, and the sat pair-sum bound refuses children: count 1
         # must grow to 2, and two graphs remain
         pytest.param(10, 4, "sat=0,2,3", id="10-4-pair-sum"),
+        # sat 4 lies above maxpair, so a pair at count 3 dies both when a
+        # tail joins without its partner and when both join: candidate
+        # choice keeps every set from such a tail, and six graphs remain
+        pytest.param(10, 4, BOTH_PRUNE, id="10-4-both-relations"),
     ])
     def test_prune_equals_post_filter(self, v, k, prune):
         # a pruned run must produce exactly the unpruned graphs whose pair
@@ -344,32 +350,51 @@ class TestPrunes:
         assert (refused > 0) == (maxpair is not None
                                  or search.gap is not None)
 
-    @pytest.mark.parametrize("v,k,prune", FILTER_CELLS)
+    @pytest.mark.parametrize("v,k,prune", FILTER_CELLS + [
+        (10, 6, GAP3_PRUNE), (10, 5, "sat=0,k-3,k-2"), (11, 6, GAP4_PRUNE)])
     def test_candidate_choice_keeps_its_implied_bounds(self, v, k, prune):
         # _candidate_sets reads the maximum degree off the last vertex, has
-        # no guard for a deficiency above rem_after + 1, and no k -
-        # rem_after or k bound on the size; the search must keep all four
-        # facts at every node it reaches
-        nodes = sets = 0
+        # no guard for a deficiency above rem_after + 1, no k - rem_after
+        # or k bound on the size, no vertices-left term in any slack, one
+        # slack for every pair of the new vertex, and no recheck of a pair
+        # of open vertices that a step leaves alone; the search must keep
+        # all seven facts at every node it reaches
+        gap = reference_gap(_Search(v, k, prune))
+        nodes = sets = pairs = 0
 
         def walk(node):
-            nonlocal nodes, sets
+            nonlocal nodes, sets, pairs
             nodes += 1
-            deg = [row.bit_count() for row in node.rows]
+            rows = node.rows
+            deg = [row.bit_count() for row in rows]
             rem_after = v - len(deg) - 1
             assert max(deg) == deg[-1]
             assert all(k - d <= rem_after + 1 for d in deg)
             forced = sum(1 for d in deg if k - d == rem_after + 1)
             assert k - rem_after <= max(deg[-1], forced)
+            if gap is not None:
+                # every pair of open vertices is alive at its slack
+                opened = [x for x, d in enumerate(deg) if d < k]
+                for x, y in itertools.combinations(opened, 2):
+                    pairs += 1
+                    c = (rows[x] & rows[y]).bit_count()
+                    assert gap[c] <= min(k - deg[x], k - deg[y])
             for s in _candidate_sets(node):
                 sets += 1
-                assert s.bit_count() <= k
+                size = s.bit_count()
+                assert size <= k
+                # the new vertex lacks no more than the vertices left, and
+                # no more than any placed y lacks after the step
+                assert k - size <= rem_after
+                assert all(k - size <= k - d - (s >> y & 1)
+                           for y, d in enumerate(deg))
             if len(deg) + 1 < v:
                 for child in _accepted_children(node):
                     walk(child)
 
         walk(_Search(v, k, prune).root())
         assert nodes > 1 and sets > 0
+        assert (pairs > 0) == (gap is not None)
 
     @pytest.mark.parametrize("v,k,prune", [(8, 3, "maxpair=0"),
                                            (6, 2, "maxpair=0"),
@@ -403,14 +428,17 @@ class TestPrunes:
         # counts 0 and 1 are bad and 2 is good: a count two short of a sat
         # value, with two picks left, must not end the prefix
         (11, 6, GAP4_PRUNE),
+        # a tail whose pair with some y has count 3 must take y and must
+        # not: no set may hold the tail
+        (10, 4, BOTH_PRUNE),
     ])
     def test_sat_relations_keep_the_sets_the_reference_accepts(self, v, k,
                                                                prune):
         # at every node the search reaches, candidate choice must yield,
         # in order, exactly the sets that the filters without sat yield
         # and that the reference step check accepts, on frozen values and
-        # on the interval rule; the rule must drop sets, and every cell
-        # but (10,4) and (11,6) keeps graphs
+        # on the interval rule; the rule must drop sets, and every spec
+        # but theorem 1 at (10,4) and gap4 at (11,6) keeps graphs
         search = _Search(v, k, prune)
         assert search.dead is not None
         plain = _Search(v, k, None if search.maxpair is None
@@ -424,7 +452,7 @@ class TestPrunes:
             dropped += len(before) - len(kept)
         assert dropped > 0
         assert any(True for _ in generate_regular(v, k, prune)) == (
-            (v, k) not in ((10, 4), (11, 6)))
+            (v, k, prune) not in ((10, 4, SAT_PRUNE), (11, 6, GAP4_PRUNE)))
 
     def test_sat_relations_under_satdistinct_drop_only_refused_sets(self):
         # with satdistinct beside sat, a set the relations drop must still
