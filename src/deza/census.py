@@ -23,10 +23,10 @@ as the popcount of the AND of two rows, only where a step can change it.
 The value of a pair with one saturated endpoint can never change again,
 since a saturated vertex gains no neighbour; that is what makes
 frozen-value constraints monotone.  Those constraints read only which
-values are frozen, so a node keeps them as a bitmask of distinct values.
-An unfrozen pair can still gain only as many common neighbours as both
-endpoints have free degree and vertices remain, which bounds its final
-value to an interval.
+values are frozen, so their check gathers a child's frozen values from
+its rows into a bitmask of distinct values.  An unfrozen pair can still
+gain only as many common neighbours as both endpoints have free degree
+and vertices remain, which bounds its final value to an interval.
 
 Two counting rules drop children that no later vertices can complete,
 so they change no output.  Birth degrees, for every spec: the maximum
@@ -54,8 +54,8 @@ So a set breaks sat, or leaves a pair whose interval holds no sat
 value, exactly when a touched pair is dead at its slack, and candidate
 choice drops exactly those sets.  A pair the step does not touch keeps
 its count and its slack, so it stays alive.  satdistinct and anchor are
-left to add_vertex, which runs its pass only under satdistinct on a
-spec that is not vacuous.
+checked on the child's rows, and only on a spec with satdistinct that
+is not vacuous.
 """
 
 import hashlib
@@ -117,15 +117,16 @@ class _Search:
     applies both.  vacuous says whether no value 0..min(maxpair, k) is in
     dead[0] and frozen_ok accepts them all.  The rules only get stricter
     on larger value sets, so such a spec can reject no step; then no
-    frozen value is computed at all and every node's mask stays 0.  dead
-    is None for a spec without sat or without a dead count, so for every
-    vacuous one.
+    frozen value is computed at all.  dead is None for a spec without sat
+    or without a dead count, so for every vacuous one.
 
     gap[c], for c at most maxpair and k, is how far c lies below the
     nearest sat value at or above it, k+1 when there is none; the
     pair-sum bound of counts_ok reads it.  gap is None unless some count
     below the largest sat value has a gap, as only such a count can make
-    the bound refuse a child that the dead-pair rule lets through.
+    the bound refuse a child that the dead-pair rule lets through.  Both
+    tables read only the sat values up to min(maxpair, k), as no count
+    can reach a larger one.
     """
 
     __slots__ = ("v", "k", "maxpair", "sat", "distinct", "anchor",
@@ -171,13 +172,12 @@ class _Search:
         dead: Optional[Tuple[int, ...]] = None
         gap: Optional[Tuple[int, ...]] = None
         if self.sat is not None:
-            # gap[c]: how far c lies below the nearest sat value at or
-            # above it, k+1 when there is none
-            gap = tuple(min((t - c for t in self.sat if t >= c),
+            sat = [t for t in self.sat if t <= top]
+            gap = tuple(min((t - c for t in sat if t >= c),
                             default=k + 1) for c in range(top + 1))
             dead = tuple(sum(1 << c for c, g in enumerate(gap[:k - t + 1])
                              if g > t) for t in range(k + 1))
-            if not any(gap[:max(self.sat[-1], 0)]):
+            if not any(gap[:max([0, *sat])]):
                 gap = None
         self.dead = dead if dead and dead[0] else None
         self.gap = gap
@@ -200,79 +200,56 @@ class _Search:
 
     def root(self) -> "_Partial":
         """The node holding the first vertex alone."""
-        return _Partial(self, (0,), 0)
+        return _Partial(self, (0,))
 
 
 class _Partial(NamedTuple):
-    """An immutable search node: the adjacency rows of a partial graph,
-    seen, the mask of its distinct frozen pair values, and gens, the
-    automorphisms canon_data found when the node was accepted, which its
-    children's search uses to skip symmetric candidate sets.  A vertex
-    set is a bit mask, as a row is, and a degree is a row's popcount.
-
-    A pair is frozen once one of its endpoints is saturated: a saturated
-    vertex gets no new neighbour, so no later vertex adds to the pair's
-    common neighbours.  A pair count is read off the bit rows as
-    (rows[x] & rows[y]).bit_count().  Every frozen-value rule reads only
-    which values occur, so bit c of seen is all a node keeps of the pairs
-    with count c; seen stays 0 in a search without satdistinct, where
-    add_vertex runs no pass.
-    add_vertex returns a child and never changes its node.
+    """An immutable search node: the adjacency rows of a partial graph and
+    gens, the automorphisms canon_data found when the node was accepted,
+    which its children's search uses to skip symmetric candidate sets.
+    Every rule on a node reads its rows: a vertex set is a bit mask, as a
+    row is, a degree is a row's popcount, and a pair count is
+    (rows[x] & rows[y]).bit_count().  add_vertex returns a child and
+    never changes its node.
     """
 
     search: _Search
     rows: Tuple[int, ...]
-    seen: int
     gens: Tuple[Tuple[int, ...], ...] = ()
 
     def graph(self) -> Graph:
         return Graph(len(self.rows), self.rows)
 
-    def add_vertex(self, smask: int) -> Optional["_Partial"]:
-        """The child whose new vertex r joins the set smask; None when the
-        step breaks satdistinct or anchor.
+    def add_vertex(self, smask: int) -> "_Partial":
+        """The child whose new vertex r joins the set smask."""
+        rows = [*self.rows, smask]
+        bit = 1 << len(self.rows)
+        while smask:
+            y = smask.bit_length() - 1
+            rows[y] |= bit
+            smask ^= 1 << y
+        return _Partial(self.search, tuple(rows))
 
-        Callers pass sets that _candidate_sets yields, which keep maxpair,
-        sat and the interval rule, so only satdistinct and anchor are left
-        to check, and only on a spec that is not vacuous.  One pass reads
-        the pairs the step freezes, and stops at the first rule broken:
-        (r, y) for every placed y when |s| = k, or else for every y
-        saturated after the step; and (x, y) for every x in s that the
-        step saturates and every other placed y not saturated before.
-        Their counts go into seen, which is checked after the (r, y) pairs
-        and after each x.
-        """
+    def frozen_values_ok(self) -> bool:
+        """Whether satdistinct and anchor accept the node's frozen values,
+        the counts of its pairs with a saturated endpoint.  The rules only
+        get stricter as values join, so they are checked after the pairs
+        of each saturated x, from the last vertex back."""
         search = self.search
-        seen = self.seen
+        if search.distinct is None or search.vacuous:
+            return True
+        k = search.k
         rows = self.rows
-        if search.distinct is not None and not search.vacuous:
-            k = search.k
-            full = smask.bit_count() == k
-            after = [k - row.bit_count() - (smask >> y & 1)
-                     for y, row in enumerate(rows)]
-            for y, dy in enumerate(after):
-                if full or not dy:
-                    seen |= 1 << (rows[y] & smask).bit_count()
-            if not search.frozen_ok(seen):
-                return None
-            for x, dx in enumerate(after):
-                # an x that stays open freezes no pair of its own: those
-                # with a saturating y are read from y
-                if dx or not smask >> x & 1:
-                    continue
-                row = rows[x]
-                for y, dy in enumerate(after):
-                    # skip y saturated before the step
-                    if y != x and (dy or smask >> y & 1):
-                        seen |= 1 << ((row & rows[y]).bit_count()
-                                      + (smask >> y & 1))
+        seen = 0
+        for x in range(len(rows) - 1, -1, -1):
+            row = rows[x]
+            if row.bit_count() == k:
+                for y, other in enumerate(rows):
+                    if y != x:
+                        seen |= 1 << (row & other).bit_count()
                 if not search.frozen_ok(seen):
-                    return None
-        bit = 1 << len(rows)
-        rows = [row | bit if smask >> y & 1 else row
-                for y, row in enumerate(rows)]
-        rows.append(smask)
-        return _Partial(search, tuple(rows), seen)
+                    return False
+        return True
 
     def counts_ok(self) -> bool:
         """Whether the m = v - n later vertices can fill every deficiency
@@ -376,10 +353,11 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
       min(k - deg x - 1, k - deg y - 1) when both join.  A dead count
       in the first case makes y join with x, and a dead count or one
       above maxpair in the second keeps the two apart, as a conflict
-      like maxpair's; a y with both relations keeps x out of every set.
-      These relations are built for the open x of degree k-1 (tails),
-      and for every open x once dead[1] is not 0; a prefix is dropped
-      once a vertex it requires is blocked or passed.  The new vertex
+      like maxpair's.  No y gets both: that needs c = min(maxpair, k)
+      outside sat, dead at every slack, but the pair was alive before
+      the step.  These relations are built for the open x of degree k-1
+      (tails), and for every open x once dead[1] is not 0; a prefix is
+      dropped once a vertex it requires is blocked or passed.  The new vertex
       and a placed y get |N(y) & s|, and every such pair has slack
       k - size: size is at least deg y, and above it when y is in s, as
       at size = top the degree filter leaves out the optional vertices of
@@ -466,7 +444,7 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
                 mine = dead[k - deg[x] - 1] | over
                 # by[j]: the open y whose pair with x has relation j, bit
                 # 0 when y must join with x and bit 1 when it must not
-                by = [0, 0, 0, 0]
+                by = [0, 0, 0]
                 for y in conflict:
                     if y != x:
                         c = (row & rows[y]).bit_count()
@@ -477,11 +455,10 @@ def _candidate_sets(node: _Partial) -> Iterator[int]:
                             # slack of y, at which it is alive
                             j |= dead[k - deg[y] - 1] >> c & 2
                         by[j] |= 1 << y
-                # a y with both relations keeps x out of every set
-                require[x] = by[1] | by[3]
+                require[x] = by[1]
                 if require[x]:
                     requiring |= 1 << x
-                apart = by[2] | by[3]
+                apart = by[2]
                 conflict[x] |= apart
                 while apart:
                     low = apart & -apart
@@ -693,9 +670,9 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
     under node.gens, it passes the prunes, and its new vertex r lies in
     the canonical last orbit.  Cheap necessary conditions run first:
     _candidate_sets yields only sets that give r the maximum degree and
-    pass maxpair, sat and the interval rule, add_vertex checks
-    satdistinct and anchor, and _last_cell_possible and counts_ok, which
-    drops children with no completion, run before the root refine.
+    pass maxpair, sat and the interval rule; frozen_values_ok (satdistinct
+    and anchor), _last_cell_possible and counts_ok, which drops children
+    with no completion, read the child's rows before the root refine.
     Every test is invariant under the parent's automorphisms, so skipping
     orbits with _orbit_seen after the first ones keeps the same
     representatives.
@@ -707,7 +684,8 @@ def _accepted_children(node: _Partial) -> Iterator[_Partial]:
         if gens and _orbit_seen(s, seen_sets, gens):
             continue
         child = node.add_vertex(s)
-        if (child is None or not _last_cell_possible(child.rows)
+        if (not child.frozen_values_ok()
+                or not _last_cell_possible(child.rows)
                 or not child.counts_ok()):
             continue
         cells = refine(child.rows, [list(range(r + 1))])
@@ -753,12 +731,12 @@ def _generate_parallel(search: _Search, jobs: int) -> Iterator[Graph]:
     The tree is cut at the first whole level, in DFS order, that holds at
     least _SUBTREES_PER_JOB * jobs nodes, or at depth v-1; each node's
     subtree is one task.  A node is immutable, so it goes to its worker
-    as it is, frozen-value mask and automorphisms included, and the
-    worker searches on from it exactly as the serial run would.  Work per
-    subtree is very uneven, so many small tasks per worker are what keep
-    every worker busy to the end.  The ordered imap returns the subtrees
-    in frontier order, and every frontier level is itself in DFS order, so
-    the output is the serial DFS order whatever depth the cut lands at.
+    as it is, automorphisms included, and the worker searches on from it
+    exactly as the serial run would.  Work per subtree is very uneven, so
+    many small tasks per worker are what keep every worker busy to the
+    end.  The ordered imap returns the subtrees in frontier order, and
+    every frontier level is itself in DFS order, so the output is the
+    serial DFS order whatever depth the cut lands at.
     """
     level = _frontier(search, min_nodes=_SUBTREES_PER_JOB * jobs)
     if not level:

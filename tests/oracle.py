@@ -126,13 +126,16 @@ def has_completion(node) -> bool:
 def reference_gap(search) -> Optional[List[int]]:
     """gap[c] for c = 0..k under the sat clause of a search, or None
     without one: how far c lies below the nearest sat value at or above
-    it, k+1 when there is none.  A pair with c common neighbours that can
-    gain at most slack more is dead when gap[c] > slack, and bad, at
-    slack 0, when gap[c] > 0."""
+    it that a count can reach, at most maxpair and k, k+1 when there is
+    none.  A pair with c common neighbours that can gain at most slack
+    more is dead when gap[c] > slack, and bad, at slack 0, when
+    gap[c] > 0."""
     if search.sat is None:
         return None
     k = search.k
-    return [min((t - c for t in search.sat if t >= c), default=k + 1)
+    top = k if search.maxpair is None else min(search.maxpair, k)
+    return [min((t - c for t in search.sat if c <= t <= top),
+                default=k + 1)
             for c in range(k + 1)]
 
 
@@ -143,16 +146,19 @@ def reference_add_vertex(node, smask: int):
     the child of a search node whose new vertex joins the set smask, or
     None when the step breaks the frozen-value rules, sat included, or
     the interval rule.  It runs its pass under every spec that is not
-    vacuous, and derives gap, the bad counts and whether the interval
-    rule is live from sat, maxpair and k itself.  A node the generator
-    built without a pass has seen 0, but its search has no satdistinct
-    and every value frozen in it is a sat value, so the verdict is the
-    same."""
+    vacuous, starting from the parent's frozen values recomputed from
+    its rows, and derives gap, the bad counts and whether the interval
+    rule is live from sat, maxpair and k itself."""
     search = node.search
-    seen = node.seen
     rows = node.rows
+    seen = 0
     if not search.vacuous:
         k = search.k
+        for x, row in enumerate(rows):
+            if row.bit_count() == k:
+                for y, other in enumerate(rows):
+                    if y != x:
+                        seen |= 1 << (row & other).bit_count()
         gap = reference_gap(search)
         bad = 0
         if gap is not None:
@@ -200,7 +206,7 @@ def reference_add_vertex(node, smask: int):
     rows = [row | bit if smask >> y & 1 else row
             for y, row in enumerate(rows)]
     rows.append(smask)
-    return type(node)(search, tuple(rows), seen)
+    return type(node)(search, tuple(rows))
 
 
 def automorphisms(g: Graph) -> List[Tuple[int, ...]]:

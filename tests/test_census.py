@@ -63,7 +63,8 @@ SAT_PRUNE = "maxpair=k-2;sat=0,k-2"
 ANCHOR_PRUNE = "maxpair=k-2;satdistinct=2;anchor=k-2"
 GAP3_PRUNE = "maxpair=k-2;sat=k-3,k-2"
 GAP4_PRUNE = "maxpair=k-2;sat=k-4,k-2"
-# a sat value above maxpair: an open pair can have both sat relations
+# a sat value above maxpair, which the search reads as sat=0,1,2: read
+# as given, count 3 would need an open pair both to join and to stay apart
 BOTH_PRUNE = "maxpair=3;sat=0,1,2,4"
 # cells whose whole pruned search the candidate-choice tests walk; under
 # sat=0,2,3 at (10,4), with no maxpair, the sat pair-sum bound alone
@@ -198,7 +199,7 @@ class TestPrunes:
         # survives
         pytest.param(10, 6, GAP3_PRUNE, id="10-6-gap3"),
         # no sat clause: only the maxpair prune of candidate generation
-        # and add_vertex fires
+        # fires
         pytest.param(10, 4, "maxpair=k-2", id="10-4-maxpair"),
         # no maxpair, and the interval rule is live: candidate choice
         # drops sets whose pairs can no longer reach a sat value, and two
@@ -207,9 +208,9 @@ class TestPrunes:
         # no maxpair, and the sat pair-sum bound refuses children: count 1
         # must grow to 2, and two graphs remain
         pytest.param(10, 4, "sat=0,2,3", id="10-4-pair-sum"),
-        # sat 4 lies above maxpair, so a pair at count 3 dies both when a
-        # tail joins without its partner and when both join: candidate
-        # choice keeps every set from such a tail, and six graphs remain
+        # sat 4 lies above maxpair, so the search reads sat only up to
+        # 3 and count 3 is dead at every slack; six graphs remain, those
+        # of sat=0,1,2
         pytest.param(10, 4, BOTH_PRUNE, id="10-4-both-relations"),
     ])
     def test_prune_equals_post_filter(self, v, k, prune):
@@ -233,9 +234,9 @@ class TestPrunes:
         assert pruned == plain
 
     @pytest.mark.parametrize("v,k,prune,rule", [
-        # the frozen values reject steps of this cell that candidate
+        # the frozen values reject children of this cell that candidate
         # choice and the counting bounds let through, and three graphs
-        # remain; at (8,4) no step is left for add_vertex to reject
+        # remain; at (8,4) no child is left for them to reject
         (9, 4, ANCHOR_PRUNE, "add_vertex"),
         # the interval rule drops sets whose child rows the frozen-value
         # rules accept, and srg(10,6,3,4) remains
@@ -244,9 +245,10 @@ class TestPrunes:
     def test_post_filter_cells_fire(self, monkeypatch, v, k, prune, rule):
         # the post-filter cases above stand for a rule only where it
         # rejects a step and output remains; satdistinct and anchor refuse
-        # steps in add_vertex, while the interval rule drops sets at
-        # candidate choice: those whose child rows the frozen-value rules
-        # accept and the reference step check refuses
+        # children that add_vertex builds, on their rows, while the
+        # interval rule drops sets at candidate choice: those whose child
+        # rows the frozen-value rules accept and the reference step check
+        # refuses
         refused = 0
         if rule == "add_vertex":
             real = _Partial.add_vertex
@@ -254,7 +256,7 @@ class TestPrunes:
             def counted(self, smask):
                 nonlocal refused
                 child = real(self, smask)
-                refused += child is None
+                refused += not child.frozen_values_ok()
                 return child
 
             monkeypatch.setattr(_Partial, "add_vertex", counted)
@@ -314,7 +316,7 @@ class TestPrunes:
                     assert not lower
                     assert not breaks_maxpair(node, s)
                     child = node.add_vertex(s)
-                    if child is None:
+                    if not child.frozen_values_ok():
                         continue
                     if not _last_cell_possible(child.rows):
                         skipped += 1
@@ -428,8 +430,8 @@ class TestPrunes:
         # counts 0 and 1 are bad and 2 is good: a count two short of a sat
         # value, with two picks left, must not end the prefix
         (11, 6, GAP4_PRUNE),
-        # a tail whose pair with some y has count 3 must take y and must
-        # not: no set may hold the tail
+        # sat read only up to maxpair: count 3 is dead at every slack, and
+        # the reference, which reads sat the same way, must agree
         (10, 4, BOTH_PRUNE),
     ])
     def test_sat_relations_keep_the_sets_the_reference_accepts(self, v, k,
@@ -457,9 +459,9 @@ class TestPrunes:
     def test_sat_relations_under_satdistinct_drop_only_refused_sets(self):
         # with satdistinct beside sat, a set the relations drop must still
         # be one the reference step check refuses, while satdistinct
-        # refusals stay with add_vertex, which must refuse exactly the
-        # kept sets the reference refuses: the two homes of the pair-count
-        # rules meet here; three graphs remain
+        # refusals stay with the child's frozen-value check, which must
+        # refuse exactly the kept sets the reference refuses: the two
+        # homes of the pair-count rules meet here; three graphs remain
         v, k, prune = 9, 4, "sat=0,1,2;satdistinct=2"
         plain = _Search(v, k, None)
         dropped = refused = 0
@@ -474,15 +476,15 @@ class TestPrunes:
                     dropped += 1
                     assert not ok
                 else:
-                    assert (node.add_vertex(s) is not None) == ok
+                    assert node.add_vertex(s).frozen_values_ok() == ok
                     refused += not ok
         assert dropped > 0 and refused > 0
         assert len(list(generate_regular(v, k, prune))) == 3
 
     def test_sat_is_enforced_only_at_candidate_choice(self):
         # under a sat-only spec every set candidate choice yields keeps
-        # sat, so add_vertex runs no pass: each child is built with the
-        # mask 0 and none is refused
+        # sat, so the frozen-value check returns at once and refuses no
+        # child
         _assert_children_unrefused(12, 4, SAT_PRUNE)
 
     @pytest.mark.parametrize("v,k,prune", [
@@ -493,7 +495,7 @@ class TestPrunes:
                                                                 prune):
         # the interval rule is live in these: a pair that can no longer
         # reach a sat value is dropped with its set, not refused after, so
-        # add_vertex refuses no set candidate choice yields
+        # no child of a set candidate choice yields is refused
         _assert_children_unrefused(v, k, prune)
 
     @pytest.mark.parametrize("v,k,prune,digest", [
@@ -528,13 +530,16 @@ class TestPrunes:
 
 def _assert_children_unrefused(v, k, prune):
     """Every set candidate choice yields at every node the search reaches
-    builds a child, with the frozen-value mask 0."""
+    builds a child on the step's rows that the frozen-value check, which
+    returns at once without satdistinct, accepts."""
+    assert _Search(v, k, prune).distinct is None
     sets = 0
     for node in _accepted_nodes(v, k, prune, v - 1):
         for s in _candidate_sets(node):
             sets += 1
             child = node.add_vertex(s)
-            assert child is not None and child.seen == 0
+            assert list(child.rows) == _step_rows(node.rows, s)
+            assert child.frozen_values_ok()
     assert sets > 0
 
 
@@ -556,15 +561,6 @@ def _frozen_from_rows(rows, k):
     saturated = {x for x, row in enumerate(rows) if row.bit_count() == k}
     return {c for (x, y), c in _pair_counts(rows).items()
             if x in saturated or y in saturated}
-
-
-def _seen_from_rows(rows, k, search):
-    """The frozen-value mask a node on these rows must hold: bit c for
-    each frozen count c, and 0 where add_vertex runs no pass, under a
-    vacuous spec or one without satdistinct."""
-    if search.vacuous or search.distinct is None:
-        return 0
-    return sum(1 << c for c in _frozen_from_rows(rows, k))
 
 
 def _values_allowed(values, spec):
@@ -632,12 +628,11 @@ def test_partial_matches_recomputation(v, k, prune):
     # seeded random walks over sets that keep maxpair, whose child keeps
     # sat on its frozen values, and whose touched pairs keep the interval
     # rule, as candidate choice guarantees, with a stack of ancestors to
-    # step back to: the verdict of add_vertex must equal the frozen-value
-    # rules on every pair with a saturated endpoint, recomputed from the
-    # rows; a child's rows and frozen-value mask must equal the
-    # recomputation (the mask 0 where add_vertex runs no pass); and no
-    # step, accepted or rejected, may change the node it was taken from,
-    # nor any of its ancestors
+    # step back to: the verdict of the child's frozen-value check must
+    # equal the frozen-value rules on every pair with a saturated
+    # endpoint, recomputed from the rows; a child's rows must equal the
+    # recomputation; and no step, accepted or rejected, may change the
+    # node it was taken from, nor any of its ancestors
     search = _Search(v, k, prune)
     vacuous = _vacuous(search, k)
     # a dead count at slack 1 among the reachable ones: only then can the
@@ -660,8 +655,6 @@ def test_partial_matches_recomputation(v, k, prune):
             r = len(node.rows)
             if r > 1 and (r == v or rng.random() < 0.2):
                 path.pop()
-                rows = list(path[-1].rows)
-                assert path[-1].seen == _seen_from_rows(rows, k, search)
                 continue
             open_ = [x for x in range(r) if node.rows[x].bit_count() < k]
             s = sorted(rng.sample(open_, rng.randint(0, min(k, len(open_)))))
@@ -673,23 +666,22 @@ def test_partial_matches_recomputation(v, k, prune):
                 continue
             # a step that freezes a count outside sat, or leaves a touched
             # pair unable to reach one, is a set candidate choice drops,
-            # so add_vertex never sees it
+            # so add_vertex never gets it
             if search.sat is not None and not \
                     _frozen_from_rows(child_rows, k) <= set(search.sat):
                 continue
             if not _intervals_allow(child_rows, v, k, search, set(s) | {r}):
                 outcomes["interval"] += 1
                 continue
-            before = (node.rows, node.seen)
+            before = (node.rows, node.gens)
             child = node.add_vertex(smask)
-            assert (node.rows, node.seen) == before
-            ok = child is not None
+            ok = child.frozen_values_ok()
+            assert (node.rows, node.gens) == before
             outcomes[ok] += 1
             assert ok == _frozen_rules_allow(child_rows, k, search)
+            assert list(child.rows) == child_rows
             if not ok:
                 continue
-            assert list(child.rows) == child_rows
-            assert child.seen == _seen_from_rows(child_rows, k, search)
             if rng.random() >= 0.3:
                 path.append(child)
     assert outcomes[True] > 0
@@ -813,18 +805,16 @@ class TestDeterminism:
         # the subtrees of any cut, in frontier order, are the serial run;
         # 10**6 cuts at depth v-1 or where the tree dies out, as the
         # pruned (10,4) cell does: it has no graph.  (9,4) under the
-        # anchor prune rejects steps and has output, so each frontier
-        # node must carry the frozen values of its rows; under
-        # satdistinct=3 one subtree of the depth v-1 cut keeps a graph
-        # the serial run drops when its root has lost them
+        # anchor prune rejects steps and has output, so the frozen values
+        # each subtree reads off its rows must include its frontier
+        # node's; under satdistinct=3 one subtree of the depth v-1 cut
+        # would keep a graph the serial run drops if they did not
         search = _Search(v, k, prune)
         serial = [g.rows for g in generate_regular(v, k, prune)]
         for min_nodes in (1, 8, 32, 10**6):
             level = _frontier(search, min_nodes)
             assert (len(level) >= min_nodes or not level
                     or all(len(node.rows) == v - 1 for node in level))
-            for node in level:
-                assert node.seen == _seen_from_rows(node.rows, k, search)
             joined = [rows for node in level for rows in _subtree_task(node)]
             assert joined == serial
 
@@ -839,8 +829,7 @@ class TestDeterminism:
         joined = []
         for node in level:
             copy = pickle.loads(pickle.dumps(node))
-            assert (copy.rows, copy.seen, copy.gens) == (
-                node.rows, node.seen, node.gens)
+            assert (copy.rows, copy.gens) == (node.rows, node.gens)
             subtree = _subtree_task(copy)
             assert subtree == _subtree_task(node)
             joined += subtree

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from deza import cli
+from deza.catalog import catalog_names, construct
+from deza.census import generate_regular
+from deza.classify import beta_formula, classify
 from deza.sieve import (
     _two_is_square,
     ddg_sieve,
@@ -298,13 +301,70 @@ class TestScans:
         # beta > 0, that is a(v-1) < k(k-1): k' < 2 + 6/(k-3) when a = k-3
         # and k' < 3 + 12/(k-4) when a = k-4.  With k' >= 4 that leaves
         # k <= 5, v <= 12 and k <= 15, v <= 20, inside this window
-        cells = {(v, k) for v in range(2, 41) for k in range(4, v - 4)
-                 for a in (k - 3, k - 4)
-                 if a > 0 and deza_sieve(v, k, k - 2, a).feasible}
-        assert sorted(cells) == [
-            (9, 4), (10, 4), (10, 5), (11, 4), (11, 6), (12, 4), (12, 6),
-            (13, 6), (13, 8), (14, 6), (14, 8), (15, 6), (15, 10),
-            (17, 12), (19, 14)]
+        cells = {t[:2] for t in _theorem2_sieve_tuples()}
+        assert sorted(cells) == THEOREM2_SIEVE_CELLS
+
+    def test_theorem2_counting_rules_leave_nine_cells(self):
+        # two counting rules outside the sieve.  The b-partners form a
+        # beta-regular graph on v vertices, so v*beta is even.  Two
+        # non-adjacent vertices have their 2k neighbours among the other
+        # v-2 vertices, so they share at least 2k-v+2; when a is below
+        # that, every non-neighbour is a b-partner and beta >= v-1-k.
+        # Of the 15 sieve cells they leave nine, all inside the v <= 14
+        # theorem-2 audit
+        tuples = _theorem2_sieve_tuples()
+        assert [t[:2] for t in tuples] == THEOREM2_SIEVE_CELLS
+        rejected = {t[:2]: _counting_rule_failures(*t) for t in tuples
+                    if _counting_rule_failures(*t)}
+        assert rejected == {
+            (11, 6): ["handshake"], (13, 6): ["handshake"],
+            (15, 6): ["handshake"], (15, 10): ["handshake", "non-neighbour"],
+            (17, 12): ["non-neighbour"],
+            (19, 14): ["handshake", "non-neighbour"]}
+        assert [cell for cell in THEOREM2_SIEVE_CELLS
+                if cell not in rejected] == [
+            (9, 4), (10, 4), (10, 5), (11, 4), (12, 4), (12, 6), (13, 8),
+            (14, 6), (14, 8)]
+        # neither rule rejects a realized tuple: the catalog's, and those
+        # of the two-valued regular graphs on at most 9 vertices
+        realized = {classify(construct(name)).deza
+                    for name in catalog_names()}
+        realized |= {classify(g).deza for v in range(1, 10)
+                     for k in range(v) if v * k % 2 == 0
+                     for g in generate_regular(v, k)}
+        realized.discard(None)
+        assert len(realized) == 24
+        for t in sorted(realized):
+            assert _counting_rule_failures(*t) == [], t
+
+
+# the (v, k) cells of theorem 2 (b = k-2, a = k-3 or k-4, a > 0) with
+# complement degree k' = v-1-k >= 4 that pass the sieve
+THEOREM2_SIEVE_CELLS = [
+    (9, 4), (10, 4), (10, 5), (11, 4), (11, 6), (12, 4), (12, 6),
+    (13, 6), (13, 8), (14, 6), (14, 8), (15, 6), (15, 10),
+    (17, 12), (19, 14)]
+
+
+def _theorem2_sieve_tuples():
+    """Every sieve-feasible (v, k, k-2, a) with a in {k-3, k-4}, a > 0
+    and k' >= 4, for v <= 40, sorted."""
+    return sorted((v, k, k - 2, a) for v in range(2, 41)
+                  for k in range(4, v - 4) for a in (k - 3, k - 4)
+                  if a > 0 and deza_sieve(v, k, k - 2, a).feasible)
+
+
+def _counting_rule_failures(v, k, b, a):
+    """The counting rules a Deza tuple (v, k, b, a) breaks, with beta its
+    b-partner count: 'handshake' when v*beta is not even, and
+    'non-neighbour' when a < 2k-v+2 and beta < v-1-k."""
+    beta = beta_formula(v, k, b, a)
+    failed = []
+    if v * beta % 2:
+        failed.append("handshake")
+    if a < 2 * k - v + 2 and beta < v - 1 - k:
+        failed.append("non-neighbour")
+    return failed
 
 def _small_ddg_tuples():
     """Every (v, k, lam1, lam2, m, n) with v <= 16, m * n = v, k < v and
