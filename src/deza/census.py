@@ -813,8 +813,9 @@ def parse_filter(spec: str) -> Callable[[CensusRecord], bool]:
 
     Atoms: all, connected, deza, strictly-deza, srg, ddg-proper, and
     parameter forms deza(v,k,b,a) / ddg(l1,l2,m,n) whose terms are
-    integers, '*', 'v' (first term only), or k-<int> resolved against the
-    record's degree.  A bad term raises here, before any record is seen.
+    integers, '*', or k-<int> resolved against the record's degree, and
+    'v' as the first term of deza(...) only.  A bad term raises here,
+    before any record is seen.
     """
     checks: List[Callable[[CensusRecord], bool]] = []
     for raw in spec.split("&"):
@@ -826,9 +827,9 @@ def parse_filter(spec: str) -> Callable[[CensusRecord], bool]:
             terms = [t.strip() for t in m.group(2).split(",")]
             if len(terms) != 4:
                 raise GraphError(f"filter {raw!r} needs four parameters")
-            # '*' matches anything, 'v' only as the vertex count; every
-            # other term is compiled now, before any record exists
-            bounds = [None if t == "*" or (t == "v" and i == 0)
+            # '*' matches anything, 'v' only as deza's vertex count;
+            # every other term is compiled now, before any record exists
+            bounds = [None if t == "*" or (t, i, kind) == ("v", 0, "deza")
                       else _compile_term(t, "filter")
                       for i, t in enumerate(terms)]
 

@@ -21,8 +21,8 @@ from .classify import classify
 from .ddg import class_audits, ddg_detect
 from .graphs import Graph, GraphError, InternalInvariantError, MAX_VERTICES
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .sieve import (SieveVerdict, _ddg_rules, _n2_params, _small_n_params,
-                    ddg_sieve, deza_sieve)
+from .sieve import (SieveVerdict, ddg_sieve, deza_sieve, scan_n2_tuples,
+                    scan_small_n_tuples)
 from .spectra import (adjacency_square_identity, char_poly,
                       ddg_spectrum_check, factor_adjacency_poly)
 
@@ -284,14 +284,14 @@ def _cmd_sieve(args) -> int:
 
 def _cmd_sieve_scan(args) -> int:
     if args.family == "n2":
-        scan = _n2_params(args.max)
+        scan = scan_n2_tuples(args.max)
     else:
-        scan = _small_n_params(args.max, max(args.max // 3, 4))
-    # a row keeps what is printed: the failing rule names, read off the
-    # rules in trace order with no verdict built
+        scan = scan_small_n_tuples(args.max, max(args.max // 3, 4))
+    # a row keeps what is printed: the failing rule names, read off each
+    # yielded trace in order
     rows = []
-    for params in scan:
-        failures = tuple(rule for rule, status, _ in _ddg_rules(*params)
+    for params, rules in scan:
+        failures = tuple(rule for rule, status, _ in rules
                          if status == "fail")
         rows.append({"params": params, "feasible": not failures,
                      "failures": failures})

@@ -5,7 +5,9 @@ exists, it only means no counting, parity, divisibility or eigenvalue
 argument rules the tuple out.  Each rule reports pass/fail/skip (plus a
 warning status for the one genuinely undecided degenerate case) so a
 verdict's trace can be read as a proof sketch.  The DDG rules D1-D8 live
-in `_ddg_rules` alone; `ddg_sieve` and `deza sieve scan` both read them.
+in `_ddg_rules` alone.  `ddg_sieve` wraps their trace in a verdict.  The
+scans over tuple families yield the trace itself; they are the one scan
+path, and `deza sieve scan` prints from them.
 """
 
 from dataclasses import dataclass
@@ -105,7 +107,7 @@ def _ddg_rules(v: int, k: int, lam1: int, lam2: int,
                m: int, n: int) -> List[Rule]:
     """The one home of D1-D8: the input check, then each rule's
     (rule, status, witness) in trace order.  `ddg_sieve` wraps them in a
-    verdict; `deza sieve scan` reads its failing rule names off them."""
+    verdict; the scans yield them as they are."""
     if not (1 <= m <= v and 1 <= n <= v
             and 0 <= lam1 <= k and 0 <= lam2 <= k and k < v):
         raise GraphError(
@@ -193,47 +195,35 @@ def ddg_sieve(v: int, k: int, lam1: int, lam2: int,
                      for r in _ddg_rules(v, k, lam1, lam2, m, n)])
 
 
-def _n2_params(kmax: int) -> Iterator[DdgParams]:
-    for k in range(2, kmax + 1):
-        target = k * k - 2 * k + 2
-        if target % 2:
-            continue
-        half = target // 2
-        for a in range(1, k + 1):
-            if half % a:
-                continue
-            # a <= k gives v = 2m >= 2 + (k^2 - 2k + 2)/k = k + 2/k > k
-            m = half // a + 1
-            yield (2 * m, k, k - 2, a, m, 2)
-
-
-def _small_n_params(kmax: int, mmax: int) -> Iterator[DdgParams]:
-    for n in (3, 4, 5, 6):
-        for k in range(2, kmax + 1):
-            for m in range(2, mmax + 1):
-                v = m * n
-                if k >= v:
-                    continue
-                for lam2 in range(0, k + 1):
-                    yield (v, k, k - 2, lam2, m, n)
-
-
-def scan_n2_tuples(kmax: int) -> Iterator[Tuple[DdgParams, SieveVerdict]]:
-    """Yield (params, verdict) for every (2m, k, k-2, a, m, 2) tuple that
-    survives D2, with k <= kmax.
+def scan_n2_tuples(kmax: int) -> Iterator[Tuple[DdgParams, List[Rule]]]:
+    """Yield (params, rules) for every (2m, k, k-2, a, m, 2) tuple that
+    survives D2, with k <= kmax; rules is the `_ddg_rules` trace, so a
+    caller who wants a verdict calls `ddg_sieve(*params)`.
 
     For fixed k and a >= 1 the counting identity pins m: it reduces to
     a(m-1) = (k^2 - 2k + 2)/2, which is integral only for even k and
     then has at most one m per divisor a.  All other m fail D2 outright,
     so these are the interesting slice of the infinite family.
     """
-    for params in _n2_params(kmax):
-        yield params, ddg_sieve(*params)
+    for k in range(2, kmax + 1, 2):
+        half = (k * k - 2 * k + 2) // 2
+        for a in range(1, k + 1):
+            if half % a == 0:
+                # a <= k gives v = 2m >= 2 + (k^2-2k+2)/k = k + 2/k > k
+                m = half // a + 1
+                params = (2 * m, k, k - 2, a, m, 2)
+                yield params, _ddg_rules(*params)
 
 
 def scan_small_n_tuples(kmax: int, mmax: int
-                        ) -> Iterator[Tuple[DdgParams, SieveVerdict]]:
-    """Yield (params, verdict) for the tuples with lam1 = k-2, class size
-    n in 3..6, k <= kmax and m <= mmax."""
-    for params in _small_n_params(kmax, mmax):
-        yield params, ddg_sieve(*params)
+                        ) -> Iterator[Tuple[DdgParams, List[Rule]]]:
+    """Yield (params, rules) for the tuples with lam1 = k-2, class size
+    n in 3..6, k <= kmax and m <= mmax; rules is the `_ddg_rules` trace,
+    so a caller who wants a verdict calls `ddg_sieve(*params)`."""
+    for n in (3, 4, 5, 6):
+        for k in range(2, kmax + 1):
+            for m in range(2, mmax + 1):
+                if k < m * n:
+                    for lam2 in range(0, k + 1):
+                        params = (m * n, k, k - 2, lam2, m, n)
+                        yield params, _ddg_rules(*params)

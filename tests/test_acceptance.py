@@ -146,10 +146,10 @@ def test_criterion_4_sieve(capsys):
             assert verdict.rule("R2").witness == {"beta": "3/2"}
 
         n2 = list(scan_n2_tuples(40))
-        assert n2 and all(not v.feasible for _, v in n2)
+        assert n2 and all(not ddg_sieve(*p).feasible for p, _ in n2)
 
         small = list(scan_small_n_tuples(40, 13))
-        assert small and all(not v.feasible for _, v in small)
+        assert small and all(not ddg_sieve(*p).feasible for p, _ in small)
         assert all(p[5] in (3, 4, 5, 6) and p[2] == p[1] - 2
                    for p, _ in small)
 

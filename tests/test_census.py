@@ -17,6 +17,7 @@ from deza.census import (
     _accepted_children,
     _candidate_sets,
     _check_limits,
+    _ddg_scope,
     _deza_scope,
     _frontier,
     _gap_cells,
@@ -35,8 +36,10 @@ from deza.census import (
     parse_filter,
 )
 from deza.classify import classify
+from deza.ddg import ddg_detect
 from deza.graph6 import decode_graph6, encode_graph6
-from deza.graphs import GraphError, disjoint_union, make_graph
+from deza.graphs import (GraphError, complement, disjoint_union, hypercube,
+                         make_graph)
 from deza.sieve import deza_sieve
 from oracle import (automorphisms, count_regular_classes_naive, group_order,
                     has_completion, reference_add_vertex, reference_gap,
@@ -936,6 +939,9 @@ class TestFilters:
         assert [r.graph6 for r in records] == ["GQzTrg"]
         with pytest.raises(GraphError, match="k-<int>"):
             census([8], [4], filter_spec="deza(*,v,*,*)")
+        # ddg's first term is lam1, not the vertex count
+        with pytest.raises(GraphError, match="bad filter term 'v'"):
+            census([8], [4], filter_spec="ddg(v,*,*,*)")
 
     def test_wildcard_filter_finds_both_strict_graphs(self):
         records = census([8, 9], [4], filter_spec="deza(*,4,2,1)")
@@ -1064,6 +1070,36 @@ class TestAudits:
         assert _deza_scope(two, (16, 4, 2, 0)) is None
         assert _deza_scope(one, (8, 4, 2, 0)) == (8, 4, 2, 0)
         assert _deza_scope(one, (8, 4, 2, 1)) is None
+
+    def test_ddg_scope_takes_disjoint_copies(self):
+        # j copies of the Heawood or the Fano non-incidence graph realise
+        # the lam2 = 0 tuples that pass the theorem-3 scan; theorem 3's
+        # scope has no connectivity test, so it takes every one, though
+        # for j >= 2 they lie past every audit window
+        found = []
+        for name, k in (("heawood", 3), ("fano-non-incidence", 4)):
+            for j in (1, 2, 3):
+                g = disjoint_union([construct(name)] * j)
+                params = (14 * j, k, k - 2, 0, 2 * j, 7)
+                assert ddg_detect(g).proper.params == params
+                assert _ddg_scope(build_record(g, ()), k - 2) == params
+                found.append(params)
+        assert sorted(found) == [
+            (14, 3, 1, 0, 2, 7), (14, 4, 2, 0, 2, 7),
+            (28, 3, 1, 0, 4, 7), (28, 4, 2, 0, 4, 7),
+            (42, 3, 1, 0, 6, 7), (42, 4, 2, 0, 6, 7)]
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_complement_of_disjoint_cubes(self, m):
+        # the README's k' = 3, a = k-4 case of theorem 2: the complement
+        # of m disjoint 3-cubes is strictly Deza with these parameters;
+        # the audit lists m = 2 and 3, and m >= 4 lies past every window
+        g = complement(disjoint_union([hypercube(3)] * m))
+        rep = classify(g)
+        assert rep.deza == (8 * m, 8 * m - 4, 8 * m - 6, 8 * m - 8)
+        assert rep.strictly_deza and rep.diameter == 2
+        assert rep.srg is None
+        assert ddg_detect(g).proper is None
 
     def test_theorem_one_small_window(self):
         report = audit_theorem(1, vmax=10)
